@@ -67,6 +67,7 @@ from .noise import (
     CycleCost,
     DistanceProfile,
     NoiseModel,
+    NoisePlan,
     PauliEvent,
     SurfaceParams,
     effective_distance,
@@ -91,6 +92,7 @@ __all__ = [
     "GoodFraction",
     "Layer",
     "NoiseModel",
+    "NoisePlan",
     "PauliEvent",
     "PlaneEngine",
     "ResourceEstimate",

@@ -19,9 +19,11 @@ Conventions shared by all architectures:
   received an address bit leave the wait state.
 * Qubit routers drop the active bit; transit modes are single qubits and
   the bus carries a marker value of 1 so delivery is observable.
-* The query ends with the classical data copy at the leaves; the bus is
-  not routed back up and the address is not uncomputed. Fidelity is
-  always measured against the noiseless run of the same schedule.
+* The descent ends with the classical data copy at the leaves. The
+  router trees can mirror it afterwards (round_trip): the bus is routed
+  back up and the address uncomputed, so the output is read at the root.
+  Fidelity is always measured against the noiseless run of the same
+  schedule.
 
 A layer may contain several gates that share an identical control set
 (the two bit-moves of one transit mode under the same router controls);
@@ -402,6 +404,112 @@ def _seal_phases(accums: Iterable[_LayerAccum], phase: int) -> list[Layer]:
 
 
 # ---------------------------------------------------------------------------
+# router-tree readout shared by the pipelined and block builders
+
+
+def _append_return_pass(layers: list[Layer]) -> None:
+    """Mirror the descent (every layer but the data copy) after the copy,
+    one phase per layer from the next free phase on."""
+    descent = [l for l in layers if not any(g.kind is GateKind.CLASSICAL_CX for g in l.gates)]
+    base = layers[-1].phase + 1
+    layers.extend(
+        Layer(src.gates, src.code_cycles, src.noise_rounds, base + i)
+        for i, src in enumerate(reversed(descent))
+    )
+
+
+def _tree_schedule(
+    architecture: str,
+    router_kind: str,
+    n: int,
+    reg: _Registry,
+    layers: list[Layer],
+    profile: DistanceProfile,
+    cost: CycleCost,
+    database: tuple[int, ...],
+    round_trip: bool,
+    *,
+    root_v: Sequence[int],
+    root_p: Sequence[int] | None,
+    r_bit: dict[tuple[int, int], int],
+    a_bit: dict[tuple[int, int], int],
+    leaf_v: Sequence[int],
+    leaf_p: Sequence[int] | None,
+) -> Schedule:
+    """A router tree's Schedule with its input map, output mask and decoder.
+
+    `root_v`/`root_p` are the value/presence qubits of the root slots: the
+    n address slots, then the bus. `r_bit`/`a_bit` are the direction and
+    active bits of router (level, node), and `leaf_v`/`leaf_p` the rails
+    of each leaf. Presence and active bits exist for qutrit routers only
+    (`root_p`, `leaf_p` None and `a_bit` empty otherwise); a qubit-router
+    bus carries the marker 1, so its data reads inverted. With round_trip
+    the descent is mirrored after the copy and the output is read back at
+    the root slots; without it, at the routers on the path and the leaf.
+    """
+    qutrit = root_p is not None
+    if round_trip:
+        _append_return_pass(layers)
+
+    def modes(values, presences, keys):
+        out = []
+        for k in keys:
+            out.append(values[k])
+            if qutrit:
+                out.append(presences[k])
+        return out
+
+    def initial_word(address: int) -> int:
+        word = 0
+        for k in range(n):
+            word |= address_bit(address, k, n) << root_v[k]
+        for q in root_p if qutrit else [root_v[n]]:
+            word |= 1 << q
+        return word
+
+    def mask(address: int) -> tuple[int, ...]:
+        if round_trip:
+            return tuple(modes(root_v, root_p, range(n + 1)))
+        path = list(enumerate(path_nodes(address, n)))
+        return tuple(modes(r_bit, a_bit, path) + modes(leaf_v, leaf_p, [address]))
+
+    def decode(word: int) -> tuple[int, int, bool]:
+        addr = 0
+        if round_trip:
+            for k in range(n):
+                addr = (addr << 1) | ((word >> root_v[k]) & 1)
+            value = (word >> root_v[n]) & 1
+            delivered = not qutrit or all((word >> q) & 1 for q in root_p)
+        else:
+            j = 0
+            for l in range(n):
+                bit = (word >> r_bit[l, j]) & 1
+                addr = (addr << 1) | bit
+                j = 2 * j + bit
+            value = (word >> leaf_v[addr]) & 1
+            delivered = not qutrit or ((word >> leaf_p[addr]) & 1) == 1
+        if not qutrit:
+            value ^= 1  # the copy landed on the bus marker 1
+        return addr, value, delivered
+
+    return Schedule(
+        architecture,
+        router_kind,
+        n,
+        tuple(reg.levels),
+        tuple(reg.roles),
+        tuple(layers),
+        profile,
+        cost,
+        database,
+        input_qubits=tuple(list(root_v) + (list(root_p) if qutrit else [])),
+        _initial_word_fn=initial_word,
+        _mask_fn=mask,
+        _decode_fn=decode,
+    )
+
+
+# ---------------------------------------------------------------------------
 # pipelined bucket-brigade builder (uniform and heterogeneous)
 
 
@@ -497,96 +605,14 @@ def _build_pipelined(
                 sub1.add(Gate.classical_cx(database[j], rail_v[n, j]))
         layers.extend(_seal_phases([sub1, sub2], tau))
 
-    if round_trip:
-        descent = [l for l in layers if not any(
-            g.kind is GateKind.CLASSICAL_CX for g in l.gates
-        )]
-        phase_base = 3 * n + 3
-        mirrored = []
-        for i, src in enumerate(reversed(descent)):
-            mirrored.append(
-                Layer(src.gates, src.code_cycles, src.noise_rounds, phase_base + i)
-            )
-        layers.extend(mirrored)
-
-    def initial_word(address: int) -> int:
-        word = 0
-        for k in range(n):
-            word |= address_bit(address, k, n) << port_v[k]
-            if qutrit:
-                word |= 1 << port_p[k]
-        if qutrit:
-            word |= 1 << bus_p
-        else:
-            word |= 1 << bus_v
-        return word
-
-    def mask(address: int) -> tuple[int, ...]:
-        if round_trip:
-            bits = []
-            for k in range(n):
-                bits.append(port_v[k])
-                if qutrit:
-                    bits.append(port_p[k])
-            bits.append(bus_v)
-            if qutrit:
-                bits.append(bus_p)
-            return tuple(bits)
-        bits = []
-        for l, j in enumerate(path_nodes(address, n)):
-            bits.append(r_bit[l, j])
-            if qutrit:
-                bits.append(a_bit[l, j])
-        bits.append(rail_v[n, address])
-        if qutrit:
-            bits.append(rail_p[n, address])
-        return tuple(bits)
-
-    def decode(word: int) -> tuple[int, int, bool]:
-        if round_trip:
-            addr = 0
-            for k in range(n):
-                addr = (addr << 1) | ((word >> port_v[k]) & 1)
-            value = (word >> bus_v) & 1
-            if qutrit:
-                delivered = ((word >> bus_p) & 1) == 1
-                ok = delivered and all(
-                    ((word >> port_p[k]) & 1) == 1 for k in range(n)
-                )
-                return addr, value, ok
-            return addr, value ^ 1, True
-        addr = 0
-        j = 0
-        for l in range(n):
-            bit = (word >> r_bit[l, j]) & 1
-            addr = (addr << 1) | bit
-            j = 2 * j + bit
-        leaf_value = (word >> rail_v[n, addr]) & 1
-        if qutrit:
-            delivered = ((word >> rail_p[n, addr]) & 1) == 1
-            data = leaf_value
-        else:
-            delivered = True
-            data = leaf_value ^ 1
-        return addr, data, delivered
-
-    inputs = list(port_v) + [bus_v]
-    if qutrit:
-        inputs += list(port_p) + [bus_p]
-    return Schedule(
-        architecture,
-        router_kind,
-        n,
-        tuple(reg.levels),
-        tuple(reg.roles),
-        tuple(layers),
-        profile,
-        cost,
-        database,
-        input_qubits=tuple(inputs),
-        _initial_word_fn=initial_word,
-        _mask_fn=mask,
-        _decode_fn=decode,
+    return _tree_schedule(
+        architecture, router_kind, n, reg, layers, profile, cost, database, round_trip,
+        root_v=port_v + [bus_v],
+        root_p=port_p + [bus_p] if qutrit else None,
+        r_bit=r_bit,
+        a_bit=a_bit,
+        leaf_v=[rail_v[n, j] for j in range(1 << n)],
+        leaf_p=[rail_p[n, j] for j in range(1 << n)] if qutrit else None,
     )
 
 
@@ -726,93 +752,15 @@ def build_ft_hetero(
     for j in range(1 << n):
         copy.add(Gate.classical_cx(database[j], slot_v[n, j, 0]))
     layers.extend(_seal_phases([copy], phase))
-    phase += 1
 
-    if round_trip:
-        descent = [l for l in layers if not any(
-            g.kind is GateKind.CLASSICAL_CX for g in l.gates
-        )]
-        mirrored = []
-        for i, src in enumerate(reversed(descent)):
-            mirrored.append(
-                Layer(src.gates, src.code_cycles, src.noise_rounds, phase + i)
-            )
-        layers.extend(mirrored)
-
-    def initial_word(address: int) -> int:
-        word = 0
-        for k in range(n):
-            word |= address_bit(address, k, n) << slot_v[0, 0, k]
-            if qutrit:
-                word |= 1 << slot_p[0, 0, k]
-        if qutrit:
-            word |= 1 << slot_p[0, 0, n]
-        else:
-            word |= 1 << slot_v[0, 0, n]
-        return word
-
-    def mask(address: int) -> tuple[int, ...]:
-        if round_trip:
-            bits = []
-            for s in range(n + 1):
-                bits.append(slot_v[0, 0, s])
-                if qutrit:
-                    bits.append(slot_p[0, 0, s])
-            return tuple(bits)
-        bits = []
-        for l, j in enumerate(path_nodes(address, n)):
-            bits.append(r_bit[l, j])
-            if qutrit:
-                bits.append(a_bit[l, j])
-        bits.append(slot_v[n, address, 0])
-        if qutrit:
-            bits.append(slot_p[n, address, 0])
-        return tuple(bits)
-
-    def decode(word: int) -> tuple[int, int, bool]:
-        if round_trip:
-            addr = 0
-            for k in range(n):
-                addr = (addr << 1) | ((word >> slot_v[0, 0, k]) & 1)
-            value = (word >> slot_v[0, 0, n]) & 1
-            if qutrit:
-                ok = all(
-                    ((word >> slot_p[0, 0, s]) & 1) == 1 for s in range(n + 1)
-                )
-                return addr, value, ok
-            return addr, value ^ 1, True
-        addr = 0
-        j = 0
-        for l in range(n):
-            bit = (word >> r_bit[l, j]) & 1
-            addr = (addr << 1) | bit
-            j = 2 * j + bit
-        leaf_value = (word >> slot_v[n, addr, 0]) & 1
-        if qutrit:
-            delivered = ((word >> slot_p[n, addr, 0]) & 1) == 1
-            data = leaf_value
-        else:
-            delivered = True
-            data = leaf_value ^ 1
-        return addr, data, delivered
-
-    inputs = [slot_v[0, 0, s] for s in range(n + 1)]
-    if qutrit:
-        inputs += [slot_p[0, 0, s] for s in range(n + 1)]
-    return Schedule(
-        "ft-hetero",
-        router_kind,
-        n,
-        tuple(reg.levels),
-        tuple(reg.roles),
-        tuple(layers),
-        profile,
-        cost,
-        database,
-        input_qubits=tuple(inputs),
-        _initial_word_fn=initial_word,
-        _mask_fn=mask,
-        _decode_fn=decode,
+    return _tree_schedule(
+        "ft-hetero", router_kind, n, reg, layers, profile, cost, database, round_trip,
+        root_v=[slot_v[0, 0, s] for s in range(n + 1)],
+        root_p=[slot_p[0, 0, s] for s in range(n + 1)] if qutrit else None,
+        r_bit=r_bit,
+        a_bit=a_bit,
+        leaf_v=[slot_v[n, j, 0] for j in range(1 << n)],
+        leaf_p=[slot_p[n, j, 0] for j in range(1 << n)] if qutrit else None,
     )
 
 

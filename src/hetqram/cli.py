@@ -20,6 +20,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ResourceLimitError,
+    bound_pair,
     compare_resources,
     emit_report,
     fit_scaling,
@@ -35,28 +36,12 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
-_CONFIG_KEYS = {
-    "arch",
-    "routers",
-    "n",
-    "p-prime",
-    "epsilon-prime",
-    "c",
-    "s",
-    "trials",
-    "seed",
-    "profile",
-    "address-mode",
-    "database",
-    "round-trip",
-    "batch-size",
-    "out",
-    "format",
-    "efficient",
-    "mode",
-    "in",
-    "distance",
-}
+#: keys of the flags every subcommand shares; the flag is --KEY
+_COMMON_KEYS = (
+    "arch", "routers", "n", "p-prime", "epsilon-prime", "c", "s", "trials", "seed",
+    "profile", "address-mode", "database", "round-trip", "batch-size", "out", "format",
+)
+_CONFIG_KEYS = set(_COMMON_KEYS) | {"efficient", "mode", "in", "distance"}
 
 
 def _parse_n_range(text: str) -> tuple[int, ...]:
@@ -148,39 +133,32 @@ def _merge(args: argparse.Namespace) -> dict:
     merged: dict[str, str] = {}
     if getattr(args, "config", None):
         merged.update(_read_config_file(args.config))
-    mapping = {
-        "arch": "arch",
-        "routers": "routers",
-        "n": "n",
-        "p_prime": "p-prime",
-        "epsilon_prime": "epsilon-prime",
-        "c": "c",
-        "s": "s",
-        "trials": "trials",
-        "seed": "seed",
-        "profile": "profile",
-        "address_mode": "address-mode",
-        "database": "database",
-        "round_trip": "round-trip",
-        "batch_size": "batch-size",
-        "out": "out",
-        "format": "format",
-    }
-    for attr, key in mapping.items():
-        val = getattr(args, attr, None)
+    for key in _COMMON_KEYS:
+        val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             merged[key] = str(val)
     return merged
+
+
+def _number(merged: dict, key: str, default, kind):
+    """merged[key] read as `kind` (int or float), or `default` when absent."""
+    text = merged.get(key)
+    if text is None:
+        return default
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"bad {key} {text!r}; expected {kind.__name__}") from None
 
 
 def _config_from(merged: dict) -> ExperimentConfig:
     archs = tuple(a.strip() for a in merged.get("arch", "bb-hetero").split(",") if a.strip())
     try:
         params = SurfaceParams(
-            epsilon_prime=float(merged.get("epsilon-prime", 0.03)),
-            p_ratio=float(merged.get("p-prime", 0.1)),
+            epsilon_prime=_number(merged, "epsilon-prime", 0.03, float),
+            p_ratio=_number(merged, "p-prime", 0.1, float),
         )
-        cost = CycleCost(c=int(merged.get("c", 2)), s=int(merged.get("s", 1)))
+        cost = CycleCost(c=_number(merged, "c", 2, int), s=_number(merged, "s", 1, int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return ExperimentConfig(
@@ -190,11 +168,11 @@ def _config_from(merged: dict) -> ExperimentConfig:
         params=params,
         cost=cost,
         profile=merged.get("profile"),
-        trials=int(merged.get("trials", 1000)),
-        seed=int(merged.get("seed", 7)),
+        trials=_number(merged, "trials", 1000, int),
+        seed=_number(merged, "seed", 7, int),
         address_mode=merged.get("address-mode", "superposition"),
         database_mode=merged.get("database", "random"),
-        batch_size=int(merged.get("batch-size", 512)),
+        batch_size=_number(merged, "batch-size", 512, int),
         round_trip=_parse_round_trip(merged.get("round-trip")),
     )
 
@@ -235,23 +213,7 @@ def _cmd_bounds(merged: dict) -> int:
         kind = "qutrit" if arch == "walker" else config.router_kind
         for n in config.n_values:
             profile = config.profile_for(arch, n)
-            inputs = analytics.BoundInputs(n, config.params, config.cost)
-            if arch in ("uniform-bb", "walker"):
-                d = profile.uniform_d
-                exact = analytics.uniform_bb_infidelity(inputs, d)
-                closed = exact
-            elif arch == "ft-hetero":
-                exact, closed = analytics.ft_infidelity_bound(inputs)
-            else:
-                exact, closed = analytics.bb_infidelity_bound(inputs)
-            if kind == "qubit":
-                if arch in ("uniform-bb", "walker"):
-                    extra = 4.0 * analytics.uniform_qubit_delta(inputs, profile.uniform_d)
-                else:
-                    key = "ft" if arch == "ft-hetero" else "bb"
-                    extra = 4.0 * analytics.qubit_router_delta(key, inputs)
-                exact += extra
-                closed += extra
+            exact, closed = bound_pair(arch, kind, n, config.params, config.cost, profile)
             rows.append(
                 (arch, kind, n, config.params.p_ratio, exact, closed,
                  analytics.vacuous(exact))

@@ -7,13 +7,16 @@ word operations per gate, and sampled Pauli errors become scattered XORs,
 so the per-trajectory cost is a fraction of a millisecond even for
 thousand-qubit registries.
 
-Error model: per layer, each qubit suffers a net X flip and a net Z flip
-with the odd-parity probability of `code_cycles` independent rounds
-(portions X and Z set by the channel split). Only the parity of X or Z
-hits on a qubit within a layer can affect the final state, so this
-matches round-by-round sampling exactly up to the O((eps*k)^2) chance of
-an X and a Z landing on the same qubit in the same layer in a specific
-order. X flips are applied before Z phases within a layer.
+Error model: the schedule's `NoisePlan` (noise.py), the one home of the
+per-phase noise rule, says after which layers noise lands, for how many
+rounds, and on which live qubits with what X and Z rates. There each live
+qubit suffers a net X flip and a net Z flip with the odd-parity
+probability of those rounds (`NoiseModel(mode="aggregate")`; the engine
+rejects "rounds" mode). Only the parity of X or Z hits on a qubit within
+a phase can affect the final state, so this matches round-by-round
+sampling exactly up to the O((eps*k)^2) chance of an X and a Z landing on
+the same qubit in the same phase in a specific order. X flips are
+applied before Z phases.
 
 Error events are identical across the branches of one trial (they are
 physical events on qubits, hitting the whole superposition), which is why
@@ -37,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import GateKind, Schedule
-from .noise import NoiseModel, PauliEvent, net_flip_probability
+from .noise import NoiseModel, NoisePlan, PauliEvent, net_flip_probability
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -52,6 +55,15 @@ def _pack_bits_lsb(bits: np.ndarray) -> np.ndarray:
     return (padded.reshape(bits.shape[:-1] + (width, 64)) * powers).sum(
         axis=-1, dtype=np.uint64
     )
+
+
+def _word_bits(words: list[int], nq: int) -> np.ndarray:
+    """(nq, len(words)) boolean matrix whose column b holds the bits of words[b]."""
+    bits = np.zeros((nq, len(words)), dtype=bool)
+    for b, w in enumerate(words):
+        for q in range(nq):
+            bits[q, b] = (w >> q) & 1
+    return bits
 
 
 def _distinct_indices(rng: np.random.Generator, slots: int, k: int) -> np.ndarray:
@@ -73,35 +85,33 @@ class PlaneEngine:
         schedule: Schedule,
         noise: NoiseModel | None,
         address_mode: str = "superposition",
-        address: int | None = None,
     ):
+        if noise is not None and noise.mode != "aggregate":
+            raise ValueError(
+                f"PlaneEngine samples net parity flips; it needs mode='aggregate', "
+                f"got {noise.mode!r}"
+            )
         self.schedule = schedule
         self.noise = noise
         self.address_mode = address_mode
         nq = schedule.qubit_count
 
-        self.sampled_basis = False
         if address_mode == "superposition":
             self.addresses = list(range(1 << schedule.n))
         elif address_mode == "basis":
-            if address is None:
-                # sampled-basis mode: one fresh address per trial; phase
-                # errors become global and are undercounted in this mode
-                self.sampled_basis = True
-                self.addresses = []
-            else:
-                self.addresses = [address]
+            # sampled-basis mode: one fresh address per trial; phase
+            # errors become global and are undercounted in this mode
+            self.addresses = []
         else:
             raise ValueError(f"unknown address mode {address_mode!r}")
+        self.sampled_basis = not self.addresses
         self.branch_count = max(len(self.addresses), 1)
         self.weights = np.full(self.branch_count, 1.0 / self.branch_count)
 
         if not self.sampled_basis:
-            words = [schedule.initial_word(a) for a in self.addresses]
-            self._init_bits = np.zeros((nq, self.branch_count), dtype=bool)
-            for b, w in enumerate(words):
-                for q in range(nq):
-                    self._init_bits[q, b] = (w >> q) & 1
+            self._init_bits = _word_bits(
+                [schedule.initial_word(a) for a in self.addresses], nq
+            )
 
             self._masks = []
             self._ideal_bits = []
@@ -114,45 +124,17 @@ class PlaneEngine:
 
         self._ops = [self._compile_layer(layer) for layer in schedule.layers]
 
-        # Noise is sampled once per phase (the parallel routing step), for
-        # as many rounds as the largest code distance operated in it. A
-        # qubit's patch only exists (and only decoheres) from the first
-        # layer that touches it; input qubits live from layer 0.
-        first_active = schedule.first_active_layer()
+        # per noisy layer: (net X flip, net Z flip, qubits) of each live group
         self._layer_probs: list[list | None] = [None] * len(schedule.layers)
         if noise is not None:
-            groups: dict[tuple[int, int], list[int]] = {}
-            for q, lvl in enumerate(schedule.levels):
-                groups.setdefault((lvl, first_active[q]), []).append(q)
-            group_list = [
-                (lvl, start, np.array(qs, dtype=np.int64))
-                for (lvl, start), qs in sorted(groups.items())
-            ]
-            nlayers = len(schedule.layers)
-            for li, layer in enumerate(schedule.layers):
-                if li + 1 < nlayers and schedule.layers[li + 1].phase == layer.phase:
-                    continue  # noise applies at the phase's last layer
-                rounds = max(
-                    l.noise_rounds
-                    for l in schedule.layers
-                    if l.phase == layer.phase
-                )
+            for step in NoisePlan(schedule, noise).steps:
                 per_group = []
-                for lvl, start, qubits in group_list:
-                    if li < start:
-                        continue
-                    rate = noise.rate_for_level(lvl)
-                    if noise.channel == "xz":
-                        px = pz = rate / 2.0
-                    elif noise.channel == "x":
-                        px, pz = rate, 0.0
-                    else:
-                        px, pz = 0.0, rate
-                    qx = net_flip_probability(px, rounds) if px else 0.0
-                    qz = net_flip_probability(pz, rounds) if pz else 0.0
+                for g in step.groups:
+                    qx = net_flip_probability(g.px, step.rounds) if g.px else 0.0
+                    qz = net_flip_probability(g.pz, step.rounds) if g.pz else 0.0
                     if qx or qz:
-                        per_group.append((qx, qz, qubits))
-                self._layer_probs[li] = per_group
+                        per_group.append((qx, qz, g.qubits))
+                self._layer_probs[step.layer] = per_group
 
     @staticmethod
     def _compile_layer(layer):
@@ -194,12 +176,8 @@ class PlaneEngine:
         trial_addresses = None
         if self.sampled_basis:
             trial_addresses = rng.integers(0, 1 << self.schedule.n, size=n_trials)
-            bits = np.zeros((nq, n_trials), dtype=bool)
-            for t, a in enumerate(trial_addresses):
-                word = self.schedule.initial_word(int(a))
-                for q in range(nq):
-                    bits[q, t] = (word >> q) & 1
-            plane = _pack_bits_lsb(bits)
+            words = [self.schedule.initial_word(int(a)) for a in trial_addresses]
+            plane = _pack_bits_lsb(_word_bits(words, nq))
         elif B % 64 == 0:
             packed = _pack_bits_lsb(self._init_bits)  # (nq, B/64)
             plane = np.tile(packed, (1, n_trials))

@@ -20,12 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from . import analytics
-from .circuits import Schedule, build_schedule
+from .circuits import MAX_DEPTH, Schedule, build_schedule
 from .engine import PlaneEngine
 from .noise import (
     CycleCost,
     DistanceProfile,
     NoiseModel,
+    NoisePlan,
     SurfaceParams,
     sample_layer_errors,
     trajectory_rng,
@@ -77,6 +78,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown router kind {self.router_kind!r}")
         if not self.n_values:
             raise ConfigError("empty n range")
+        if min(self.n_values) < 1:
+            raise ConfigError("tree depths must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.address_mode not in ("superposition", "basis"):
@@ -98,10 +101,9 @@ class ExperimentConfig:
             return DistanceProfile.odd_paired(n)
         if spec.startswith("uniform:"):
             try:
-                d = int(spec.split(":", 1)[1])
+                return DistanceProfile.uniform(n, int(spec.split(":", 1)[1]))
             except ValueError:
-                raise ConfigError(f"bad uniform profile {spec!r}") from None
-            return DistanceProfile.uniform(n, d)
+                raise ConfigError(f"bad uniform profile {spec!r}; use uniform:D, D >= 1") from None
         raise ConfigError(f"unknown profile {spec!r}")
 
 
@@ -135,46 +137,39 @@ def run_trajectory(
     noise: NoiseModel | None,
     rng: np.random.Generator,
     address_mode: str = "superposition",
-    address: int | None = None,
     initial_word: int | None = None,
 ) -> TrialResult:
     """One Monte Carlo trajectory through the schedule.
 
-    Executes layers in order, sampling errors for every live qubit after
-    each parallel routing step (phase), for as many rounds as the largest
-    code distance operated in it. Returns the squared overlap with the
-    noiseless run: per-branch output-mask comparison for QRAM schedules,
-    a full inner product for bare schedules without an output map.
+    Executes layers in order and samples errors where the schedule's
+    NoisePlan says they land (after each phase, on its live qubits).
+    Basis address mode draws one random address. Returns the squared
+    overlap with the noiseless run: per-branch output-mask comparison for
+    QRAM schedules, a full inner product for bare schedules without an
+    output map.
     """
+    address = None
     if initial_word is not None:
         starts = [(initial_word, 1.0)]
     else:
-        if address_mode == "basis" and address is None:
+        if address_mode == "basis":
             address = int(rng.integers(0, 1 << schedule.n))
         starts = schedule.initial_branches(address_mode, address)
     words = [w for w, _ in starts]
     amps = [a for _, a in starts]
     signs = [1] * len(words)
-    rates = None
-    if noise is not None:
-        rates = noise.per_qubit_rates(schedule.levels)
-        first_active = schedule.first_active_layer()
+    steps = {} if noise is None else {s.layer: s for s in NoisePlan(schedule, noise).steps}
 
     event_count = 0
-    n_layers = len(schedule.layers)
     for li, layer in enumerate(schedule.layers):
         for gate in layer.gates:
             words = [gate.apply_to_word(w) for w in words]
-        if noise is None:
+        step = steps.get(li)
+        if step is None:
             continue
-        if li + 1 < n_layers and schedule.layers[li + 1].phase == layer.phase:
-            continue  # noise lands at the end of each parallel step
-        rounds = max(
-            l.noise_rounds for l in schedule.layers if l.phase == layer.phase
-        )
-        live = {q: r for q, r in enumerate(rates) if first_active[q] <= li and r > 0.0}
+        live = {q: g.rate for g in step.groups for q in g.qubits.tolist()}
         events = sample_layer_errors(
-            rng, live, rounds, mode=noise.mode, channel=noise.channel
+            rng, live, step.rounds, mode=noise.mode, channel=noise.channel
         )
         event_count += len(events)
         for ev in events:
@@ -221,7 +216,6 @@ def run_fidelities(
     trials: int,
     seed: int,
     address_mode: str = "superposition",
-    address: int | None = None,
     batch_size: int = 512,
     stream: int = 0,
 ) -> np.ndarray:
@@ -231,7 +225,7 @@ def run_fidelities(
             f"superposition mode is capped at n={MAX_SUPERPOSITION_N}; "
             "use basis address mode for deeper trees"
         )
-    engine = PlaneEngine(schedule, noise, address_mode, address)
+    engine = PlaneEngine(schedule, noise, address_mode)
     out = np.empty(trials, dtype=np.float64)
     done = 0
     batch_index = 0
@@ -302,6 +296,47 @@ def estimate_infidelity(
 # analytic bound matching a simulated point
 
 
+def bound_pair(
+    architecture: str,
+    router_kind: str,
+    n: int,
+    params: SurfaceParams,
+    cost: CycleCost,
+    profile: DistanceProfile,
+) -> tuple[float, float]:
+    """(exact, closed-form) infidelity bound of one architecture point.
+
+    Single-qubit router variants add the error-propagation term 4*delta
+    on top of both wait-state bounds. The uniform tree's bound needs a
+    uniform profile; the walker reads a non-uniform one at its root
+    distance.
+    """
+    inputs = analytics.BoundInputs(n, params, cost)
+    if architecture in ("uniform-bb", "walker"):
+        if profile.kind == "uniform":
+            d = profile.uniform_d
+        elif architecture == "walker":
+            d = profile.distance(0)
+        else:
+            raise ConfigError("uniform-bb requires a uniform profile")
+        exact = closed = analytics.uniform_bb_infidelity(inputs, d)
+        if router_kind == "qubit":
+            exact = closed = exact + 4.0 * analytics.uniform_qubit_delta(inputs, d)
+        return exact, closed
+    if architecture == "ft-hetero":
+        exact, closed = analytics.ft_infidelity_bound(inputs)
+        key = "ft"
+    elif architecture == "bb-hetero":
+        exact, closed = analytics.bb_infidelity_bound(inputs)
+        key = "bb"
+    else:
+        raise ConfigError(f"unknown architecture {architecture!r}")
+    if router_kind == "qubit":
+        extra = 4.0 * analytics.qubit_router_delta(key, inputs)
+        exact, closed = exact + extra, closed + extra
+    return exact, closed
+
+
 def matching_bound(
     architecture: str,
     router_kind: str,
@@ -310,29 +345,8 @@ def matching_bound(
     cost: CycleCost,
     profile: DistanceProfile,
 ) -> float:
-    """The closed-form infidelity bound paired with one simulated point.
-
-    Single-qubit router variants add the error-propagation term 4*delta
-    on top of the wait-state bound.
-    """
-    inputs = analytics.BoundInputs(n, params, cost)
-    if architecture in ("uniform-bb", "walker"):
-        d = profile.uniform_d if profile.kind == "uniform" else profile.distance(0)
-        bound = analytics.uniform_bb_infidelity(inputs, d)
-        if router_kind == "qubit":
-            bound += 4.0 * analytics.uniform_qubit_delta(inputs, d)
-        return bound
-    if architecture == "ft-hetero":
-        bound = analytics.ft_infidelity_bound(inputs)[0]
-        if router_kind == "qubit":
-            bound += 4.0 * analytics.qubit_router_delta("ft", inputs)
-        return bound
-    if architecture == "bb-hetero":
-        bound = analytics.bb_infidelity_bound(inputs)[0]
-        if router_kind == "qubit":
-            bound += 4.0 * analytics.qubit_router_delta("bb", inputs)
-        return bound
-    raise ConfigError(f"unknown architecture {architecture!r}")
+    """The closed-form infidelity bound paired with one simulated point."""
+    return bound_pair(architecture, router_kind, n, params, cost, profile)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,35 +398,40 @@ class ExperimentReport:
 
 
 def run_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Monte Carlo sweep over (architecture, n) points."""
-    report = ExperimentReport()
-    stream = 0
+    """Monte Carlo sweep over (architecture, n) points.
+
+    Every point is checked (depth, profile, bound) before any is simulated.
+    """
+    points = []
     for arch in config.architectures:
         kind = "qutrit" if arch == "walker" else config.router_kind
         for n in config.n_values:
+            if n > MAX_DEPTH:
+                raise ConfigError(f"simulated tree depth must be <= {MAX_DEPTH}, got {n}")
             profile = config.profile_for(arch, n)
-            database = database_for(config, n)
-            schedule = build_schedule(
-                arch, n, kind, database,
-                profile=profile, cost=config.cost, round_trip=config.round_trip,
-            )
-            mean, ci = estimate_infidelity(config, schedule, stream=stream)
             bound = matching_bound(arch, kind, n, config.params, config.cost, profile)
-            report.add(
-                ReportRow(
-                    arch,
-                    kind,
-                    n,
-                    config.params.p_ratio,
-                    config.trials,
-                    mean,
-                    ci[0],
-                    ci[1],
-                    bound,
-                    config.seed,
-                )
+            points.append((arch, kind, n, profile, bound))
+    report = ExperimentReport()
+    for stream, (arch, kind, n, profile, bound) in enumerate(points):
+        schedule = build_schedule(
+            arch, n, kind, database_for(config, n),
+            profile=profile, cost=config.cost, round_trip=config.round_trip,
+        )
+        mean, ci = estimate_infidelity(config, schedule, stream=stream)
+        report.add(
+            ReportRow(
+                arch,
+                kind,
+                n,
+                config.params.p_ratio,
+                config.trials,
+                mean,
+                ci[0],
+                ci[1],
+                bound,
+                config.seed,
             )
-            stream += 1
+        )
     return report
 
 

@@ -17,9 +17,12 @@ and is what the batched engine uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Literal, Mapping, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .circuits import Schedule
 
 Channel = Literal["xz", "x", "z"]
 SampleMode = Literal["rounds", "aggregate"]
@@ -218,6 +221,64 @@ class NoiseModel:
 
     def per_qubit_rates(self, levels: Iterable[int]) -> np.ndarray:
         return np.array([self.rate_for_level(l) for l in levels], dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseGroup:
+    """Qubits of one tree level that come alive at the same layer."""
+
+    level: int
+    first_active: int
+    rate: float
+    px: float
+    pz: float
+    qubits: np.ndarray
+
+
+@dataclass(frozen=True)
+class NoiseStep:
+    """Noise landing after one layer: `rounds` cycles on the live groups."""
+
+    layer: int
+    rounds: int
+    groups: tuple[NoiseGroup, ...]
+
+
+class NoisePlan:
+    """Where a schedule's noise lands, for how long, and on which qubits.
+
+    The one home of the per-phase noise rule that every runner shares:
+    noise is sampled once per phase (the parallel routing step), after its
+    last layer, for as many rounds as the largest noise_rounds in it. A
+    qubit's patch only exists (and only decoheres) from the first layer
+    that touches it; input qubits live from layer 0. Each level's rate is
+    split into X and Z by the channel; levels without a positive rate are
+    skipped. Groups are ordered by (level, first active layer).
+    """
+
+    def __init__(self, schedule: "Schedule", noise: NoiseModel):
+        layers = schedule.layers
+        rounds: dict[int, int] = {}
+        for layer in layers:
+            rounds[layer.phase] = max(rounds.get(layer.phase, 0), layer.noise_rounds)
+        first_active = schedule.first_active_layer()
+        members: dict[tuple[int, int], list[int]] = {}
+        for q, level in enumerate(schedule.levels):
+            members.setdefault((level, first_active[q]), []).append(q)
+        groups = []
+        for (level, start), qubits in sorted(members.items()):
+            rate = noise.rate_for_level(level)
+            if rate <= 0.0:
+                continue
+            px, pz = _channel_probs(rate, noise.channel)
+            groups.append(
+                NoiseGroup(level, start, rate, px, pz, np.array(qubits, dtype=np.int64))
+            )
+        self.steps = tuple(
+            NoiseStep(li, rounds[layer.phase], tuple(g for g in groups if g.first_active <= li))
+            for li, layer in enumerate(layers)
+            if li + 1 == len(layers) or layers[li + 1].phase != layer.phase
+        )
 
 
 def trajectory_rng(seed: int, stream: int) -> np.random.Generator:

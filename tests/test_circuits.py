@@ -106,14 +106,18 @@ def test_database_validation():
 
 @pytest.mark.parametrize("arch,kind", ALL_VARIANTS)
 def test_noiseless_routing_matches_lookup(arch, kind):
+    """Every builder decodes every address under its default protocol, and
+    the router trees also with the return pass explicitly on and off."""
+    protocols = [{}] if arch == "walker" else [{}, {"round_trip": True}, {"round_trip": False}]
     rng = random.Random(7)
     for n in (1, 2, 3, 4):
         for _ in range(3):
             db = [rng.randint(0, 1) for _ in range(1 << n)]
-            sched = make(arch, kind, n, db)
-            for addr in range(1 << n):
-                word = run_noiseless(sched, sched.initial_word(addr))
-                assert sched.decode(word) == (addr, db[addr], True)
+            for kw in protocols:
+                sched = make(arch, kind, n, db, **kw)
+                for addr in range(1 << n):
+                    word = run_noiseless(sched, sched.initial_word(addr))
+                    assert sched.decode(word) == (addr, db[addr], True), (n, kw, addr)
 
 
 @pytest.mark.parametrize("arch,kind", ALL_VARIANTS)

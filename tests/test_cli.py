@@ -4,11 +4,18 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hetqram.cli import main
-from hetqram.harness import ExperimentConfig, report_to_csv, run_sweep
+from hetqram.harness import (
+    ARCHITECTURES,
+    ExperimentConfig,
+    matching_bound,
+    report_to_csv,
+    run_sweep,
+)
 
 
 def run_cli(args, capsys):
@@ -228,3 +235,76 @@ def test_config_file_round_trip_validated(tmp_path, capsys, value):
     else:
         assert code == 2
         assert "round-trip" in err
+
+
+@pytest.mark.parametrize(
+    "args,config",
+    [
+        (["sim", "--n", "20"], None),
+        (["sim", "--profile", "uniform:0"], None),
+        (["sim", "--arch", "uniform-bb", "--profile", "linear"], None),
+        (["bounds", "--arch", "uniform-bb", "--profile", "linear"], None),
+        (["sim"], "trials = abc\n"),
+        (["bounds", "--n", "0"], None),
+    ],
+    ids=["sim-n20", "sim-uniform0", "sim-uniform-bb-linear", "bounds-uniform-bb-linear",
+         "config-trials-abc", "bounds-n0"],
+)
+def test_invalid_config_exits_2_without_traceback(tmp_path, args, config):
+    """Run as a subprocess so an uncaught exception would show its traceback."""
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        args = args + ["--config", str(cfg)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hetqram.cli", *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_analytic_commands_accept_depths_past_the_simulator(capsys):
+    for cmd in ("bounds", "resources"):
+        code, out, _ = run_cli([cmd, "--arch", "bb-hetero,uniform-bb", "--n", "17..20"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 9
+
+
+@pytest.mark.parametrize("kind", ["qutrit", "qubit"])
+def test_bounds_rows_equal_matching_bound(capsys, kind):
+    config = ExperimentConfig(router_kind=kind)
+    code, out, _ = run_cli(
+        ["bounds", "--arch", ",".join(ARCHITECTURES), "--routers", kind, "--n", "1..12"],
+        capsys,
+    )
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == len(ARCHITECTURES) * 12
+    for row in rows:
+        arch, n = row["architecture"], int(row["n"])
+        expect = matching_bound(
+            arch, row["router_kind"], n, config.params, config.cost, config.profile_for(arch, n)
+        )
+        assert row["bound"] == repr(expect)
+        assert row["router_kind"] == ("qutrit" if arch == "walker" else kind)
+
+
+def test_sim_golden_csv(capsys):
+    """`hetqram sim` output, byte for byte, for every architecture, router kind
+    and --round-trip setting (absent, on, off) at a fixed seed. A change that
+    alters the RNG draw order on purpose regenerates tests/data/sim_golden.csv
+    and says why."""
+    parts = []
+    for kind in ("qutrit", "qubit"):
+        for round_trip in ([], ["--round-trip", "on"], ["--round-trip", "off"]):
+            code, out, _ = run_cli(
+                ["sim", "--arch", ",".join(ARCHITECTURES), "--routers", kind,
+                 "--n", "2..4", "--p-prime", "0.2", "--trials", "500", "--seed", "11",
+                 *round_trip],
+                capsys,
+            )
+            assert code == 0
+            parts.append(out)
+    golden = Path(__file__).parent / "data" / "sim_golden.csv"
+    assert "".join(parts) == golden.read_text()

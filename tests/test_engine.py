@@ -151,11 +151,14 @@ def test_small_branch_counts_unaligned_words():
     assert np.all((0.0 <= fids) & (fids <= 1.0))
 
 
-def test_basis_mode_single_branch():
-    sched = build_bb_hetero(3, "qutrit", [0, 1] * 4)
-    eng = PlaneEngine(sched, None, address_mode="basis", address=5)
-    fids = eng.run(trajectory_rng(1, 0), 5)
-    assert np.all(fids == 1.0)
+def test_rounds_mode_rejected():
+    """The engine samples net parity flips per phase, which is "aggregate"
+    mode; it must refuse a model asking for round-by-round draws."""
+    sched = build_bb_hetero(2, "qutrit", [0, 1] * 2)
+    with pytest.raises(ValueError, match="aggregate"):
+        PlaneEngine(sched, NoiseModel(PARAMS, sched.profile, mode="rounds"))
+    with pytest.raises(ValueError, match="aggregate"):
+        run_fidelities(sched, NoiseModel(PARAMS, sched.profile), 4, seed=0)
 
 
 def test_sampled_basis_mode():

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from hetqram.circuits import Gate, Layer, Schedule
 from hetqram.noise import (
     CycleCost,
     DistanceProfile,
     NoiseModel,
+    NoisePlan,
     PauliEvent,
     SurfaceParams,
     effective_distance,
@@ -179,3 +181,58 @@ def test_noise_model_flat_rate_and_levels():
     assert rates[1] == logical_error_rate(params, 1)
     flat = NoiseModel(params, prof, flat_rate=0.01)
     assert np.all(flat.per_qubit_rates([0, 1, 2]) == 0.01)
+
+
+class _LevelRates(NoiseModel):
+    """A noise model with hand-picked per-level rates."""
+
+    def __init__(self, rates, channel="xz"):
+        super().__init__(SurfaceParams(), DistanceProfile.linear(len(rates) - 1), channel)
+        self.rates = rates
+
+    def rate_for_level(self, level):
+        return self.rates[level]
+
+
+def _plan_schedule():
+    """q0 (level 0, input), q1 (level 1), q2 (level 2), q3 (level 1, never
+    touched); phases 0, 0, 1, 2 with noise_rounds 5, 3, 2, 1."""
+    layers = (
+        Layer((Gate.swap(0, 1),), code_cycles=5, noise_rounds=5, phase=0),
+        Layer((Gate.x(1),), code_cycles=3, noise_rounds=3, phase=0),
+        Layer((Gate.swap(1, 2),), code_cycles=2, noise_rounds=2, phase=1),
+        Layer((Gate.x(0),), code_cycles=1, noise_rounds=1, phase=2),
+    )
+    return Schedule(
+        "bare", "qutrit", 2, (0, 1, 2, 1), ("address", "bus", "bus", "bus"), layers,
+        DistanceProfile.linear(2), CycleCost(), (0, 0, 0, 0), input_qubits=(0,),
+    )
+
+
+def test_noise_plan_phase_ends_rounds_and_live_groups():
+    sched = _plan_schedule()
+    plan = NoisePlan(sched, _LevelRates([0.2, 0.3, 0.1]))
+    # steps only at phase-end layers, with the phase's largest noise_rounds
+    assert [(s.layer, s.rounds) for s in plan.steps] == [(1, 5), (2, 2), (3, 1)]
+    # each qubit from its first active layer; q3 is never touched
+    live = [
+        [(g.level, g.first_active, g.qubits.tolist()) for g in s.groups] for s in plan.steps
+    ]
+    assert live == [
+        [(0, 0, [0]), (1, 0, [1])],
+        [(0, 0, [0]), (1, 0, [1]), (2, 2, [2])],
+        [(0, 0, [0]), (1, 0, [1]), (2, 2, [2])],
+    ]
+    g = plan.steps[0].groups[0]
+    assert (g.rate, g.px, g.pz) == (0.2, 0.1, 0.1)
+
+
+def test_noise_plan_skips_zero_rate_levels_and_splits_channels():
+    sched = _plan_schedule()
+    plan = NoisePlan(sched, _LevelRates([0.2, 0.0, 0.1], channel="z"))
+    assert [[g.level for g in s.groups] for s in plan.steps] == [[0], [0, 2], [0, 2]]
+    assert [(g.px, g.pz) for g in plan.steps[-1].groups] == [(0.0, 0.2), (0.0, 0.1)]
+    x_only = NoisePlan(sched, _LevelRates([0.2, 0.3, 0.1], channel="x"))
+    assert [(g.px, g.pz) for g in x_only.steps[-1].groups] == [(0.2, 0.0), (0.3, 0.0), (0.1, 0.0)]
+    silent = NoisePlan(sched, NoiseModel(SurfaceParams(), sched.profile, flat_rate=0.0))
+    assert [s.groups for s in silent.steps] == [(), (), ()]

@@ -41,7 +41,11 @@ _COMMON_KEYS = (
     "arch", "routers", "n", "p-prime", "epsilon-prime", "c", "s", "trials", "seed",
     "profile", "address-mode", "database", "round-trip", "batch-size", "out", "format",
 )
-_CONFIG_KEYS = set(_COMMON_KEYS) | {"efficient", "mode", "in", "distance"}
+#: keys of flags only some subcommands have
+_COMMAND_KEYS = ("efficient", "mode", "distance")
+_CONFIG_KEYS = set(_COMMON_KEYS) | set(_COMMAND_KEYS) | {"in"}
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
 
 
 def _parse_n_range(text: str) -> tuple[int, ...]:
@@ -133,9 +137,9 @@ def _merge(args: argparse.Namespace) -> dict:
     merged: dict[str, str] = {}
     if getattr(args, "config", None):
         merged.update(_read_config_file(args.config))
-    for key in _COMMON_KEYS:
+    for key in _COMMON_KEYS + _COMMAND_KEYS:
         val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
+        if val is not None and val is not False:  # an absent --efficient is False
             merged[key] = str(val)
     return merged
 
@@ -149,6 +153,18 @@ def _number(merged: dict, key: str, default, kind):
         return kind(text)
     except ValueError:
         raise ConfigError(f"bad {key} {text!r}; expected {kind.__name__}") from None
+
+
+def _choice(merged: dict, key: str, default: str, choices: tuple[str, ...]) -> str:
+    """merged[key], or `default` when absent; must be one of `choices`."""
+    text = merged.get(key, default)
+    if text not in choices:
+        raise ConfigError(f"bad {key} {text!r}; use {' or '.join(choices)}")
+    return text
+
+
+def _format(merged: dict) -> str:
+    return _choice(merged, "format", "csv", ("csv", "json"))
 
 
 def _config_from(merged: dict) -> ExperimentConfig:
@@ -196,8 +212,8 @@ def _emit_rows(fields: tuple[str, ...], rows: list[tuple], fmt: str, out: str | 
 
 def _cmd_sim(merged: dict) -> int:
     config = _config_from(merged)
+    fmt = _format(merged)
     report = run_sweep(config)
-    fmt = merged.get("format", "csv")
     out = merged.get("out")
     if out:
         emit_report(report, fmt, out)
@@ -208,6 +224,7 @@ def _cmd_sim(merged: dict) -> int:
 
 def _cmd_bounds(merged: dict) -> int:
     config = _config_from(merged)
+    fmt = _format(merged)
     rows = []
     for arch in config.architectures:
         kind = "qutrit" if arch == "walker" else config.router_kind
@@ -221,14 +238,21 @@ def _cmd_bounds(merged: dict) -> int:
     _emit_rows(
         ("architecture", "router_kind", "n", "p_prime", "bound", "closed_form", "vacuous"),
         rows,
-        merged.get("format", "csv"),
+        fmt,
         merged.get("out"),
     )
     return EXIT_OK
 
 
-def _cmd_resources(merged: dict, efficient: bool, distance: int | None) -> int:
+def _cmd_resources(merged: dict) -> int:
     config = _config_from(merged)
+    fmt = _format(merged)
+    efficient = _BOOLEANS.get(merged.get("efficient", "false").lower())
+    if efficient is None:
+        raise ConfigError(f"bad efficient {merged['efficient']!r}; use true or false")
+    distance = _number(merged, "distance", None, int)
+    if distance is not None and distance < 1:
+        raise ConfigError(f"bad distance {distance}; must be >= 1")
     rows = []
     for arch in config.architectures:
         for n in config.n_values:
@@ -247,20 +271,22 @@ def _cmd_resources(merged: dict, efficient: bool, distance: int | None) -> int:
     _emit_rows(
         ("architecture", "n", "efficient", "physical_qubits", "per_entry_overhead"),
         rows,
-        merged.get("format", "csv"),
+        fmt,
         merged.get("out"),
     )
     return EXIT_OK
 
 
-def _cmd_compare(merged: dict, mode: str | None) -> int:
+def _cmd_compare(merged: dict) -> int:
     config = _config_from(merged)
+    fmt = _format(merged)
+    mode = _choice(merged, "mode", "analytic", ("analytic", "simulated", "auto"))
     arch = config.architectures[0]
     if arch not in ("ft-hetero", "bb-hetero"):
         raise ConfigError("compare needs --arch ft-hetero or bb-hetero")
     rows = []
     for n in config.n_values:
-        row: ComparisonRow = compare_resources(n, config, architecture=arch, mode=mode or "analytic")
+        row: ComparisonRow = compare_resources(n, config, architecture=arch, mode=mode)
         rows.append(
             (row.n, row.hetero_architecture, row.target_infidelity, row.target_vacuous,
              row.uniform_distance, row.uniform_physical_qubits,
@@ -270,7 +296,7 @@ def _cmd_compare(merged: dict, mode: str | None) -> int:
         ("n", "architecture", "target_infidelity", "target_vacuous",
          "uniform_distance", "uniform_physical_qubits", "hetero_physical_qubits", "ratio"),
         rows,
-        merged.get("format", "csv"),
+        fmt,
         merged.get("out"),
     )
     return EXIT_OK
@@ -308,9 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bounds":
             return _cmd_bounds(merged)
         if args.command == "resources":
-            return _cmd_resources(merged, args.efficient, args.distance)
+            return _cmd_resources(merged)
         if args.command == "compare":
-            return _cmd_compare(merged, args.mode)
+            return _cmd_compare(merged)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,16 @@ squared overlap of the query output with the noiseless run, treating
 corrupted branches as orthogonal junk. Good branches count as coherent
 with each other whatever residue is left outside their output masks, so
 junk that a router moves off the addressed path never lowers fidelity.
+
+Noiseless reference: the engine's own gate kernel (`_gate_pass`, the one
+place that says what a compiled gate does to a plane) run without noise.
+In superposition mode the 2^n initial words are packed as 2^n columns and
+passed through every layer once at construction; each branch's ideal bits
+are read off that plane at its output mask and kept as per-qubit packed
+(care, ideal) patterns, so the readout compares whole plane words. In
+sampled-basis mode each batch's initial plane gets the same noiseless pass
+next to the noisy one. `Schedule.ideal_word` and `run_noiseless` stay the
+independent per-address oracle of `run_trajectory` and the tests.
 """
 
 from __future__ import annotations
@@ -47,23 +57,55 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 def _pack_bits_lsb(bits: np.ndarray) -> np.ndarray:
     """Pack a boolean vector into uint64 words, bit i of word w = bits[64w+i]."""
-    n = bits.shape[-1]
-    width = (n + 63) // 64
-    padded = np.zeros(bits.shape[:-1] + (width * 64,), dtype=np.uint64)
-    padded[..., :n] = bits
-    powers = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-    return (padded.reshape(bits.shape[:-1] + (width, 64)) * powers).sum(
-        axis=-1, dtype=np.uint64
-    )
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    pad = -packed.shape[-1] % 8
+    if pad:
+        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def _unpack_bits_lsb(words: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` bits of a uint64 vector, inverse of `_pack_bits_lsb`."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little")
 
 
 def _word_bits(words: list[int], nq: int) -> np.ndarray:
     """(nq, len(words)) boolean matrix whose column b holds the bits of words[b]."""
-    bits = np.zeros((nq, len(words)), dtype=bool)
-    for b, w in enumerate(words):
-        for q in range(nq):
-            bits[q, b] = (w >> q) & 1
-    return bits
+    nbytes = (nq + 7) // 8
+    raw = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(words), nbytes), axis=1, count=nq, bitorder="little")
+    return np.ascontiguousarray(bits.T).view(bool)
+
+
+def _column_bits(plane: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bit `cols[k]` of plane row `rows[k]`, for every k, as uint64 0/1."""
+    return (plane[rows, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
+
+
+def _gate_pass(ops, plane: np.ndarray, row: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply one compiled layer's gates to a bit plane, in place.
+
+    `row` maps each logical qubit to its plane row: a plain swap relabels
+    two rows instead of moving their data. `scratch` is one row of space.
+    """
+    for op in ops:
+        kind = op[0]
+        if kind == "swap":
+            a, b = row[op[1]], row[op[2]]
+            row[op[1]], row[op[2]] = b, a
+        elif kind == "cswap":
+            controls, a, b = op[1], op[2], op[3]
+            np.bitwise_xor(plane[row[a]], plane[row[b]], out=scratch)
+            for cq, pol in controls:
+                if pol:
+                    np.bitwise_and(scratch, plane[row[cq]], out=scratch)
+                else:
+                    np.bitwise_and(scratch, ~plane[row[cq]], out=scratch)
+            plane[row[a]] ^= scratch
+            plane[row[b]] ^= scratch
+        else:  # invert
+            np.invert(plane[row[op[1]]], out=plane[row[op[1]]])
 
 
 def _distinct_indices(rng: np.random.Generator, slots: int, k: int) -> np.ndarray:
@@ -106,23 +148,14 @@ class PlaneEngine:
             raise ValueError(f"unknown address mode {address_mode!r}")
         self.sampled_basis = not self.addresses
         self.branch_count = max(len(self.addresses), 1)
-        self.weights = np.full(self.branch_count, 1.0 / self.branch_count)
+        self._ops = [self._compile_layer(layer) for layer in schedule.layers]
 
         if not self.sampled_basis:
             self._init_bits = _word_bits(
                 [schedule.initial_word(a) for a in self.addresses], nq
             )
-
-            self._masks = []
-            self._ideal_bits = []
-            for a in self.addresses:
-                mask = np.array(schedule.output_mask(a), dtype=np.int64)
-                ideal = schedule.ideal_word(a)
-                bits = np.array([(ideal >> int(q)) & 1 for q in mask], dtype=np.uint64)
-                self._masks.append(mask)
-                self._ideal_bits.append(bits)
-
-        self._ops = [self._compile_layer(layer) for layer in schedule.layers]
+            self._init_plane = _pack_bits_lsb(self._init_bits)  # (nq, ceil(B/64))
+            self._compile_readout()
 
         # per noisy layer: (net X flip, net Z flip, qubits) of each live group
         self._layer_probs: list[list | None] = [None] * len(schedule.layers)
@@ -135,6 +168,47 @@ class PlaneEngine:
                     if qx or qz:
                         per_group.append((qx, qz, g.qubits))
                 self._layer_probs[step.layer] = per_group
+
+    def _compile_readout(self) -> None:
+        """Noiseless pass over the B initial branch columns, then the readout.
+
+        For each distinct output-mask qubit (`_read_rows`), `_care` marks the
+        branches whose mask holds it and `_ideal` their noiseless final bit
+        there, packed like one trial's columns: B/64 words, or for B < 64
+        one word holding the B columns 64/B times. Every trial's span of the
+        batch plane lines up with that pattern.
+        """
+        B = self.branch_count
+        ref = self._init_plane.copy()
+        ref_row = self._noiseless_pass(ref)
+        branch, qubit = self._mask_entries(self.addresses)
+        bit = _column_bits(ref, ref_row[qubit], branch)
+
+        self._read_rows, slot = np.unique(qubit, return_inverse=True)
+        care = np.zeros((self._read_rows.size, B), dtype=bool)
+        ideal = np.zeros_like(care)
+        care[slot, branch] = True
+        ideal[slot, branch] = bit
+        reps = max(64 // B, 1)
+        self._care = _pack_bits_lsb(np.tile(care, reps))
+        self._ideal = _pack_bits_lsb(np.tile(ideal, reps))
+
+    def _noiseless_pass(self, plane: np.ndarray) -> np.ndarray:
+        """Run every layer on `plane` without noise, in place; returns the
+        row of each logical qubit."""
+        row = np.arange(self.schedule.qubit_count)
+        scratch = np.empty(plane.shape[1], dtype=np.uint64)
+        for ops in self._ops:
+            _gate_pass(ops, plane, row, scratch)
+        return row
+
+    def _mask_entries(self, addresses) -> tuple[np.ndarray, np.ndarray]:
+        """(column, qubit) of each output-mask qubit, column c holding
+        addresses[c], flat and column by column."""
+        masks = [self.schedule.output_mask(int(a)) for a in addresses]
+        col = np.repeat(np.arange(len(masks)), [len(m) for m in masks])
+        qubit = np.fromiter((q for m in masks for q in m), dtype=np.int64, count=col.size)
+        return col, qubit
 
     @staticmethod
     def _compile_layer(layer):
@@ -173,14 +247,14 @@ class PlaneEngine:
         cols = n_trials * B
         width = (cols + 63) // 64
 
-        trial_addresses = None
+        trial_addresses = initial = None
         if self.sampled_basis:
             trial_addresses = rng.integers(0, 1 << self.schedule.n, size=n_trials)
             words = [self.schedule.initial_word(int(a)) for a in trial_addresses]
             plane = _pack_bits_lsb(_word_bits(words, nq))
+            initial = plane.copy()
         elif B % 64 == 0:
-            packed = _pack_bits_lsb(self._init_bits)  # (nq, B/64)
-            plane = np.tile(packed, (1, n_trials))
+            plane = np.tile(self._init_plane, (1, n_trials))
         else:
             tiled = np.tile(self._init_bits, (1, n_trials))  # (nq, cols)
             plane = _pack_bits_lsb(tiled)
@@ -196,23 +270,7 @@ class PlaneEngine:
         scratch = np.empty(width, dtype=np.uint64)
 
         for li, ops in enumerate(self._ops):
-            for op in ops:
-                kind = op[0]
-                if kind == "swap":
-                    a, b = row[op[1]], row[op[2]]
-                    row[op[1]], row[op[2]] = b, a
-                elif kind == "cswap":
-                    controls, a, b = op[1], op[2], op[3]
-                    np.bitwise_xor(plane[row[a]], plane[row[b]], out=scratch)
-                    for cq, pol in controls:
-                        if pol:
-                            np.bitwise_and(scratch, plane[row[cq]], out=scratch)
-                        else:
-                            np.bitwise_and(scratch, ~plane[row[cq]], out=scratch)
-                    plane[row[a]] ^= scratch
-                    plane[row[b]] ^= scratch
-                else:  # invert
-                    np.invert(plane[row[op[1]]], out=plane[row[op[1]]])
+            _gate_pass(ops, plane, row, scratch)
 
             if forced_events is not None:
                 for ev in forced_events.get(li, ()):  # applied to every trial
@@ -255,54 +313,46 @@ class PlaneEngine:
                 np.bitwise_xor.at(sign, spans_idx[t_idx].ravel(), vals)
 
         if self.sampled_basis:
-            return self._fidelities_sampled(plane, row, n_trials, trial_addresses)
+            return self._fidelities_sampled(plane, row, initial, n_trials, trial_addresses)
         return self._fidelities(plane, row, sign, n_trials, B)
 
     @staticmethod
     def _trial_spans(n_trials: int, B: int, width: int):
-        per = B // 64 + (2 if B % 64 else 0)
-        per = max(per, 1)
-        idx = np.zeros((n_trials, per), dtype=np.int64)
-        msk = np.zeros((n_trials, per), dtype=np.uint64)
-        for t in range(n_trials):
-            start, end = t * B, (t + 1) * B
-            w0, w1 = start >> 6, (end - 1) >> 6
-            for i, w in enumerate(range(w0, w1 + 1)):
-                lo = max(start, w * 64) - w * 64
-                hi = min(end, (w + 1) * 64) - w * 64
-                m = _FULL if hi - lo == 64 else np.uint64(((1 << (hi - lo)) - 1) << lo)
-                idx[t, i] = w
-                msk[t, i] = m
-        return idx, msk
+        """Per trial, the plane words its B columns touch and the bits it
+        owns in each (zero index and mask pad the unused slots)."""
+        per = max(B // 64 + (2 if B % 64 else 0), 1)
+        start = np.arange(n_trials, dtype=np.int64)[:, None] * B
+        words = (start >> 6) + np.arange(per, dtype=np.int64)
+        lo = np.clip(start - 64 * words, 0, 64)
+        hi = np.clip(start + B - 64 * words, 0, 64)
+        used = hi > lo
+        ones = np.where(used, hi - lo, 1).astype(np.uint64)
+        shift = np.where(used, lo, 0).astype(np.uint64)
+        msk = (_FULL >> (np.uint64(64) - ones)) << shift
+        return np.where(used, words, 0), np.where(used, msk, np.uint64(0))
 
     def _fidelities(self, plane, row, sign, n_trials: int, B: int) -> np.ndarray:
-        t = np.arange(n_trials, dtype=np.int64)
-        overlap = np.zeros(n_trials, dtype=np.float64)
-        for b in range(B):
-            cols = t * B + b
-            w_idx = cols >> 6
-            b_pos = (cols & 63).astype(np.uint64)
-            bad = np.zeros(n_trials, dtype=bool)
-            for q, ideal_bit in zip(self._masks[b], self._ideal_bits[b]):
-                bits = (plane[row[q]][w_idx] >> b_pos) & np.uint64(1)
-                bad |= bits != ideal_bit
-            s_bits = (sign[w_idx] >> b_pos) & np.uint64(1)
-            signs = 1.0 - 2.0 * s_bits.astype(np.float64)
-            overlap += self.weights[b] * signs * (~bad)
+        # a branch is bad when any bit it reads differs from its ideal bit
+        span = self._care.shape[1]
+        bad = np.zeros((plane.shape[1] // span, span), dtype=np.uint64)
+        diff = np.empty_like(bad)
+        for q, care, ideal in zip(self._read_rows, self._care, self._ideal):
+            np.bitwise_xor(plane[row[q]].reshape(bad.shape), ideal, out=diff)
+            diff &= care
+            bad |= diff
+        cols = n_trials * B
+        good = _unpack_bits_lsb(~bad.reshape(-1), cols).reshape(n_trials, B)
+        flipped = _unpack_bits_lsb(sign, cols).reshape(n_trials, B) & good
+        # every weight is 2^-n, so this is the per-branch overlap sum exactly
+        net = good.sum(axis=1, dtype=np.int64) - 2 * flipped.sum(axis=1, dtype=np.int64)
+        overlap = net * (1.0 / B)
         return overlap**2
 
-    def _fidelities_sampled(self, plane, row, n_trials: int, addresses) -> np.ndarray:
-        # per-trial masks; a global sign never shows in |overlap|^2
-        sched = self.schedule
-        out = np.empty(n_trials, dtype=np.float64)
-        for t in range(n_trials):
-            a = int(addresses[t])
-            ideal = sched.ideal_word(a)
-            good = 1.0
-            for q in sched.output_mask(a):
-                bit = (int(plane[row[q]][t >> 6]) >> (t & 63)) & 1
-                if bit != ((ideal >> q) & 1):
-                    good = 0.0
-                    break
-            out[t] = good
-        return out
+    def _fidelities_sampled(self, plane, row, initial, n_trials: int, addresses) -> np.ndarray:
+        # one noiseless pass over the batch's initial plane is the reference;
+        # per-trial masks, and a global sign never shows in |overlap|^2
+        ref_row = self._noiseless_pass(initial)
+        trial, qubit = self._mask_entries(addresses)
+        diff = _column_bits(plane, row[qubit], trial) ^ _column_bits(initial, ref_row[qubit], trial)
+        bad = np.bincount(trial, weights=diff, minlength=n_trials)
+        return (bad == 0).astype(np.float64)

@@ -246,9 +246,17 @@ def test_config_file_round_trip_validated(tmp_path, capsys, value):
         (["bounds", "--arch", "uniform-bb", "--profile", "linear"], None),
         (["sim"], "trials = abc\n"),
         (["bounds", "--n", "0"], None),
+        (["sim", "--n", "2", "--trials", "10"], "format = xml\n"),
+        (["bounds"], "format = xml\n"),
+        (["compare"], "mode = fast\n"),
+        (["resources"], "efficient = maybe\n"),
+        (["resources", "--arch", "uniform-bb"], "distance = abc\n"),
+        (["resources", "--arch", "uniform-bb"], "distance = 0\n"),
     ],
     ids=["sim-n20", "sim-uniform0", "sim-uniform-bb-linear", "bounds-uniform-bb-linear",
-         "config-trials-abc", "bounds-n0"],
+         "config-trials-abc", "bounds-n0", "config-sim-format-xml", "config-bounds-format-xml",
+         "config-mode-fast", "config-efficient-maybe", "config-distance-abc",
+         "config-distance-0"],
 )
 def test_invalid_config_exits_2_without_traceback(tmp_path, args, config):
     """Run as a subprocess so an uncaught exception would show its traceback."""
@@ -262,6 +270,45 @@ def test_invalid_config_exits_2_without_traceback(tmp_path, args, config):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def _cli_stdout(args, config=None, tmp_path=None):
+    """stdout of `python -m hetqram.cli`, which must exit 0."""
+    if config is not None:
+        cfg = tmp_path / "cmd.cfg"
+        cfg.write_text(config)
+        args = args + ["--config", str(cfg)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hetqram.cli", *args], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_config_file_mode_is_read_and_flag_overrides(tmp_path):
+    base = ["compare", "--arch", "bb-hetero", "--n", "3", "--trials", "200"]
+    simulated = _cli_stdout(base + ["--mode", "simulated"])
+    analytic = _cli_stdout(base + ["--mode", "analytic"])
+    assert simulated != analytic
+    assert _cli_stdout(base, "mode = simulated\n", tmp_path) == simulated
+    assert _cli_stdout(base + ["--mode", "analytic"], "mode = simulated\n", tmp_path) == analytic
+
+
+@pytest.mark.parametrize("value", ["yes", "true", "on", "1"])
+def test_config_file_efficient_is_read(tmp_path, value):
+    base = ["resources", "--arch", "bb-hetero", "--n", "3"]
+    efficient = _cli_stdout(base + ["--efficient"])
+    assert "bb-hetero,3,True," in efficient
+    assert _cli_stdout(base, f"efficient = {value}\n", tmp_path) == efficient
+    assert _cli_stdout(base, "efficient = no\n", tmp_path) == _cli_stdout(base)
+
+
+def test_config_file_distance_is_read_and_flag_overrides(tmp_path):
+    base = ["resources", "--arch", "uniform-bb", "--n", "3"]
+    five = _cli_stdout(base + ["--distance", "5"])
+    assert five != _cli_stdout(base)
+    assert _cli_stdout(base, "distance = 5\n", tmp_path) == five
+    assert _cli_stdout(base + ["--distance", "5"], "distance = 7\n", tmp_path) == five
 
 
 def test_analytic_commands_accept_depths_past_the_simulator(capsys):

@@ -1,10 +1,28 @@
 """Batched plane engine against the reference runner and hand-checkable cases."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from hetqram.circuits import build_bb_hetero, build_ft_hetero, build_uniform_bb, build_walker
-from hetqram.engine import PlaneEngine, _distinct_indices, _pack_bits_lsb
+from hetqram.circuits import (
+    build_bb_hetero,
+    build_ft_hetero,
+    build_schedule,
+    build_uniform_bb,
+    build_walker,
+)
+from hetqram.engine import (
+    PlaneEngine,
+    _distinct_indices,
+    _pack_bits_lsb,
+    _unpack_bits_lsb,
+    _word_bits,
+)
 from hetqram.harness import infidelity_stats, run_fidelities, run_trajectory
 from hetqram.noise import (
     DistanceProfile,
@@ -184,3 +202,125 @@ def test_sampled_basis_past_superposition_ceiling():
     )
     assert fids.shape == (64,)
     assert np.all((fids == 0.0) | (fids == 1.0))
+
+
+VARIANTS = (
+    ("uniform-bb", "qutrit"), ("ft-hetero", "qutrit"), ("bb-hetero", "qutrit"),
+    ("uniform-bb", "qubit"), ("ft-hetero", "qubit"), ("bb-hetero", "qubit"),
+    ("walker", "qutrit"),
+)
+
+
+def _database(n):
+    return np.random.default_rng(n).integers(0, 2, 1 << n).tolist()
+
+
+def _pack_bits_loop(bits):
+    """Bit-by-bit definition: bit i of word w is bits[64w + i]."""
+    n = bits.shape[-1]
+    words = np.zeros(bits.shape[:-1] + ((n + 63) // 64,), dtype=np.uint64)
+    for idx in np.ndindex(bits.shape):
+        if bits[idx]:
+            words[idx[:-1] + (idx[-1] // 64,)] |= np.uint64(1) << np.uint64(idx[-1] % 64)
+    return words
+
+
+def _word_bits_loop(words, nq):
+    bits = np.zeros((nq, len(words)), dtype=bool)
+    for b, w in enumerate(words):
+        for q in range(nq):
+            bits[q, b] = (w >> q) & 1
+    return bits
+
+
+def _trial_spans_loop(n_trials, B):
+    """Word-by-word definition of the per-trial spans."""
+    per = max(B // 64 + (2 if B % 64 else 0), 1)
+    idx = np.zeros((n_trials, per), dtype=np.int64)
+    msk = np.zeros((n_trials, per), dtype=np.uint64)
+    for t in range(n_trials):
+        start, end = t * B, (t + 1) * B
+        for i, w in enumerate(range(start >> 6, ((end - 1) >> 6) + 1)):
+            lo = max(start, w * 64) - w * 64
+            hi = min(end, (w + 1) * 64) - w * 64
+            idx[t, i] = w
+            msk[t, i] = ((1 << (hi - lo)) - 1) << lo
+    return idx, msk
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=200)))
+@example(np.ones(65, dtype=bool))
+@example(np.ones((3, 127), dtype=bool))
+def test_pack_bits_lsb_equals_bit_by_bit_definition(bits):
+    words = _pack_bits_lsb(bits)
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, _pack_bits_loop(bits))
+    if bits.ndim == 1:
+        assert np.array_equal(_unpack_bits_lsb(words, bits.size), bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_word_bits_equals_bit_by_bit_definition(data):
+    nq = data.draw(st.integers(1, 150), label="nq")
+    word = st.integers(0, (1 << nq) - 1)
+    high = word.map(lambda w: w | (1 << (nq - 1)))  # top qubit set
+    words = data.draw(st.lists(word | high, max_size=70), label="words")
+    bits = _word_bits(words, nq)
+    assert bits.dtype == bool and bits.shape == (nq, len(words))
+    assert np.array_equal(bits, _word_bits_loop(words, nq))
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 32, 64, 128, 1024])
+@pytest.mark.parametrize("n_trials", [1, 7, 63, 64, 65, 130])
+def test_trial_spans_equal_word_by_word_definition(B, n_trials):
+    idx, msk = PlaneEngine._trial_spans(n_trials, B, (n_trials * B + 63) // 64)
+    ref_idx, ref_msk = _trial_spans_loop(n_trials, B)
+    assert np.array_equal(idx, ref_idx) and idx.dtype == ref_idx.dtype
+    assert np.array_equal(msk, ref_msk) and msk.dtype == ref_msk.dtype
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+@pytest.mark.parametrize("round_trip", [None, True, False])
+def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip):
+    """Each branch's ideal bits, as the readout holds them after the
+    engine's noiseless plane pass, equal the bits of the per-address oracle
+    `Schedule.ideal_word(a)` at `output_mask(a)`, and no mask qubit is
+    missing or extra."""
+    for n in range(1, 7):
+        sched = build_schedule(arch, n, kind, _database(n), round_trip=round_trip)
+        eng = PlaneEngine(sched, None)
+        B = 1 << n
+        masks = [set(sched.output_mask(a)) for a in range(B)]
+        assert set(eng._read_rows.tolist()) == set().union(*masks)
+        span = eng._care.shape[1] * 64
+        for q, care, ideal in zip(eng._read_rows, eng._care, eng._ideal):
+            care, ideal = _unpack_bits_lsb(care, span), _unpack_bits_lsb(ideal, span)
+            for col in range(span):
+                a = col % B
+                expect_care = q in masks[a]
+                assert care[col] == expect_care, (n, q, a)
+                expect = (sched.ideal_word(a) >> int(q)) & 1 if expect_care else 0
+                assert ideal[col] == expect, (n, q, a)
+
+
+def test_sampled_basis_fidelities_unchanged():
+    """Basis-mode fidelities at a fixed seed for every architecture and
+    router kind, n=3..6, both protocols, as packed hex bit strings. The
+    data were written by the earlier engine, whose reference ran
+    `Schedule.ideal_word` per sampled address; the plane-pass reference
+    must reproduce them bit for bit, on the same addresses and noise."""
+    golden = json.loads((Path(__file__).parent / "data" / "basis_golden.json").read_text())
+    got = {}
+    for arch, kind in VARIANTS:
+        for n in range(3, 7):
+            for rt in (True, False):
+                sched = build_schedule(arch, n, kind, _database(n), round_trip=rt)
+                noise = NoiseModel(SurfaceParams(0.03, 0.2), sched.profile, mode="aggregate")
+                fids = run_fidelities(sched, noise, 300, seed=13, address_mode="basis",
+                                      batch_size=128)
+                assert set(np.unique(fids)) <= {0.0, 1.0}
+                key = f"{arch}/{kind}/n={n}/rt={'on' if rt else 'off'}"
+                got[key] = np.packbits(fids == 1.0).tobytes().hex()
+    assert got == golden

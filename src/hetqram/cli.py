@@ -43,7 +43,7 @@ _COMMON_KEYS = (
 )
 #: keys of flags only some subcommands have
 _COMMAND_KEYS = ("efficient", "mode", "distance")
-_CONFIG_KEYS = set(_COMMON_KEYS) | set(_COMMAND_KEYS) | {"in"}
+_CONFIG_KEYS = set(_COMMON_KEYS) | set(_COMMAND_KEYS)
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
 

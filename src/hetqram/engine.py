@@ -3,9 +3,9 @@
 Simulates many Monte Carlo trajectories of one schedule at once by storing
 the state transposed: one uint64 row per logical qubit, one bit per
 (trial, branch) column. Permutation gates become a handful of vectorized
-word operations per gate, and sampled Pauli errors become scattered XORs,
-so the per-trajectory cost is a fraction of a millisecond even for
-thousand-qubit registries.
+word operations per gate, and Pauli errors become XORs over each hit
+trial's column span, so the per-trajectory cost is a fraction of a
+millisecond even for thousand-qubit registries.
 
 Error model: the schedule's `NoisePlan` (noise.py), the one home of the
 per-phase noise rule, says after which layers noise lands, for how many
@@ -15,8 +15,18 @@ probability of those rounds (`NoiseModel(mode="aggregate")`; the engine
 rejects "rounds" mode). Only the parity of X or Z hits on a qubit within
 a phase can affect the final state, so this matches round-by-round
 sampling exactly up to the O((eps*k)^2) chance of an X and a Z landing on
-the same qubit in the same phase in a specific order. X flips are
-applied before Z phases.
+the same qubit in the same phase in a specific order.
+
+Noise sampling: every (noise step, live group, X or Z) segment of the plan
+is pooled, once at construction, by its net flip probability q. Each batch
+then draws all its noise up front, one Bernoulli(q) process per class over
+the class's (slot, trial) pairs, by summing geometric gaps between hits
+(the rare-error sampling of Stim, Gidney, Quantum 5, 497 (2021)): exact
+iid flips at a cost proportional to the number of hits. Each hit is
+coded as one int64, ((layer * 2 + is_z) * qubits + qubit) * trials +
+trial, and the batch's codes are sorted once, so each layer's X flips and
+then its Z phases are two contiguous runs that the gate loop applies right
+after that layer's gates.
 
 Error events are identical across the branches of one trial (they are
 physical events on qubits, hitting the whole superposition), which is why
@@ -108,15 +118,23 @@ def _gate_pass(ops, plane: np.ndarray, row: np.ndarray, scratch: np.ndarray) -> 
             np.invert(plane[row[op[1]]], out=plane[row[op[1]]])
 
 
-def _distinct_indices(rng: np.random.Generator, slots: int, k: int) -> np.ndarray:
-    """k distinct uniform draws from range(slots) by rejection."""
-    if k >= slots:
-        return np.arange(slots, dtype=np.int64)
-    idx = np.unique(rng.integers(0, slots, size=k, dtype=np.int64))
-    while idx.size < k:
-        extra = rng.integers(0, slots, size=k - idx.size, dtype=np.int64)
-        idx = np.unique(np.concatenate([idx, extra]))
-    return idx
+def _bernoulli_hits(rng: np.random.Generator, slots: int, q: float) -> np.ndarray:
+    """Sorted positions in range(slots) hit by iid Bernoulli(q) trials.
+
+    Gaps between hits are geometric, so the hits are the running sums of
+    geometric draws minus one: exact, distinct by construction, and O(hits).
+    Clipping gaps at slots + 1 changes no hit below `slots` and keeps the
+    sums within int64 even for vanishing q.
+    """
+    def gaps(expect: float) -> np.ndarray:
+        m = int(expect + 5.0 * np.sqrt(expect)) + 16
+        return np.minimum(rng.geometric(q, m), slots + 1)
+
+    hits = np.cumsum(gaps(slots * q)) - 1
+    while hits[-1] < slots:
+        more = np.cumsum(gaps((slots - hits[-1]) * q)) + hits[-1]
+        hits = np.concatenate([hits, more])
+    return hits[: np.searchsorted(hits, slots)]
 
 
 class PlaneEngine:
@@ -157,17 +175,36 @@ class PlaneEngine:
             self._init_plane = _pack_bits_lsb(self._init_bits)  # (nq, ceil(B/64))
             self._compile_readout()
 
-        # per noisy layer: (net X flip, net Z flip, qubits) of each live group
-        self._layer_probs: list[list | None] = [None] * len(schedule.layers)
-        if noise is not None:
-            for step in NoisePlan(schedule, noise).steps:
-                per_group = []
-                for g in step.groups:
-                    qx = net_flip_probability(g.px, step.rounds) if g.px else 0.0
-                    qz = net_flip_probability(g.pz, step.rounds) if g.pz else 0.0
-                    if qx or qz:
-                        per_group.append((qx, qz, g.qubits))
-                self._layer_probs[step.layer] = per_group
+        self._compile_noise(noise)
+
+    def _compile_noise(self, noise: NoiseModel | None) -> None:
+        """Pool the plan's (noise step, live group, X or Z) segments by their
+        net flip probability q.
+
+        Per class, `(q, key, start, offset)`: one row per segment, with the
+        event key `layer * 2 + is_z`, the segment's start in `_pool` (the
+        plan's group qubit arrays, concatenated) and the cumulative segment
+        lengths (`offset[-1]` slots per trial).
+        """
+        self._classes = []
+        if noise is None:
+            return
+        plan = NoisePlan(self.schedule, noise)
+        groups = list(dict.fromkeys(g for step in plan.steps for g in step.groups))
+        start_of = dict(zip(groups, np.cumsum([0] + [g.qubits.size for g in groups])))
+        self._pool = np.concatenate([np.zeros(0, dtype=np.int64), *(g.qubits for g in groups)])
+        rows: dict[float, list[tuple[int, int, int]]] = {}
+        for step in plan.steps:
+            for g in step.groups:
+                for is_z, p in ((0, g.px), (1, g.pz)):
+                    q = net_flip_probability(p, step.rounds)
+                    if q > 0.0:
+                        seg = (step.layer * 2 + is_z, start_of[g], g.qubits.size)
+                        rows.setdefault(q, []).append(seg)
+        for q, segs in rows.items():
+            key, start, size = (np.array(c, dtype=np.int64) for c in zip(*segs))
+            offset = np.concatenate([[0], np.cumsum(size)])
+            self._classes.append((q, key, start, offset))
 
     def _compile_readout(self) -> None:
         """Noiseless pass over the B initial branch columns, then the readout.
@@ -266,55 +303,61 @@ class PlaneEngine:
         # per-trial word spans (indices plus masks, zero-padded)
         spans_idx, spans_mask = self._trial_spans(n_trials, B, width)
 
+        if forced_events is not None:
+            codes = self._forced_events(forced_events, n_trials)
+        else:
+            codes = self._sample_events(rng, n_trials)
+        # event code ((layer * 2 + is_z) * nq + qubit) * n_trials + trial, sorted
+        bounds = np.searchsorted(codes, np.arange(2 * len(self._ops) + 1) * (nq * n_trials))
+
         plane_flat = plane.reshape(-1)
         scratch = np.empty(width, dtype=np.uint64)
 
         for li, ops in enumerate(self._ops):
             _gate_pass(ops, plane, row, scratch)
-
-            if forced_events is not None:
-                for ev in forced_events.get(li, ()):  # applied to every trial
-                    r = row[ev.qubit]
-                    if ev.kind == "X":
-                        np.invert(plane[r], out=plane[r])
-                    else:
-                        sign ^= plane[r]
-                continue
-            if self.noise is None or self._layer_probs[li] is None:
-                continue
-
-            xs_q, xs_t, zs_q, zs_t = [], [], [], []
-            for qx, qz, qubits in self._layer_probs[li]:
-                slots = qubits.size * n_trials
-                if qx > 0.0:
-                    k = rng.binomial(slots, qx)
-                    if k:
-                        idx = _distinct_indices(rng, slots, int(k))
-                        xs_q.append(qubits[idx // n_trials])
-                        xs_t.append(idx % n_trials)
-                if qz > 0.0:
-                    k = rng.binomial(slots, qz)
-                    if k:
-                        idx = _distinct_indices(rng, slots, int(k))
-                        zs_q.append(qubits[idx // n_trials])
-                        zs_t.append(idx % n_trials)
-            if xs_q:
-                q_idx = np.concatenate(xs_q)
-                t_idx = np.concatenate(xs_t)
-                widx = (row[q_idx][:, None] * width + spans_idx[t_idx]).ravel()
+            # X flips of this layer, then Z phases read from the flipped plane
+            for is_z in (0, 1):
+                lo, hi = bounds[2 * li + is_z], bounds[2 * li + is_z + 1]
+                if lo == hi:
+                    continue
+                cell, t_idx = np.divmod(codes[lo:hi], n_trials)
+                widx = (row[cell % nq][:, None] * width + spans_idx[t_idx]).ravel()
                 wmask = spans_mask[t_idx].ravel()
-                np.bitwise_xor.at(plane_flat, widx, wmask)
-            if zs_q:
-                q_idx = np.concatenate(zs_q)
-                t_idx = np.concatenate(zs_t)
-                widx = (row[q_idx][:, None] * width + spans_idx[t_idx]).ravel()
-                wmask = spans_mask[t_idx].ravel()
-                vals = plane_flat[widx] & wmask
-                np.bitwise_xor.at(sign, spans_idx[t_idx].ravel(), vals)
+                if is_z:
+                    np.bitwise_xor.at(sign, spans_idx[t_idx].ravel(), plane_flat[widx] & wmask)
+                else:
+                    np.bitwise_xor.at(plane_flat, widx, wmask)
 
         if self.sampled_basis:
             return self._fidelities_sampled(plane, row, initial, n_trials, trial_addresses)
         return self._fidelities(plane, row, sign, n_trials, B)
+
+    def _sample_events(self, rng: np.random.Generator, n_trials: int) -> np.ndarray:
+        """Draw a batch's noise: one Bernoulli process per flip-probability
+        class over its `slots-per-trial * n_trials` slots, as sorted event
+        codes ((layer * 2 + is_z) * nq + qubit) * n_trials + trial.
+
+        Slot `j * n_trials + t` is slot j of the class's segments in trial t.
+        """
+        nq = self.schedule.qubit_count
+        codes = [np.zeros(0, dtype=np.int64)]
+        for q, key, start, offset in self._classes:
+            j, t = np.divmod(_bernoulli_hits(rng, int(offset[-1]) * n_trials, q), n_trials)
+            seg = np.searchsorted(offset, j, side="right") - 1
+            codes.append((key[seg] * nq + self._pool[start[seg] + j - offset[seg]]) * n_trials + t)
+        codes = np.concatenate(codes)
+        codes.sort()
+        return codes
+
+    def _forced_events(self, forced: dict[int, list[PauliEvent]], n_trials: int) -> np.ndarray:
+        """The test hook's events after each layer, on every trial, coded
+        as in `_sample_events`."""
+        nq = self.schedule.qubit_count
+        cells = [(li * 2 + (ev.kind == "Z")) * nq + ev.qubit
+                 for li, events in forced.items() for ev in events]
+        codes = (np.array(cells, dtype=np.int64)[:, None] * n_trials + np.arange(n_trials)).ravel()
+        codes.sort()
+        return codes
 
     @staticmethod
     def _trial_spans(n_trials: int, B: int, width: int):

@@ -252,11 +252,12 @@ def test_config_file_round_trip_validated(tmp_path, capsys, value):
         (["resources"], "efficient = maybe\n"),
         (["resources", "--arch", "uniform-bb"], "distance = abc\n"),
         (["resources", "--arch", "uniform-bb"], "distance = 0\n"),
+        (["sim", "--n", "2", "--trials", "10"], "in = nothere.csv\n"),
     ],
     ids=["sim-n20", "sim-uniform0", "sim-uniform-bb-linear", "bounds-uniform-bb-linear",
          "config-trials-abc", "bounds-n0", "config-sim-format-xml", "config-bounds-format-xml",
          "config-mode-fast", "config-efficient-maybe", "config-distance-abc",
-         "config-distance-0"],
+         "config-distance-0", "config-in-unknown"],
 )
 def test_invalid_config_exits_2_without_traceback(tmp_path, args, config):
     """Run as a subprocess so an uncaught exception would show its traceback."""

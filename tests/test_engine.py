@@ -1,6 +1,7 @@
 """Batched plane engine against the reference runner and hand-checkable cases."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hetqram.circuits import (
 )
 from hetqram.engine import (
     PlaneEngine,
-    _distinct_indices,
+    _bernoulli_hits,
     _pack_bits_lsb,
     _unpack_bits_lsb,
     _word_bits,
@@ -27,8 +28,10 @@ from hetqram.harness import infidelity_stats, run_fidelities, run_trajectory
 from hetqram.noise import (
     DistanceProfile,
     NoiseModel,
+    NoisePlan,
     PauliEvent,
     SurfaceParams,
+    net_flip_probability,
     trajectory_rng,
 )
 
@@ -44,12 +47,110 @@ def test_pack_bits_lsb_roundtrip():
         assert ((int(words[i // 64]) >> (i % 64)) & 1) == int(b)
 
 
-def test_distinct_indices_exact_and_unique():
+@pytest.mark.parametrize("slots,q", [(1, 0.5), (50, 0.2), (1000, 0.003), (700, 0.97), (10**7, 1e-20)])
+def test_bernoulli_hits_sorted_distinct_in_range(slots, q):
     rng = np.random.default_rng(1)
-    idx = _distinct_indices(rng, 50, 12)
-    assert len(np.unique(idx)) == 12
-    assert idx.min() >= 0 and idx.max() < 50
-    assert len(_distinct_indices(rng, 5, 9)) == 5  # clamps to the population
+    for _ in range(200):
+        hits = _bernoulli_hits(rng, slots, q)
+        assert hits.dtype == np.int64
+        assert np.all(np.diff(hits) > 0)
+        assert hits.size == 0 or (hits[0] >= 0 and hits[-1] < slots)
+
+
+def test_bernoulli_hits_count_is_binomial():
+    """Chi-square of the hit count over 20 000 draws against
+    Binomial(slots, q), bins with expectation under 5 pooled into the tails;
+    the Wilson-Hilferty normal score of the statistic stays under 3.5
+    (p ~ 2e-4)."""
+    slots, q, reps = 40, 0.1, 20_000
+    rng = np.random.default_rng(7)
+    counts = np.bincount([_bernoulli_hits(rng, slots, q).size for _ in range(reps)],
+                         minlength=slots + 1)
+    pmf = np.array([math.comb(slots, k) * q**k * (1 - q) ** (slots - k)
+                    for k in range(slots + 1)])
+    expect = reps * pmf
+    keep = np.flatnonzero(expect >= 5)
+    lo, hi = keep[0], keep[-1]
+    obs = np.concatenate([[counts[:lo + 1].sum()], counts[lo + 1:hi], [counts[hi:].sum()]])
+    exp = np.concatenate([[expect[:lo + 1].sum()], expect[lo + 1:hi], [expect[hi:].sum()]])
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    dof = obs.size - 1
+    z = ((stat / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+    assert z < 3.5, (stat, dof)
+
+
+def test_bernoulli_hits_extend_past_the_first_draw():
+    """A generator whose gaps are all 1 hits every slot, which forces the
+    extension loop to draw again and again."""
+
+    class UnitGaps:
+        calls = 0
+
+        def geometric(self, p, size):
+            UnitGaps.calls += 1
+            return np.ones(size, dtype=np.int64)
+
+    hits = _bernoulli_hits(UnitGaps(), 1000, 0.01)
+    assert np.array_equal(hits, np.arange(1000))
+    assert UnitGaps.calls > 1
+
+
+def _events_by_key(engine, rng, n_trials):
+    """Sampled events as (key, qubit, trial) arrays, key = layer * 2 + is_z,
+    decoded from the engine's sorted event codes."""
+    codes = engine._sample_events(rng, n_trials)
+    assert codes.dtype == np.int64 and np.all(np.diff(codes) >= 0)
+    cell, trial = np.divmod(codes, n_trials)
+    key, qubit = np.divmod(cell, engine.schedule.qubit_count)
+    return key, qubit, trial
+
+
+def test_flip_probability_one_hits_every_live_slot():
+    """With a flat rate of 1 on channel x, a phase with an odd number of
+    rounds flips every live qubit in every trial (q = 1), and one with an
+    even number flips none (q = 0)."""
+    sched = build_bb_hetero(2, "qutrit", [1, 0, 0, 1])
+    noise = NoiseModel(PARAMS, sched.profile, channel="x", mode="aggregate", flat_rate=1.0)
+    eng = PlaneEngine(sched, noise)
+    n_trials = 37
+    key, qubit, trial = _events_by_key(eng, trajectory_rng(0, 0), n_trials)
+    expect = set()
+    for step in NoisePlan(sched, noise).steps:
+        if step.rounds % 2:
+            for g in step.groups:
+                expect |= {(step.layer * 2, q, t) for q in g.qubits for t in range(n_trials)}
+    assert expect
+    got = list(zip(key.tolist(), qubit.tolist(), trial.tolist()))
+    assert len(got) == len(set(got))
+    assert set(got) == expect
+
+
+@pytest.mark.parametrize("channel", ["xz", "x", "z"])
+def test_sampled_event_frequencies_match_noise_plan(channel):
+    """On a mixed-level schedule, each (layer, qubit, X/Z) event's frequency
+    over many trials equals the plan's net flip probability within 4 sigma,
+    no (layer, qubit, kind, trial) is drawn twice, and no event lands on a
+    qubit before its first active layer."""
+    sched = build_bb_hetero(2, "qutrit", [1, 0, 0, 1])
+    noise = NoiseModel(SurfaceParams(0.3, 0.3), sched.profile, channel=channel,
+                       mode="aggregate")
+    n_trials = 20_000
+    key, qubit, trial = _events_by_key(PlaneEngine(sched, noise), trajectory_rng(4, 0), n_trials)
+    nq = sched.qubit_count
+    expect = np.zeros((2 * len(sched.layers), nq))
+    for step in NoisePlan(sched, noise).steps:
+        for g in step.groups:
+            expect[step.layer * 2, g.qubits] = net_flip_probability(g.px, step.rounds)
+            expect[step.layer * 2 + 1, g.qubits] = net_flip_probability(g.pz, step.rounds)
+    assert np.count_nonzero(expect) > 10
+    cell = key * nq + qubit
+    assert np.unique(cell * n_trials + trial).size == cell.size
+    freq = np.bincount(cell, minlength=expect.size).reshape(expect.shape) / n_trials
+    sigma = np.sqrt(expect * (1 - expect) / n_trials)
+    assert np.all(np.abs(freq - expect) <= 4 * sigma), np.argwhere(
+        np.abs(freq - expect) > 4 * sigma)
+    first = np.array(sched.first_active_layer())
+    assert np.all(key // 2 >= first[qubit])
 
 
 def test_noiseless_fidelity_is_one():
@@ -308,9 +409,11 @@ def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip):
 def test_sampled_basis_fidelities_unchanged():
     """Basis-mode fidelities at a fixed seed for every architecture and
     router kind, n=3..6, both protocols, as packed hex bit strings. The
-    data were written by the earlier engine, whose reference ran
-    `Schedule.ideal_word` per sampled address; the plane-pass reference
-    must reproduce them bit for bit, on the same addresses and noise."""
+    data were written by the engine that draws each batch's noise once per
+    flip-probability class by geometric gaps; a change to the readout or
+    the reference must reproduce them bit for bit, on the same addresses
+    and noise. A change that alters the RNG draw order on purpose
+    regenerates tests/data/basis_golden.json and says why."""
     golden = json.loads((Path(__file__).parent / "data" / "basis_golden.json").read_text())
     got = {}
     for arch, kind in VARIANTS:

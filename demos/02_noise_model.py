@@ -1,4 +1,5 @@
-"""Surface-code noise: distance profiles and per-level logical error rates.
+"""Surface-code noise: distance profiles, per-level logical error rates,
+and where a schedule's noise lands.
 
 The per-cycle logical error rate is eps' * (p')^{d_e} with the effective
 distance d_e = ceil(d/2). Because an even distance shares its d_e with
@@ -7,16 +8,17 @@ from the leaves) matches the linear profile's rates level for level while
 using smaller patches.
 """
 
-import numpy as np
-
 from hetqram import (
     DistanceProfile,
+    NoiseModel,
+    NoisePlan,
     SurfaceParams,
+    build_bb_hetero,
     effective_distance,
     level_error_rate,
     logical_error_rate,
-    sample_layer_errors,
 )
+from hetqram.noise import net_flip_probability
 
 params = SurfaceParams(epsilon_prime=0.03, p_ratio=0.1)
 
@@ -35,11 +37,14 @@ for level in range(n + 1):
         f"         {level_error_rate(params, linear, level):.2e}"
     )
 
-# sampling: each code cycle flips X and Z coins per qubit
-rng = np.random.default_rng(1)
-events = sample_layer_errors(rng, {0: 0.2, 1: 0.2, 2: 0.0}, cycles=5)
-print("\nsampled events over 5 cycles at rate 0.2:", events)
-
-# the aggregate mode draws one net parity flip per qubit instead
-events = sample_layer_errors(rng, [0.2] * 3, cycles=5, mode="aggregate")
-print("aggregate-mode events:", events)
+# where noise lands: after each phase of a small tree, on its live qubits,
+# as one net X and one net Z flip with the odd-parity chance of its rounds
+sched = build_bb_hetero(3, "qutrit", [1, 0, 0, 1, 1, 1, 0, 1])
+plan = NoisePlan(sched, NoiseModel(params, sched.profile))
+print("\nbb-hetero n=3 noise plan: net X (= Z) flip chance per live qubit, by level")
+print("layer  rounds  live  " + "  ".join(f"level {l}" for l in range(sched.n + 1)))
+for step in plan.steps:
+    live = sum(g.qubits.size for g in step.groups)
+    flip = {g.level: net_flip_probability(g.px, step.rounds) for g in step.groups}
+    cells = "  ".join(f"{flip[l]:.1e}" if l in flip else "   -   " for l in range(sched.n + 1))
+    print(f"{step.layer:5d}  {step.rounds:6d}  {live:4d}  {cells}")

@@ -1,19 +1,21 @@
 """Simulator and analytics for heterogeneously error-corrected QRAM queries.
 
-The package has five parts:
+The package has six parts:
 
 * ``state``     - sparse branch-state simulator (classical words with
                   complex amplitudes) for permutation gates and Pauli errors.
 * ``noise``     - surface-code logical error rates per tree level, distance
-                  profiles, and Pauli error sampling.
+                  profiles, and the plan of where Pauli noise lands.
 * ``circuits``  - layered query-schedule builders for the uniform bucket
                   brigade, the two heterogeneous implementations (block
                   routing and pipelined), and the walker variant.
 * ``analytics`` - every closed-form fidelity bound, coherence-time formula,
                   and physical-qubit count, plus the equal-fidelity
                   distance search.
-* ``harness``   - batched Monte Carlo estimation, scaling fits, overhead
-                  comparisons, and CSV/JSON reports (CLI in ``cli``).
+* ``engine``    - the bit-plane trajectory simulator, which runs many noisy
+                  trials of one schedule at once.
+* ``harness``   - Monte Carlo estimation on that engine, scaling fits,
+                  overhead comparisons, and CSV/JSON reports (CLI in ``cli``).
 """
 
 from .analytics import (
@@ -53,7 +55,6 @@ from .harness import (
     ComparisonRow,
     ExperimentConfig,
     ExperimentReport,
-    TrialResult,
     compare_resources,
     emit_report,
     estimate_infidelity,
@@ -61,7 +62,6 @@ from .harness import (
     load_report,
     run_fidelities,
     run_sweep,
-    run_trajectory,
 )
 from .noise import (
     CycleCost,
@@ -73,7 +73,6 @@ from .noise import (
     effective_distance,
     level_error_rate,
     logical_error_rate,
-    sample_layer_errors,
 )
 from .state import BranchState, inner_product
 
@@ -98,7 +97,6 @@ __all__ = [
     "ResourceEstimate",
     "Schedule",
     "SurfaceParams",
-    "TrialResult",
     "bb_coherence_time",
     "bb_infidelity_bound",
     "bb_resources",
@@ -128,8 +126,6 @@ __all__ = [
     "run_fidelities",
     "run_noiseless",
     "run_sweep",
-    "run_trajectory",
-    "sample_layer_errors",
     "uniform_bb_infidelity",
     "uniform_resources",
     "walker_s_hop",

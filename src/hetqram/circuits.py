@@ -266,17 +266,6 @@ class Schedule:
             raise ValueError("schedule has no architecture input map")
         return self._initial_word_fn(address)
 
-    def initial_branches(self, address_mode: str, address: int | None = None):
-        """(word, amplitude) pairs for the requested input state."""
-        if address_mode == "superposition":
-            amp = 2.0 ** (-self.n / 2.0)
-            return [(self.initial_word(a), amp) for a in range(1 << self.n)]
-        if address_mode == "basis":
-            if address is None:
-                raise ValueError("basis mode needs an address")
-            return [(self.initial_word(address), 1.0)]
-        raise ValueError(f"unknown address mode {address_mode!r}")
-
     # -- readout ----------------------------------------------------------
 
     def output_mask(self, address: int) -> tuple[int, ...]:

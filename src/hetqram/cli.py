@@ -8,9 +8,6 @@ configuration, 3 simulation/resource limit, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from . import analytics
@@ -19,14 +16,13 @@ from .harness import (
     ComparisonRow,
     ConfigError,
     ExperimentConfig,
+    REPORT_FIELDS,
     ResourceLimitError,
     bound_pair,
     compare_resources,
-    emit_report,
     fit_scaling,
     load_report,
-    report_to_csv,
-    report_to_json,
+    rows_to_text,
     run_sweep,
 )
 from .noise import CycleCost, SurfaceParams
@@ -194,15 +190,7 @@ def _config_from(merged: dict) -> ExperimentConfig:
 
 
 def _emit_rows(fields: tuple[str, ...], rows: list[tuple], fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps([dict(zip(fields, r)) for r in rows], indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        for r in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in r])
-        text = buf.getvalue()
+    text = rows_to_text(fields, rows, fmt)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -214,11 +202,7 @@ def _cmd_sim(merged: dict) -> int:
     config = _config_from(merged)
     fmt = _format(merged)
     report = run_sweep(config)
-    out = merged.get("out")
-    if out:
-        emit_report(report, fmt, out)
-    else:
-        sys.stdout.write(report_to_csv(report) if fmt == "csv" else report_to_json(report))
+    _emit_rows(REPORT_FIELDS, [row.astuple() for row in report.rows], fmt, merged.get("out"))
     return EXIT_OK
 
 

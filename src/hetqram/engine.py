@@ -11,10 +11,9 @@ Error model: the schedule's `NoisePlan` (noise.py), the one home of the
 per-phase noise rule, says after which layers noise lands, for how many
 rounds, and on which live qubits with what X and Z rates. There each live
 qubit suffers a net X flip and a net Z flip with the odd-parity
-probability of those rounds (`NoiseModel(mode="aggregate")`; the engine
-rejects "rounds" mode). Only the parity of X or Z hits on a qubit within
-a phase can affect the final state, so this matches round-by-round
-sampling exactly up to the O((eps*k)^2) chance of an X and a Z landing on
+probability of those rounds. Only the parity of X or Z hits on a qubit
+within a phase can affect the final state, so this matches round-by-round
+noise exactly up to the O((eps*k)^2) chance of an X and a Z landing on
 the same qubit in the same phase in a specific order.
 
 Noise sampling: every (noise step, live group, X or Z) segment of the plan
@@ -52,7 +51,7 @@ are read off that plane at its output mask and kept as per-qubit packed
 (care, ideal) patterns, so the readout compares whole plane words. In
 sampled-basis mode each batch's initial plane gets the same noiseless pass
 next to the noisy one. `Schedule.ideal_word` and `run_noiseless` stay the
-independent per-address oracle of `run_trajectory` and the tests.
+independent per-address oracle that the tests compare against.
 """
 
 from __future__ import annotations
@@ -146,11 +145,6 @@ class PlaneEngine:
         noise: NoiseModel | None,
         address_mode: str = "superposition",
     ):
-        if noise is not None and noise.mode != "aggregate":
-            raise ValueError(
-                f"PlaneEngine samples net parity flips; it needs mode='aggregate', "
-                f"got {noise.mode!r}"
-            )
         self.schedule = schedule
         self.noise = noise
         self.address_mode = address_mode
@@ -194,10 +188,13 @@ class PlaneEngine:
         start_of = dict(zip(groups, np.cumsum([0] + [g.qubits.size for g in groups])))
         self._pool = np.concatenate([np.zeros(0, dtype=np.int64), *(g.qubits for g in groups)])
         rows: dict[float, list[tuple[int, int, int]]] = {}
+        flip: dict[tuple[float, int], float] = {}  # q of each distinct (rate, rounds)
         for step in plan.steps:
             for g in step.groups:
                 for is_z, p in ((0, g.px), (1, g.pz)):
-                    q = net_flip_probability(p, step.rounds)
+                    q = flip.get((p, step.rounds))
+                    if q is None:
+                        q = flip[p, step.rounds] = net_flip_probability(p, step.rounds)
                     if q > 0.0:
                         seg = (step.layer * 2 + is_z, start_of[g], g.qubits.size)
                         rows.setdefault(q, []).append(seg)

@@ -3,8 +3,7 @@
 Experiments are fully determined by (config, seed): databases, noise
 streams, and batch partitioning all derive from the seed, so reruns are
 byte-identical. Trajectory batches use counter-based generator streams
-keyed by (seed, point index, batch index); the reference single-trajectory
-runner uses one stream per call.
+keyed by (seed, point index, batch index).
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ from .noise import (
     CycleCost,
     DistanceProfile,
     NoiseModel,
-    NoisePlan,
     SurfaceParams,
-    sample_layer_errors,
     trajectory_rng,
 )
 
@@ -118,94 +115,6 @@ def database_for(config: ExperimentConfig, n: int) -> list[int]:
     return [int(b) for b in rng.integers(0, 2, size=size)]
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    fidelity: float
-    event_count: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
-            raise ValueError("fidelity outside [0, 1]")
-
-
-# ---------------------------------------------------------------------------
-# reference (single-trajectory) runner
-
-
-def run_trajectory(
-    schedule: Schedule,
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-    address_mode: str = "superposition",
-    initial_word: int | None = None,
-) -> TrialResult:
-    """One Monte Carlo trajectory through the schedule.
-
-    Executes layers in order and samples errors where the schedule's
-    NoisePlan says they land (after each phase, on its live qubits).
-    Basis address mode draws one random address. Returns the squared
-    overlap with the noiseless run: per-branch output-mask comparison for
-    QRAM schedules, a full inner product for bare schedules without an
-    output map.
-    """
-    address = None
-    if initial_word is not None:
-        starts = [(initial_word, 1.0)]
-    else:
-        if address_mode == "basis":
-            address = int(rng.integers(0, 1 << schedule.n))
-        starts = schedule.initial_branches(address_mode, address)
-    words = [w for w, _ in starts]
-    amps = [a for _, a in starts]
-    signs = [1] * len(words)
-    steps = {} if noise is None else {s.layer: s for s in NoisePlan(schedule, noise).steps}
-
-    event_count = 0
-    for li, layer in enumerate(schedule.layers):
-        for gate in layer.gates:
-            words = [gate.apply_to_word(w) for w in words]
-        step = steps.get(li)
-        if step is None:
-            continue
-        live = {q: g.rate for g in step.groups for q in g.qubits.tolist()}
-        events = sample_layer_errors(
-            rng, live, step.rounds, mode=noise.mode, channel=noise.channel
-        )
-        event_count += len(events)
-        for ev in events:
-            bit = 1 << ev.qubit
-            if ev.kind == "X":
-                words = [w ^ bit for w in words]
-            else:
-                signs = [-s if w & bit else s for s, w in zip(signs, words)]
-
-    has_mask = schedule._mask_fn is not None and initial_word is None
-    if has_mask:
-        addresses = (
-            list(range(1 << schedule.n)) if address_mode == "superposition" else [address]
-        )
-        overlap = 0.0
-        for b, addr in enumerate(addresses):
-            ideal = schedule.ideal_word(addr)
-            mask = schedule.output_mask(addr)
-            good = all(((words[b] >> q) & 1) == ((ideal >> q) & 1) for q in mask)
-            overlap += (amps[b] ** 2) * signs[b] * good
-        fidelity = overlap**2
-    else:
-        from .circuits import run_noiseless
-
-        ideal: dict[int, float] = {}
-        for w0, a in starts:
-            wf = run_noiseless(schedule, w0)
-            ideal[wf] = ideal.get(wf, 0.0) + a
-        final: dict[int, float] = {}
-        for w, a, s in zip(words, amps, signs):
-            final[w] = final.get(w, 0.0) + a * s
-        overlap = sum(ideal[w] * a for w, a in final.items() if w in ideal)
-        fidelity = abs(overlap) ** 2
-    return TrialResult(min(fidelity, 1.0), event_count)
-
-
 # ---------------------------------------------------------------------------
 # batched estimation
 
@@ -273,12 +182,7 @@ def estimate_infidelity(
     config: ExperimentConfig, schedule: Schedule, stream: int = 0
 ) -> tuple[float, tuple[float, float]]:
     """Mean query infidelity of the schedule under the configured noise."""
-    noise = NoiseModel(
-        config.params,
-        schedule.profile,
-        channel=config.channel,
-        mode="aggregate",
-    )
+    noise = NoiseModel(config.params, schedule.profile, channel=config.channel)
     fids = run_fidelities(
         schedule,
         noise,
@@ -525,32 +429,28 @@ def compare_resources(
 # serialization
 
 
-def _format_value(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def report_to_csv(report: ExperimentReport) -> str:
+def rows_to_text(fields: Sequence[str], rows: Sequence[tuple], fmt: str) -> str:
+    """A table as CSV (floats by repr, "\n" line ends) or as a JSON list of
+    objects (indent 2, trailing newline)."""
+    if fmt == "json":
+        return json.dumps([dict(zip(fields, r)) for r in rows], indent=2) + "\n"
+    if fmt != "csv":
+        raise ConfigError(f"unknown format {fmt!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
-    for row in report.rows:
-        writer.writerow([_format_value(v) for v in row.astuple()])
+    writer.writerow(fields)
+    for r in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in r])
     return buf.getvalue()
 
 
-def report_to_json(report: ExperimentReport) -> str:
-    payload = [dict(zip(REPORT_FIELDS, row.astuple())) for row in report.rows]
-    return json.dumps(payload, indent=2) + "\n"
+def report_to_csv(report: ExperimentReport) -> str:
+    return rows_to_text(REPORT_FIELDS, [row.astuple() for row in report.rows], "csv")
 
 
 def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
     """Write the report as CSV or JSON with a fixed column order."""
-    if fmt == "csv":
-        text = report_to_csv(report)
-    elif fmt == "json":
-        text = report_to_json(report)
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
+    text = rows_to_text(REPORT_FIELDS, [row.astuple() for row in report.rows], fmt)
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -7,17 +7,16 @@ root the largest distance and the leaves distance 1, and the odd-paired
 profile rounds every even distance down to the odd value below it (same
 d_e, hence same rates, fewer physical qubits).
 
-Error channels are sampled per code cycle. The default "rounds" mode draws
-each cycle independently; "aggregate" mode draws one net-parity flip per
-qubit per layer, which leaves the final state distribution unchanged to
-leading order (X*X = Z*Z = identity, so only the parity of hits matters)
-and is what the batched engine uses.
+Each code cycle of a phase hits a live qubit with X or Z at its level's
+rate. Only the parity of those hits matters (X*X = Z*Z = identity), so
+noise is drawn as one net X and one net Z flip per qubit per phase, with
+the odd-parity probability of its rounds; `NoisePlan` says where.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Literal, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Literal
 
 import numpy as np
 
@@ -25,7 +24,6 @@ if TYPE_CHECKING:
     from .circuits import Schedule
 
 Channel = Literal["xz", "x", "z"]
-SampleMode = Literal["rounds", "aggregate"]
 
 
 @dataclass(frozen=True)
@@ -142,62 +140,29 @@ def _channel_probs(rate: float, channel: Channel) -> tuple[float, float]:
     raise ValueError(f"unknown channel {channel!r}")
 
 
-def net_flip_probability(p_round: float, cycles: int) -> float:
-    """P(odd number of hits) over `cycles` Bernoulli(p_round) rounds."""
-    return 0.5 * (1.0 - (1.0 - 2.0 * p_round) ** cycles)
+def net_flip_probability(p_round: float | np.ndarray, cycles: int) -> float | np.ndarray:
+    """P(odd number of hits) over `cycles` Bernoulli(p_round) rounds.
 
-
-def sample_layer_errors(
-    rng: np.random.Generator,
-    per_qubit_rate: Mapping[int, float] | Sequence[float],
-    cycles: int,
-    mode: SampleMode = "rounds",
-    channel: Channel = "xz",
-) -> list[PauliEvent]:
-    """Sample the Pauli events one layer of parallel gates inflicts.
-
-    In "rounds" mode every code cycle independently emits X with
-    probability rate/2 and Z with probability rate/2 per qubit (full rate
-    for single-channel configurations). In "aggregate" mode one net X and
-    one net Z parity flip is drawn per qubit, with the equivalent odd-hit
-    probability; at most one event per qubit and kind is emitted.
+    That is (1 - (1 - 2p)^k) / 2, computed as -expm1(k log1p(-2p)) / 2,
+    which keeps full relative precision for tiny p where the plain form
+    cancels to 0. A rate above 1/2 (a single-kind channel) is mirrored:
+    (1 - 2p)^k = (-1)^k (1 - 2(1 - p))^k. Accepts an array of rates; a
+    scalar rate gives a float.
     """
-    if cycles < 1:
-        raise ValueError("cycles must be >= 1")
-    if isinstance(per_qubit_rate, Mapping):
-        items = sorted(per_qubit_rate.items())
-    else:
-        items = list(enumerate(per_qubit_rate))
-    events: list[PauliEvent] = []
-    for qubit, rate in items:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate for qubit {qubit} outside [0, 1]")
-        if rate == 0.0:
-            continue
-        px, pz = _channel_probs(rate, channel)
-        if mode == "rounds":
-            for _ in range(cycles):
-                if px and rng.random() < px:
-                    events.append(PauliEvent(qubit, "X"))
-                if pz and rng.random() < pz:
-                    events.append(PauliEvent(qubit, "Z"))
-        elif mode == "aggregate":
-            qx = net_flip_probability(px, cycles) if px else 0.0
-            qz = net_flip_probability(pz, cycles) if pz else 0.0
-            if qx and rng.random() < qx:
-                events.append(PauliEvent(qubit, "X"))
-            if qz and rng.random() < qz:
-                events.append(PauliEvent(qubit, "Z"))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return events
+    p = np.asarray(p_round, dtype=float)
+    q = -0.5 * np.expm1(cycles * np.log1p(-2.0 * np.minimum(p, 1.0 - p)))
+    if cycles % 2:
+        q = np.where(p > 0.5, 1.0 - q, q)
+    return float(q) if q.ndim == 0 else q
 
 
 class NoiseModel:
-    """Per-qubit error rates for a schedule plus sampling configuration.
+    """Per-qubit error rates for a schedule plus their X/Z channel split.
 
     `flat_rate` overrides the surface-code rates with one uniform
     per-cycle rate for every qubit (used by small benchmark circuits).
+    `mode` names the sampling rule; the only one is "aggregate", one net
+    parity flip per qubit, kind and phase.
     """
 
     def __init__(
@@ -205,13 +170,14 @@ class NoiseModel:
         params: SurfaceParams,
         profile: DistanceProfile,
         channel: Channel = "xz",
-        mode: SampleMode = "rounds",
+        mode: Literal["aggregate"] = "aggregate",
         flat_rate: float | None = None,
     ):
+        if mode != "aggregate":
+            raise ValueError(f"unknown noise mode {mode!r}; the only mode is 'aggregate'")
         self.params = params
         self.profile = profile
         self.channel = channel
-        self.mode = mode
         self.flat_rate = flat_rate
 
     def rate_for_level(self, level: int) -> float:

@@ -1,4 +1,4 @@
-"""Batched plane engine against the reference runner and hand-checkable cases."""
+"""Batched plane engine against the word-by-word oracle and hand-checkable cases."""
 
 import json
 import math
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from word_oracle import reference_fidelity, sampled_events
 
 from hetqram.circuits import (
     build_bb_hetero,
@@ -24,7 +25,7 @@ from hetqram.engine import (
     _unpack_bits_lsb,
     _word_bits,
 )
-from hetqram.harness import infidelity_stats, run_fidelities, run_trajectory
+from hetqram.harness import infidelity_stats, run_fidelities
 from hetqram.noise import (
     DistanceProfile,
     NoiseModel,
@@ -201,31 +202,8 @@ def test_forced_events_match_reference_engine_exactly():
         for layer_idx in (0, len(sched.layers) // 2, len(sched.layers) - 1):
             eng = PlaneEngine(sched, None)
             batch = eng.run(trajectory_rng(0, 0), 3, forced_events={layer_idx: events})
-            ref = _reference_with_forced(sched, {layer_idx: events})
+            ref = reference_fidelity(sched, {layer_idx: events})
             assert batch == pytest.approx([ref] * 3, abs=1e-12)
-
-
-def _reference_with_forced(sched, forced):
-    """Reference branch evolution with deterministic events after a layer."""
-    starts = sched.initial_branches("superposition")
-    words = [w for w, _ in starts]
-    amps = [a for _, a in starts]
-    signs = [1] * len(words)
-    for li, layer in enumerate(sched.layers):
-        for g in layer.gates:
-            words = [g.apply_to_word(w) for w in words]
-        for ev in forced.get(li, ()):
-            bit = 1 << ev.qubit
-            if ev.kind == "X":
-                words = [w ^ bit for w in words]
-            else:
-                signs = [-s if w & bit else s for s, w in zip(signs, words)]
-    overlap = 0.0
-    for b, (w, a, s) in enumerate(zip(words, amps, signs)):
-        ideal = sched.ideal_word(b)
-        good = all(((w >> q) & 1) == ((ideal >> q) & 1) for q in sched.output_mask(b))
-        overlap += a * a * s * good
-    return overlap**2
 
 
 @pytest.mark.parametrize(
@@ -245,7 +223,7 @@ def test_batch_and_reference_agree_statistically(build):
     batch = 1.0 - run_fidelities(sched, noise, trials, seed=5, batch_size=256)
     ref = np.array(
         [
-            1.0 - run_trajectory(sched, noise, trajectory_rng(99, i)).fidelity
+            1.0 - reference_fidelity(sched, sampled_events(sched, noise, trajectory_rng(99, i)))
             for i in range(trials)
         ]
     )
@@ -271,13 +249,14 @@ def test_small_branch_counts_unaligned_words():
 
 
 def test_rounds_mode_rejected():
-    """The engine samples net parity flips per phase, which is "aggregate"
-    mode; it must refuse a model asking for round-by-round draws."""
+    """Noise is one net parity flip per qubit, kind and phase ("aggregate");
+    a model asking for round-by-round draws is refused, and the default
+    model runs on the engine."""
     sched = build_bb_hetero(2, "qutrit", [0, 1] * 2)
     with pytest.raises(ValueError, match="aggregate"):
-        PlaneEngine(sched, NoiseModel(PARAMS, sched.profile, mode="rounds"))
-    with pytest.raises(ValueError, match="aggregate"):
-        run_fidelities(sched, NoiseModel(PARAMS, sched.profile), 4, seed=0)
+        NoiseModel(PARAMS, sched.profile, mode="rounds")
+    fids = run_fidelities(sched, NoiseModel(PARAMS, sched.profile), 4, seed=0)
+    assert fids.shape == (4,)
 
 
 def test_sampled_basis_mode():

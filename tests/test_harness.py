@@ -1,4 +1,4 @@
-"""Trajectory runner, estimators, fits, comparison pipeline, and reports."""
+"""Estimators, fits, comparison pipeline, and reports."""
 
 import math
 import sys
@@ -11,14 +11,7 @@ sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from exact_oracle import exact_mean_fidelity
 
 from hetqram.analytics import BoundInputs, bb_infidelity_bound, uniform_bb_infidelity
-from hetqram.circuits import (
-    Gate,
-    Layer,
-    Schedule,
-    build_bb_hetero,
-    build_schedule,
-    build_uniform_bb,
-)
+from hetqram.circuits import build_bb_hetero, build_schedule, build_uniform_bb
 from hetqram.harness import (
     ComparisonRow,
     ConfigError,
@@ -26,7 +19,6 @@ from hetqram.harness import (
     ReportRow,
     ExperimentReport,
     ResourceLimitError,
-    TrialResult,
     compare_resources,
     database_for,
     emit_report,
@@ -38,44 +30,9 @@ from hetqram.harness import (
     report_to_csv,
     run_fidelities,
     run_sweep,
-    run_trajectory,
     wilson_interval,
 )
-from hetqram.noise import CycleCost, DistanceProfile, NoiseModel, SurfaceParams, trajectory_rng
-
-
-def toy_schedule(n_qubits=1, layers=None):
-    """Bare schedule without an architecture map (full-overlap fidelity)."""
-    if layers is None:
-        layers = (Layer((Gate.x(0),), 1, 1, 0),)
-    return Schedule(
-        "custom",
-        "qubit",
-        1,
-        tuple([0] * n_qubits),
-        tuple(["bus"] * n_qubits),
-        tuple(layers),
-        DistanceProfile.uniform(1, 1),
-        CycleCost(),
-        (0, 0),
-        input_qubits=tuple(range(n_qubits)),
-    )
-
-
-def test_trajectory_zero_noise_fidelity_one():
-    sched = build_bb_hetero(2, "qutrit", [1, 0, 0, 1])
-    out = run_trajectory(sched, None, trajectory_rng(0, 0))
-    assert out.fidelity == 1.0
-    assert out.event_count == 0
-
-
-def test_trajectory_certain_flip_orthogonal():
-    """One qubit, one layer, X rate 1, 1 cycle, basis input: fidelity 0."""
-    sched = toy_schedule(layers=(Layer((), 1, 1, 0),))
-    noise = NoiseModel(SurfaceParams(), sched.profile, channel="x", flat_rate=1.0)
-    out = run_trajectory(sched, noise, trajectory_rng(0, 0), initial_word=0)
-    assert out.fidelity == 0.0
-    assert out.event_count == 1
+from hetqram.noise import CycleCost, DistanceProfile, NoiseModel, SurfaceParams
 
 
 def test_trajectory_monte_carlo_matches_exact_enumeration():
@@ -86,11 +43,6 @@ def test_trajectory_monte_carlo_matches_exact_enumeration():
     fids = run_fidelities(sched, noise, 30_000, seed=21, batch_size=4096)
     mean, _, se = infidelity_stats(fids)
     assert abs(mean - exact_infid) < 3 * se
-
-
-def test_trial_result_validation():
-    with pytest.raises(ValueError):
-        TrialResult(fidelity=1.5, event_count=0)
 
 
 def test_estimate_deterministic():

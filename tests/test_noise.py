@@ -1,4 +1,7 @@
-"""Noise model: effective distance, level rates, and sampling statistics."""
+"""Noise model: effective distance, level rates, net flip odds, and the noise plan."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +12,11 @@ from hetqram.noise import (
     DistanceProfile,
     NoiseModel,
     NoisePlan,
-    PauliEvent,
     SurfaceParams,
     effective_distance,
     level_error_rate,
     logical_error_rate,
     net_flip_probability,
-    sample_layer_errors,
     trajectory_rng,
 )
 
@@ -105,63 +106,21 @@ def test_odd_paired_rates_match_linear_everywhere():
             )
 
 
-def test_sample_zero_rates_empty():
-    rng = np.random.default_rng(0)
-    assert sample_layer_errors(rng, {0: 0.0, 3: 0.0}, cycles=5) == []
-
-
-def test_sample_certain_x_only():
-    rng = np.random.default_rng(0)
-    events = sample_layer_errors(rng, [1.0, 1.0, 1.0], cycles=1, channel="x")
-    assert events == [PauliEvent(0, "X"), PauliEvent(1, "X"), PauliEvent(2, "X")]
-
-
-def test_sample_rounds_mean_matches_binomial():
-    """Expected X count per qubit is cycles * rate / 2, within 3 sigma."""
-    rate, cycles, draws = 0.2, 4, 100_000
-    rng = np.random.default_rng(42)
-    count = 0
-    for _ in range(draws // 100):
-        events = sample_layer_errors(rng, [rate] * 100, cycles=cycles)
-        count += sum(1 for e in events if e.kind == "X")
-    mean = count / draws
-    expect = cycles * rate / 2
-    sigma = np.sqrt(cycles * (rate / 2) * (1 - rate / 2) / draws)
-    assert abs(mean - expect) < 3 * sigma
-
-
-def test_aggregate_parity_probability():
-    """Aggregate mode hits with the odd-parity probability of rounds mode."""
-    rate, cycles, draws = 0.3, 5, 200_000
-    q = net_flip_probability(rate, cycles)
-    rng = np.random.default_rng(7)
-    hits = 0
-    for _ in range(draws // 1000):
-        events = sample_layer_errors(
-            rng, [rate] * 1000, cycles=cycles, mode="aggregate", channel="x"
-        )
-        hits += len(events)
-    sigma = np.sqrt(q * (1 - q) / draws)
-    assert abs(hits / draws - q) < 3 * sigma
-
-
-def test_rounds_parity_matches_aggregate_probability():
-    """Parity of rounds-mode X hits has the aggregate net-flip probability."""
-    rate, cycles, draws = 0.4, 3, 50_000
-    rng = np.random.default_rng(3)
-    odd = 0
-    for _ in range(draws):
-        events = sample_layer_errors(rng, [rate], cycles=cycles, channel="x")
-        odd += len(events) % 2
-    q = net_flip_probability(rate, cycles)
-    sigma = np.sqrt(q * (1 - q) / draws)
-    assert abs(odd / draws - q) < 3 * sigma
-
-
-def test_sampling_reproducible():
-    a = sample_layer_errors(np.random.default_rng(123), [0.3, 0.7], cycles=9)
-    b = sample_layer_errors(np.random.default_rng(123), [0.3, 0.7], cycles=9)
-    assert a == b
+@pytest.mark.parametrize(
+    "p,k",
+    [(0.3, 5), (0.4, 3), (0.1, 1), (1.5e-10, 7), (1.5e-6, 14), (1.5e-19, 14), (0.7, 3), (1.0, 4)],
+)
+def test_net_flip_probability_is_odd_binomial_parity(p, k):
+    """The chance of an odd number of hits in k Bernoulli(p) rounds, against
+    the exact sum of the odd binomial terms. Tiny p (eps' p'^4 at p' below
+    1e-4, over a distance-7 phase) must keep its relative precision, not
+    cancel to 0; a single-kind channel can put p above 1/2."""
+    pf = Fraction(p)
+    exact = sum(math.comb(k, j) * pf**j * (1 - pf) ** (k - j) for j in range(1, k + 1, 2))
+    got = net_flip_probability(p, k)
+    assert isinstance(got, float)
+    assert got == pytest.approx(float(exact), rel=1e-12, abs=0)
+    assert np.array_equal(net_flip_probability(np.array([p, p]), k), [got, got])
 
 
 def test_trajectory_rng_streams_differ_and_reproduce():

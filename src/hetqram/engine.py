@@ -22,10 +22,21 @@ then draws all its noise up front, one Bernoulli(q) process per class over
 the class's (slot, trial) pairs, by summing geometric gaps between hits
 (the rare-error sampling of Stim, Gidney, Quantum 5, 497 (2021)): exact
 iid flips at a cost proportional to the number of hits. Each hit is
-coded as one int64, ((layer * 2 + is_z) * qubits + qubit) * trials +
-trial, and the batch's codes are sorted once, so each layer's X flips and
-then its Z phases are two contiguous runs that the gate loop applies right
-after that layer's gates.
+coded as one int64, ((layer * 2 + is_z) * qubits + qubit) * total +
+offset + trial, where the pass runs `total` trials and the batch's own
+start at `offset`; the pass's codes are sorted once, so each layer's X
+flips and then its Z phases are two contiguous runs that the gate loop
+applies right after that layer's gates.
+
+Passes: a batch is the unit of randomness (one generator stream each),
+not of work. Consecutive batches share one plane pass until it would span
+more than 2^16 (trial, branch) columns, 8 KB per plane row: a narrow batch
+alone gives rows of a few hundred words, where every gate costs its numpy
+call overhead rather than its bits. Each batch still draws its addresses
+and noise from its own generator, so the grouping changes no fidelity.
+Sampled-basis mode keeps one batch per pass: there a row holds one column
+per trial while the qubit count grows as ~6 * 2^n, so a pass that wide
+would need gigabytes at large n.
 
 Error events are identical across the branches of one trial (they are
 physical events on qubits, hitting the whole superposition), which is why
@@ -56,12 +67,18 @@ independent per-address oracle that the tests compare against.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from .circuits import GateKind, Schedule
 from .noise import NoiseModel, NoisePlan, PauliEvent, net_flip_probability
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: consecutive batches share a plane pass up to this many (trial, branch)
+#: columns: 1024 words (8 KB) per plane row
+_PASS_COLUMNS = 1 << 16
 
 
 def _pack_bits_lsb(bits: np.ndarray) -> np.ndarray:
@@ -163,10 +180,9 @@ class PlaneEngine:
         self._ops = [self._compile_layer(layer) for layer in schedule.layers]
 
         if not self.sampled_basis:
-            self._init_bits = _word_bits(
-                [schedule.initial_word(a) for a in self.addresses], nq
-            )
-            self._init_plane = _pack_bits_lsb(self._init_bits)  # (nq, ceil(B/64))
+            # one trial's span: B/64 words, or one word holding 64/B copies
+            bits = _word_bits([schedule.initial_word(a) for a in self.addresses], nq)
+            self._init_span = _pack_bits_lsb(np.tile(bits, max(64 // self.branch_count, 1)))
             self._compile_readout()
 
         self._compile_noise(noise)
@@ -175,33 +191,38 @@ class PlaneEngine:
         """Pool the plan's (noise step, live group, X or Z) segments by their
         net flip probability q.
 
-        Per class, `(q, key, start, offset)`: one row per segment, with the
+        Per class, in order of first appearance, `(q, key, start, edges)`:
+        one row per segment, in (step, group, X before Z) order, with the
         event key `layer * 2 + is_z`, the segment's start in `_pool` (the
         plan's group qubit arrays, concatenated) and the cumulative segment
-        lengths (`offset[-1]` slots per trial).
+        lengths (`edges[-1]` slots per trial). Both orders fix the draws.
         """
         self._classes = []
         if noise is None:
             return
         plan = NoisePlan(self.schedule, noise)
-        groups = list(dict.fromkeys(g for step in plan.steps for g in step.groups))
-        start_of = dict(zip(groups, np.cumsum([0] + [g.qubits.size for g in groups])))
-        self._pool = np.concatenate([np.zeros(0, dtype=np.int64), *(g.qubits for g in groups)])
-        rows: dict[float, list[tuple[int, int, int]]] = {}
-        flip: dict[tuple[float, int], float] = {}  # q of each distinct (rate, rounds)
-        for step in plan.steps:
-            for g in step.groups:
-                for is_z, p in ((0, g.px), (1, g.pz)):
-                    q = flip.get((p, step.rounds))
-                    if q is None:
-                        q = flip[p, step.rounds] = net_flip_probability(p, step.rounds)
-                    if q > 0.0:
-                        seg = (step.layer * 2 + is_z, start_of[g], g.qubits.size)
-                        rows.setdefault(q, []).append(seg)
-        for q, segs in rows.items():
-            key, start, size = (np.array(c, dtype=np.int64) for c in zip(*segs))
-            offset = np.concatenate([[0], np.cumsum(size)])
-            self._classes.append((q, key, start, offset))
+        groups = plan.groups
+        if not groups:
+            return
+        size = np.array([g.qubits.size for g in groups], dtype=np.int64)
+        start = np.cumsum(size) - size
+        self._pool = np.concatenate([g.qubits for g in groups])
+        layer = np.array([step.layer for step in plan.steps], dtype=np.int64)
+        # q of each distinct (rate, rounds), one scalar call each
+        p_vals, p_idx = np.unique([(g.px, g.pz) for g in groups], return_inverse=True)
+        r_vals, r_idx = np.unique([step.rounds for step in plan.steps], return_inverse=True)
+        flip = np.array([[net_flip_probability(float(p), int(r)) for r in r_vals] for p in p_vals])
+        q = flip[p_idx.reshape(1, -1, 2), r_idx.reshape(-1, 1, 1)]  # (step, group, is_z)
+        live = np.array([g.first_active for g in groups]) <= layer[:, None]
+        step_i, group_i, is_z = np.nonzero(live[:, :, None] & (q > 0.0))
+        q = q[step_i, group_i, is_z]
+        values, first, cls = np.unique(q, return_index=True, return_inverse=True)
+        for c in np.argsort(first):
+            sel = cls.reshape(-1) == c
+            g = group_i[sel]
+            key = layer[step_i[sel]] * 2 + is_z[sel]
+            edges = np.concatenate([[0], np.cumsum(size[g])])
+            self._classes.append((float(values[c]), key, start[g], edges))
 
     def _compile_readout(self) -> None:
         """Noiseless pass over the B initial branch columns, then the readout.
@@ -210,10 +231,10 @@ class PlaneEngine:
         branches whose mask holds it and `_ideal` their noiseless final bit
         there, packed like one trial's columns: B/64 words, or for B < 64
         one word holding the B columns 64/B times. Every trial's span of the
-        batch plane lines up with that pattern.
+        pass plane lines up with that pattern.
         """
         B = self.branch_count
-        ref = self._init_plane.copy()
+        ref = self._init_span.copy()
         ref_row = self._noiseless_pass(ref)
         branch, qubit = self._mask_entries(self.addresses)
         bit = _column_bits(ref, ref_row[qubit], branch)
@@ -274,38 +295,79 @@ class PlaneEngine:
         `forced_events` maps a layer index to Pauli events applied to all
         trials after that layer, replacing sampled noise (test hook).
         """
-        if n_trials < 1:
+        return self._run_pass([(rng, n_trials)], forced_events)
+
+    def run_batches(self, batches: Iterable[tuple[np.random.Generator, int]]) -> np.ndarray:
+        """Fidelities of every `(rng, n_trials)` batch, in order.
+
+        Consecutive batches share one plane pass while it spans at most
+        `_PASS_COLUMNS` (trial, branch) columns; a wider batch runs alone,
+        and so does every batch in sampled-basis mode. Each batch draws
+        from its own generator, so the grouping changes no fidelity.
+        """
+        out, group, cols = [np.empty(0)], [], 0
+        for rng, n_trials in batches:
+            span = n_trials * self.branch_count
+            if group and (self.sampled_basis or cols + span > _PASS_COLUMNS):
+                out.append(self._run_pass(group))
+                group, cols = [], 0
+            group.append((rng, n_trials))
+            cols += span
+        if group:
+            out.append(self._run_pass(group))
+        return np.concatenate(out)
+
+    def _run_pass(
+        self,
+        batches: list[tuple[np.random.Generator, int]],
+        forced_events: dict[int, list[PauliEvent]] | None = None,
+    ) -> np.ndarray:
+        """Run the trials of `batches` side by side in one plane, batch
+        after batch; returns their fidelities in that order.
+
+        Each batch draws its addresses (sampled-basis mode) and then its
+        noise from its own generator. `forced_events` replaces the noise of
+        every trial, as in `run`.
+        """
+        sizes = [n for _, n in batches]
+        if min(sizes) < 1:
             raise ValueError("n_trials must be >= 1")
         nq = self.schedule.qubit_count
         B = self.branch_count
-        cols = n_trials * B
-        width = (cols + 63) // 64
+        total = sum(sizes)
+        width = (total * B + 63) // 64
+
+        addresses = []
+        codes = [np.zeros(0, dtype=np.int64)]
+        offset = 0
+        for rng, n_trials in batches:
+            if self.sampled_basis:
+                addresses.append(rng.integers(0, 1 << self.schedule.n, size=n_trials))
+            if forced_events is None:
+                codes += self._sample_events(rng, n_trials, total, offset)
+            offset += n_trials
+        if forced_events is not None:
+            codes.append(self._forced_events(forced_events, total))
+        # event code ((layer * 2 + is_z) * nq + qubit) * total + trial, sorted
+        codes = np.concatenate(codes)
+        codes.sort()
+        bounds = np.searchsorted(codes, np.arange(2 * len(self._ops) + 1) * (nq * total))
 
         trial_addresses = initial = None
         if self.sampled_basis:
-            trial_addresses = rng.integers(0, 1 << self.schedule.n, size=n_trials)
+            trial_addresses = np.concatenate(addresses)
             words = [self.schedule.initial_word(int(a)) for a in trial_addresses]
             plane = _pack_bits_lsb(_word_bits(words, nq))
             initial = plane.copy()
-        elif B % 64 == 0:
-            plane = np.tile(self._init_plane, (1, n_trials))
         else:
-            tiled = np.tile(self._init_bits, (1, n_trials))  # (nq, cols)
-            plane = _pack_bits_lsb(tiled)
-        if plane.shape[1] < width:
-            plane = np.pad(plane, ((0, 0), (0, width - plane.shape[1])))
+            # columns past total * B belong to no trial: the spans mask
+            # them out and the readout never unpacks them
+            plane = np.tile(self._init_span, (1, width // self._init_span.shape[1]))
         sign = np.zeros(width, dtype=np.uint64)
         row = np.arange(nq)
 
         # per-trial word spans (indices plus masks, zero-padded)
-        spans_idx, spans_mask = self._trial_spans(n_trials, B, width)
-
-        if forced_events is not None:
-            codes = self._forced_events(forced_events, n_trials)
-        else:
-            codes = self._sample_events(rng, n_trials)
-        # event code ((layer * 2 + is_z) * nq + qubit) * n_trials + trial, sorted
-        bounds = np.searchsorted(codes, np.arange(2 * len(self._ops) + 1) * (nq * n_trials))
+        spans_idx, spans_mask = self._trial_spans(total, B, width)
 
         plane_flat = plane.reshape(-1)
         scratch = np.empty(width, dtype=np.uint64)
@@ -317,7 +379,7 @@ class PlaneEngine:
                 lo, hi = bounds[2 * li + is_z], bounds[2 * li + is_z + 1]
                 if lo == hi:
                     continue
-                cell, t_idx = np.divmod(codes[lo:hi], n_trials)
+                cell, t_idx = np.divmod(codes[lo:hi], total)
                 widx = (row[cell % nq][:, None] * width + spans_idx[t_idx]).ravel()
                 wmask = spans_mask[t_idx].ravel()
                 if is_z:
@@ -326,35 +388,39 @@ class PlaneEngine:
                     np.bitwise_xor.at(plane_flat, widx, wmask)
 
         if self.sampled_basis:
-            return self._fidelities_sampled(plane, row, initial, n_trials, trial_addresses)
-        return self._fidelities(plane, row, sign, n_trials, B)
+            return self._fidelities_sampled(plane, row, initial, total, trial_addresses)
+        return self._fidelities(plane, row, sign, total, B)
 
-    def _sample_events(self, rng: np.random.Generator, n_trials: int) -> np.ndarray:
-        """Draw a batch's noise: one Bernoulli process per flip-probability
-        class over its `slots-per-trial * n_trials` slots, as sorted event
-        codes ((layer * 2 + is_z) * nq + qubit) * n_trials + trial.
+    def _sample_events(
+        self, rng: np.random.Generator, n_trials: int, total: int, offset: int
+    ) -> list[np.ndarray]:
+        """Draw one batch's noise: one Bernoulli process per flip-probability
+        class over its `slots-per-trial * n_trials` slots, as one unsorted
+        array of event codes ((layer * 2 + is_z) * nq + qubit) * total +
+        offset + trial per class.
 
+        The batch's trials are trials `offset..` of a pass of `total`.
         Slot `j * n_trials + t` is slot j of the class's segments in trial t.
         """
         nq = self.schedule.qubit_count
-        codes = [np.zeros(0, dtype=np.int64)]
-        for q, key, start, offset in self._classes:
-            j, t = np.divmod(_bernoulli_hits(rng, int(offset[-1]) * n_trials, q), n_trials)
-            seg = np.searchsorted(offset, j, side="right") - 1
-            codes.append((key[seg] * nq + self._pool[start[seg] + j - offset[seg]]) * n_trials + t)
-        codes = np.concatenate(codes)
-        codes.sort()
+        codes = []
+        for q, key, start, edges in self._classes:
+            j, t = np.divmod(_bernoulli_hits(rng, int(edges[-1]) * n_trials, q), n_trials)
+            seg = np.searchsorted(edges, j, side="right") - 1
+            code = key[seg] * nq + self._pool[start[seg] + j - edges[seg]]
+            code *= total
+            t += offset
+            code += t
+            codes.append(code)
         return codes
 
     def _forced_events(self, forced: dict[int, list[PauliEvent]], n_trials: int) -> np.ndarray:
         """The test hook's events after each layer, on every trial, coded
-        as in `_sample_events`."""
+        as in `_sample_events` (unsorted)."""
         nq = self.schedule.qubit_count
         cells = [(li * 2 + (ev.kind == "Z")) * nq + ev.qubit
                  for li, events in forced.items() for ev in events]
-        codes = (np.array(cells, dtype=np.int64)[:, None] * n_trials + np.arange(n_trials)).ravel()
-        codes.sort()
-        return codes
+        return (np.array(cells, dtype=np.int64)[:, None] * n_trials + np.arange(n_trials)).ravel()
 
     @staticmethod
     def _trial_spans(n_trials: int, B: int, width: int):

@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, get_args
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from . import analytics
 from .circuits import MAX_DEPTH, Schedule, build_schedule
 from .engine import PlaneEngine
 from .noise import (
+    Channel,
     CycleCost,
     DistanceProfile,
     NoiseModel,
@@ -85,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown database mode {self.database_mode!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.channel not in get_args(Channel):
+            raise ConfigError(f"unknown channel {self.channel!r}")
 
     def profile_for(self, architecture: str, n: int) -> DistanceProfile:
         spec = self.profile
@@ -128,23 +131,24 @@ def run_fidelities(
     batch_size: int = 512,
     stream: int = 0,
 ) -> np.ndarray:
-    """Fidelities of `trials` trajectories from the batched engine."""
+    """Fidelities of `trials` trajectories from the batched engine.
+
+    `batch_size` is the stream granularity: batch b of `batch_size`
+    trials (the last one possibly shorter) draws from its own stream,
+    `trajectory_rng(seed, stream * _POINT_STRIDE + b)`, so the results do
+    not depend on how the engine runs the batches. One plane pass may
+    span several consecutive batches (see `PlaneEngine.run_batches`).
+    """
     if address_mode == "superposition" and schedule.n > MAX_SUPERPOSITION_N:
         raise ResourceLimitError(
             f"superposition mode is capped at n={MAX_SUPERPOSITION_N}; "
             "use basis address mode for deeper trees"
         )
     engine = PlaneEngine(schedule, noise, address_mode)
-    out = np.empty(trials, dtype=np.float64)
-    done = 0
-    batch_index = 0
-    while done < trials:
-        take = min(batch_size, trials - done)
-        rng = trajectory_rng(seed, stream * _POINT_STRIDE + batch_index)
-        out[done : done + take] = engine.run(rng, take)
-        done += take
-        batch_index += 1
-    return out
+    return engine.run_batches(
+        (trajectory_rng(seed, stream * _POINT_STRIDE + b), min(batch_size, trials - done))
+        for b, done in enumerate(range(0, trials, batch_size))
+    )
 
 
 def wilson_interval(p_hat: float, n: int, z: float = 1.959963984540054) -> tuple[float, float]:

@@ -219,7 +219,8 @@ class NoisePlan:
     qubit's patch only exists (and only decoheres) from the first layer
     that touches it; input qubits live from layer 0. Each level's rate is
     split into X and Z by the channel; levels without a positive rate are
-    skipped. Groups are ordered by (level, first active layer).
+    skipped. `groups` lists every group, ordered by (level, first active
+    layer); each step holds its live groups in that order.
     """
 
     def __init__(self, schedule: "Schedule", noise: NoiseModel):
@@ -240,6 +241,7 @@ class NoisePlan:
             groups.append(
                 NoiseGroup(level, start, rate, px, pz, np.array(qubits, dtype=np.int64))
             )
+        self.groups = tuple(groups)
         self.steps = tuple(
             NoiseStep(li, rounds[layer.phase], tuple(g for g in groups if g.first_active <= li))
             for li, layer in enumerate(layers)

@@ -19,6 +19,7 @@ from hetqram.circuits import (
     build_walker,
 )
 from hetqram.engine import (
+    _PASS_COLUMNS,
     PlaneEngine,
     _bernoulli_hits,
     _pack_bits_lsb,
@@ -98,9 +99,9 @@ def test_bernoulli_hits_extend_past_the_first_draw():
 
 def _events_by_key(engine, rng, n_trials):
     """Sampled events as (key, qubit, trial) arrays, key = layer * 2 + is_z,
-    decoded from the engine's sorted event codes."""
-    codes = engine._sample_events(rng, n_trials)
-    assert codes.dtype == np.int64 and np.all(np.diff(codes) >= 0)
+    decoded from the engine's event codes."""
+    codes = np.concatenate(engine._sample_events(rng, n_trials, n_trials, 0))
+    assert codes.dtype == np.int64
     cell, trial = np.divmod(codes, n_trials)
     key, qubit = np.divmod(cell, engine.schedule.qubit_count)
     return key, qubit, trial
@@ -246,6 +247,68 @@ def test_small_branch_counts_unaligned_words():
     fids = run_fidelities(sched, noise, 333, seed=8, batch_size=50)
     assert fids.shape == (333,)
     assert np.all((0.0 <= fids) & (fids <= 1.0))
+
+
+def _spy_passes(monkeypatch):
+    """Record the batch sizes of every `_run_pass` call."""
+    passes = []
+    run_pass = PlaneEngine._run_pass
+
+    def spy(self, batches, forced_events=None):
+        passes.append([n for _, n in batches])
+        return run_pass(self, batches, forced_events)
+
+    monkeypatch.setattr(PlaneEngine, "_run_pass", spy)
+    return passes
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fused_passes_equal_one_run_per_batch(n, monkeypatch):
+    """`run_fidelities` runs consecutive batches in shared plane passes and
+    still equals, bit for bit, one `PlaneEngine.run` per batch on the same
+    streams. A pass spans at most max(one batch, _PASS_COLUMNS) columns,
+    and takes on the next batch whenever that stays within the limit.
+    n=1..7 crosses the sub-word (B < 64) and the aligned trial spans; the
+    cases give a partial last batch, a pass whose column count is no
+    multiple of 64, and batches that hit the column limit."""
+    sched = build_ft_hetero(n, "qubit", _database(n))
+    noise = NoiseModel(SurfaceParams(0.03, 0.3), sched.profile)
+    B = 1 << n
+    per_pass = _PASS_COLUMNS // B
+    eng = PlaneEngine(sched, noise)
+    cases = [(333, 50), (5 * (per_pass // 3 + 1) + 11, per_pass // 3 + 1), (600, 512)]
+    expect = {}
+    for trials, batch in cases:
+        sizes = [min(batch, trials - d) for d in range(0, trials, batch)]
+        expect[trials, batch] = sizes, np.concatenate(
+            [eng.run(trajectory_rng(9, b), take) for b, take in enumerate(sizes)])
+
+    passes = _spy_passes(monkeypatch)
+    for trials, batch in cases:
+        passes.clear()
+        sizes, ref = expect[trials, batch]
+        got = run_fidelities(sched, noise, trials, seed=9, batch_size=batch)
+        assert got.tobytes() == ref.tobytes(), (n, trials, batch)
+        assert [m for p in passes for m in p] == sizes
+        for p, following in zip(passes, passes[1:] + [[]]):
+            assert sum(p) * B <= max(max(p) * B, _PASS_COLUMNS)
+            if following:
+                assert (sum(p) + following[0]) * B > _PASS_COLUMNS
+    assert len(expect[333, 50][0]) == 7
+
+
+def test_sampled_basis_runs_one_batch_per_pass(monkeypatch):
+    """Sampled-basis batches never share a pass, and each still equals its
+    own `PlaneEngine.run` on the same stream."""
+    sched = build_bb_hetero(3, "qutrit", _database(3))
+    noise = NoiseModel(SurfaceParams(0.03, 0.3), sched.profile)
+    eng = PlaneEngine(sched, noise, address_mode="basis")
+    sizes = [50] * 6 + [33]
+    ref = np.concatenate([eng.run(trajectory_rng(4, b), m) for b, m in enumerate(sizes)])
+    passes = _spy_passes(monkeypatch)
+    got = run_fidelities(sched, noise, 333, seed=4, address_mode="basis", batch_size=50)
+    assert got.tobytes() == ref.tobytes()
+    assert passes == [[m] for m in sizes]
 
 
 def test_rounds_mode_rejected():
@@ -406,3 +469,35 @@ def test_sampled_basis_fidelities_unchanged():
                 key = f"{arch}/{kind}/n={n}/rt={'on' if rt else 'off'}"
                 got[key] = np.packbits(fids == 1.0).tobytes().hex()
     assert got == golden
+
+
+def _noise_classes_loop(sched, noise):
+    """Loop definition of the engine's noise classes: per distinct net flip
+    probability q, in order of first appearance over (step, live group,
+    X before Z), the event key and the qubits of each segment."""
+    classes: dict[float, tuple[list, list]] = {}
+    for step in NoisePlan(sched, noise).steps:
+        for g in step.groups:
+            for is_z, p in ((0, g.px), (1, g.pz)):
+                q = net_flip_probability(p, step.rounds)
+                if q > 0.0:
+                    keys, qubits = classes.setdefault(q, ([], []))
+                    keys.append(step.layer * 2 + is_z)
+                    qubits.append(g.qubits.tolist())
+    return [(q, keys, qubits) for q, (keys, qubits) in classes.items()]
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_noise_classes_equal_loop_definition(arch, kind):
+    """The engine's vectorized class table holds the loop's classes, in the
+    same order and with the same segments in the same order: both orders
+    fix which slot each geometric draw lands on."""
+    for n in (1, 3, 5):
+        sched = build_schedule(arch, n, kind, _database(n), round_trip=n != 3)
+        for channel in ("xz", "x", "z"):
+            noise = NoiseModel(SurfaceParams(0.03, 0.3), sched.profile, channel=channel)
+            eng = PlaneEngine(sched, noise)
+            got = [(q, key.tolist(), [eng._pool[s:s + e1 - e0].tolist()
+                                      for s, e0, e1 in zip(start, edges[:-1], edges[1:])])
+                   for q, key, start, edges in eng._classes]
+            assert got == _noise_classes_loop(sched, noise), (arch, kind, n, channel)

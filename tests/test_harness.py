@@ -262,6 +262,9 @@ def test_config_validation():
         ExperimentConfig(architectures=("nope",))
     with pytest.raises(ConfigError):
         ExperimentConfig(trials=0)
+    with pytest.raises(ConfigError, match="channel"):
+        ExperimentConfig(channel="y")
+    assert [ExperimentConfig(channel=c).channel for c in ("xz", "x", "z")] == ["xz", "x", "z"]
     with pytest.raises(ConfigError):
         ExperimentConfig(profile="uniform:x").profile_for("uniform-bb", 3)
     prof = ExperimentConfig(profile="uniform:5").profile_for("uniform-bb", 3)

@@ -240,9 +240,13 @@ class Schedule:
         for q in self.input_qubits:
             first[q] = 0
         for i, layer in enumerate(self.layers):
-            for q in layer.touched():
-                if i < first[q]:
-                    first[q] = i
+            for g in layer.gates:
+                for q in g.operands:
+                    if i < first[q]:
+                        first[q] = i
+                for q, _ in g.controls:
+                    if i < first[q]:
+                        first[q] = i
         return tuple(first)
 
     @property

@@ -38,6 +38,25 @@ Sampled-basis mode keeps one batch per pass: there a row holds one column
 per trial while the qubit count grows as ~6 * 2^n, so a pass that wide
 would need gigabytes at large n.
 
+A pass simulates only the trials that leave the noiseless path. A trial's
+columns equal the noiseless run until its first error event, whose layer
+is known once the pass's event codes are sorted. So the plane holds one
+reference block (one trial's packed span, run without noise) followed by
+the trials in order of their first event layer, and the gates run on the
+active prefix only. Right after the gates of a trial's first event layer,
+and before that layer's flips, its columns are copied in from the
+reference block. The active width grows in at most `_JOIN_STEPS` steps,
+each of which rebinds the row views, so a trial may join a few layers
+early; that is exact, since until its first event it is a copy of the
+reference. A trial that sees no event is never simulated: its fidelity is
+exactly 1. Sampled-basis mode runs the same pass with a reference block of
+one noiseless column per trial and every trial joined at layer 0.
+
+Swaps are unconditional, so they never reach the plane: each layer
+compiles once to gates on physical plane rows, and the swaps fold into a
+static logical-to-physical row map, kept at the layers where noise lands
+and at the last layer.
+
 Error events are identical across the branches of one trial (they are
 physical events on qubits, hitting the whole superposition), which is why
 flips expand to whole per-trial column spans. Past the superposition
@@ -54,19 +73,21 @@ corrupted branches as orthogonal junk. Good branches count as coherent
 with each other whatever residue is left outside their output masks, so
 junk that a router moves off the addressed path never lowers fidelity.
 
-Noiseless reference: the engine's own gate kernel (`_gate_pass`, the one
-place that says what a compiled gate does to a plane) run without noise.
-In superposition mode the 2^n initial words are packed as 2^n columns and
-passed through every layer once at construction; each branch's ideal bits
-are read off that plane at its output mask and kept as per-qubit packed
-(care, ideal) patterns, so the readout compares whole plane words. In
-sampled-basis mode each batch's initial plane gets the same noiseless pass
-next to the noisy one. `Schedule.ideal_word` and `run_noiseless` stay the
-independent per-address oracle that the tests compare against.
+Noiseless reference: each pass's own reference block, which the engine's
+gate kernel (`_gate_pass`, the one place that says what a compiled gate
+does to a plane) runs through every layer next to the trials. In
+superposition mode the block holds the 2^n initial words packed as 2^n
+columns; at the end of the pass each branch's ideal bits are read off it
+at the branch's output mask as per-qubit packed patterns under the static
+`_care` masks, so the readout compares whole plane words. In sampled-basis
+mode the block holds each trial's own initial column, and each trial is
+read against its noiseless copy. `Schedule.ideal_word` and `run_noiseless`
+stay the independent per-address oracle that the tests compare against.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable
 
 import numpy as np
@@ -79,6 +100,11 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: consecutive batches share a plane pass up to this many (trial, branch)
 #: columns: 1024 words (8 KB) per plane row
 _PASS_COLUMNS = 1 << 16
+
+#: a pass widens its active prefix in at most this many steps: each step
+#: rebinds one view per plane row, which costs more than simulating a few
+#: pristine trials early
+_JOIN_STEPS = 8
 
 
 def _pack_bits_lsb(bits: np.ndarray) -> np.ndarray:
@@ -109,29 +135,28 @@ def _column_bits(plane: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return (plane[rows, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
 
 
-def _gate_pass(ops, plane: np.ndarray, row: np.ndarray, scratch: np.ndarray) -> None:
-    """Apply one compiled layer's gates to a bit plane, in place.
+def _gate_pass(ops, rows: list[np.ndarray], scratch: np.ndarray, spare: np.ndarray) -> None:
+    """Apply one compiled layer's gates in place.
 
-    `row` maps each logical qubit to its plane row: a plain swap relabels
-    two rows instead of moving their data. `scratch` is one row of space.
+    `rows` holds a view of each physical plane row, all of one width;
+    `scratch` and `spare` are two more rows of that width.
     """
     for op in ops:
-        kind = op[0]
-        if kind == "swap":
-            a, b = row[op[1]], row[op[2]]
-            row[op[1]], row[op[2]] = b, a
-        elif kind == "cswap":
-            controls, a, b = op[1], op[2], op[3]
-            np.bitwise_xor(plane[row[a]], plane[row[b]], out=scratch)
-            for cq, pol in controls:
+        if op[0] == "cswap":
+            _, controls, a, b = op
+            ra, rb = rows[a], rows[b]
+            np.bitwise_xor(ra, rb, out=scratch)
+            for c, pol in controls:
                 if pol:
-                    np.bitwise_and(scratch, plane[row[cq]], out=scratch)
+                    np.bitwise_and(scratch, rows[c], out=scratch)
                 else:
-                    np.bitwise_and(scratch, ~plane[row[cq]], out=scratch)
-            plane[row[a]] ^= scratch
-            plane[row[b]] ^= scratch
+                    np.invert(rows[c], out=spare)
+                    np.bitwise_and(scratch, spare, out=scratch)
+            np.bitwise_xor(ra, scratch, out=ra)
+            np.bitwise_xor(rb, scratch, out=rb)
         else:  # invert
-            np.invert(plane[row[op[1]]], out=plane[row[op[1]]])
+            r = rows[op[1]]
+            np.invert(r, out=r)
 
 
 def _bernoulli_hits(rng: np.random.Generator, slots: int, q: float) -> np.ndarray:
@@ -177,7 +202,9 @@ class PlaneEngine:
             raise ValueError(f"unknown address mode {address_mode!r}")
         self.sampled_basis = not self.addresses
         self.branch_count = max(len(self.addresses), 1)
-        self._ops = [self._compile_layer(layer) for layer in schedule.layers]
+
+        noise_layers = self._compile_noise(noise)
+        self._ops, self._maps = self._compile(noise_layers | {len(schedule.layers) - 1})
 
         if not self.sampled_basis:
             # one trial's span: B/64 words, or one word holding 64/B copies
@@ -185,11 +212,9 @@ class PlaneEngine:
             self._init_span = _pack_bits_lsb(np.tile(bits, max(64 // self.branch_count, 1)))
             self._compile_readout()
 
-        self._compile_noise(noise)
-
-    def _compile_noise(self, noise: NoiseModel | None) -> None:
+    def _compile_noise(self, noise: NoiseModel | None) -> set[int]:
         """Pool the plan's (noise step, live group, X or Z) segments by their
-        net flip probability q.
+        net flip probability q; returns the layers where events can land.
 
         Per class, in order of first appearance, `(q, key, start, edges)`:
         one row per segment, in (step, group, X before Z) order, with the
@@ -199,11 +224,11 @@ class PlaneEngine:
         """
         self._classes = []
         if noise is None:
-            return
+            return set()
         plan = NoisePlan(self.schedule, noise)
         groups = plan.groups
         if not groups:
-            return
+            return set()
         size = np.array([g.qubits.size for g in groups], dtype=np.int64)
         start = np.cumsum(size) - size
         self._pool = np.concatenate([g.qubits for g in groups])
@@ -223,39 +248,52 @@ class PlaneEngine:
             key = layer[step_i[sel]] * 2 + is_z[sel]
             edges = np.concatenate([[0], np.cumsum(size[g])])
             self._classes.append((float(values[c]), key, start[g], edges))
+        return set(layer[step_i].tolist())
+
+    def _compile(self, keep: set[int]) -> tuple[list[list[tuple]], dict[int, np.ndarray]]:
+        """Each layer's gates on physical plane rows, and the logical-to-
+        physical row map after each layer in `keep`.
+
+        A plain swap relabels two rows instead of moving their data. Swaps
+        are unconditional, so the relabelling is the same in every pass:
+        it folds into the row map here and never reaches the plane.
+        """
+        # int64 buffer: each kept map is one copy, not a per-item conversion
+        row = array("q", range(self.schedule.qubit_count))
+        ops, maps = [], {}
+        for li, layer in enumerate(self.schedule.layers):
+            layer_ops = []
+            for g in layer.gates:
+                if g.kind is GateKind.SWAP:
+                    a, b = g.operands
+                    row[a], row[b] = row[b], row[a]
+                elif g.kind in (GateKind.CSWAP, GateKind.CCSWAP):
+                    controls = tuple([(row[c], pol) for c, pol in g.controls])
+                    layer_ops.append(("cswap", controls, row[g.operands[0]], row[g.operands[1]]))
+                elif g.kind is GateKind.X:
+                    layer_ops.append(("invert", row[g.operands[0]]))
+                elif g.kind is GateKind.CLASSICAL_CX:
+                    if g.data_bit:
+                        layer_ops.append(("invert", row[g.operands[0]]))
+                else:
+                    raise AssertionError(g.kind)
+            ops.append(layer_ops)
+            if li in keep:
+                maps[li] = np.array(row)
+        return ops, maps
 
     def _compile_readout(self) -> None:
-        """Noiseless pass over the B initial branch columns, then the readout.
-
-        For each distinct output-mask qubit (`_read_rows`), `_care` marks the
-        branches whose mask holds it and `_ideal` their noiseless final bit
-        there, packed like one trial's columns: B/64 words, or for B < 64
-        one word holding the B columns 64/B times. Every trial's span of the
-        pass plane lines up with that pattern.
-        """
+        """For each distinct output-mask qubit (`_read_rows`), `_care` marks
+        the branches whose mask holds it, packed like one trial's columns:
+        B/64 words, or for B < 64 one word holding the B columns 64/B times.
+        Every trial's span of the pass plane, and its reference block, line
+        up with that pattern."""
         B = self.branch_count
-        ref = self._init_span.copy()
-        ref_row = self._noiseless_pass(ref)
         branch, qubit = self._mask_entries(self.addresses)
-        bit = _column_bits(ref, ref_row[qubit], branch)
-
         self._read_rows, slot = np.unique(qubit, return_inverse=True)
         care = np.zeros((self._read_rows.size, B), dtype=bool)
-        ideal = np.zeros_like(care)
         care[slot, branch] = True
-        ideal[slot, branch] = bit
-        reps = max(64 // B, 1)
-        self._care = _pack_bits_lsb(np.tile(care, reps))
-        self._ideal = _pack_bits_lsb(np.tile(ideal, reps))
-
-    def _noiseless_pass(self, plane: np.ndarray) -> np.ndarray:
-        """Run every layer on `plane` without noise, in place; returns the
-        row of each logical qubit."""
-        row = np.arange(self.schedule.qubit_count)
-        scratch = np.empty(plane.shape[1], dtype=np.uint64)
-        for ops in self._ops:
-            _gate_pass(ops, plane, row, scratch)
-        return row
+        self._care = _pack_bits_lsb(np.tile(care, max(64 // B, 1)))
 
     def _mask_entries(self, addresses) -> tuple[np.ndarray, np.ndarray]:
         """(column, qubit) of each output-mask qubit, column c holding
@@ -264,23 +302,6 @@ class PlaneEngine:
         col = np.repeat(np.arange(len(masks)), [len(m) for m in masks])
         qubit = np.fromiter((q for m in masks for q in m), dtype=np.int64, count=col.size)
         return col, qubit
-
-    @staticmethod
-    def _compile_layer(layer):
-        ops = []
-        for g in layer.gates:
-            if g.kind is GateKind.SWAP:
-                ops.append(("swap", g.operands[0], g.operands[1]))
-            elif g.kind in (GateKind.CSWAP, GateKind.CCSWAP):
-                ops.append(("cswap", g.controls, g.operands[0], g.operands[1]))
-            elif g.kind is GateKind.X:
-                ops.append(("invert", g.operands[0]))
-            elif g.kind is GateKind.CLASSICAL_CX:
-                if g.data_bit:
-                    ops.append(("invert", g.operands[0]))
-            else:
-                raise AssertionError(g.kind)
-        return ops
 
     # -- execution -------------------------------------------------------
 
@@ -322,8 +343,8 @@ class PlaneEngine:
         batches: list[tuple[np.random.Generator, int]],
         forced_events: dict[int, list[PauliEvent]] | None = None,
     ) -> np.ndarray:
-        """Run the trials of `batches` side by side in one plane, batch
-        after batch; returns their fidelities in that order.
+        """Run the trials of `batches` in one plane pass; returns their
+        fidelities, batch after batch.
 
         Each batch draws its addresses (sampled-basis mode) and then its
         noise from its own generator. `forced_events` replaces the noise of
@@ -334,8 +355,8 @@ class PlaneEngine:
             raise ValueError("n_trials must be >= 1")
         nq = self.schedule.qubit_count
         B = self.branch_count
+        n_layers = len(self._ops)
         total = sum(sizes)
-        width = (total * B + 63) // 64
 
         addresses = []
         codes = [np.zeros(0, dtype=np.int64)]
@@ -346,50 +367,85 @@ class PlaneEngine:
             if forced_events is None:
                 codes += self._sample_events(rng, n_trials, total, offset)
             offset += n_trials
+        maps = self._maps
         if forced_events is not None:
             codes.append(self._forced_events(forced_events, total))
+            maps = {**maps, **self._compile(set(forced_events))[1]}
         # event code ((layer * 2 + is_z) * nq + qubit) * total + trial, sorted
         codes = np.concatenate(codes)
         codes.sort()
-        bounds = np.searchsorted(codes, np.arange(2 * len(self._ops) + 1) * (nq * total))
+        bounds = np.searchsorted(codes, np.arange(2 * n_layers + 1) * (nq * total))
 
-        trial_addresses = initial = None
+        # the reference block and each trial's first event layer (n_layers
+        # for none); trials join the plane in that order, reference first
         if self.sampled_basis:
             trial_addresses = np.concatenate(addresses)
             words = [self.schedule.initial_word(int(a)) for a in trial_addresses]
-            plane = _pack_bits_lsb(_word_bits(words, nq))
-            initial = plane.copy()
+            block = _pack_bits_lsb(_word_bits(words, nq))
+            first = np.zeros(total, dtype=np.int64)
         else:
-            # columns past total * B belong to no trial: the spans mask
-            # them out and the readout never unpacks them
-            plane = np.tile(self._init_span, (1, width // self._init_span.shape[1]))
-        sign = np.zeros(width, dtype=np.uint64)
-        row = np.arange(nq)
+            block = self._init_span
+            first = np.full(total, n_layers, dtype=np.int64)
+            # last layer first, so each trial keeps its earliest; segment by
+            # segment, with no temporary the size of all the codes
+            for li in range(n_layers - 1, -1, -1):
+                first[codes[bounds[2 * li] : bounds[2 * li + 2]] % total] = li
+        order = np.argsort(first, kind="stable")[: np.count_nonzero(first < n_layers)]
+        fids = np.ones(total)
+        if not order.size:
+            return fids
+        S = block.shape[1]
+        ref_slots = S * 64 // B
+        slot = np.empty(total, dtype=np.int64)
+        slot[order] = ref_slots + np.arange(order.size)
 
-        # per-trial word spans (indices plus masks, zero-padded)
-        spans_idx, spans_mask = self._trial_spans(total, B, width)
+        # join steps: after the gates of layer join[k] the active prefix
+        # grows to width[k] words; each step starts at a new first layer
+        firsts = first[order]
+        starts = np.flatnonzero(np.diff(firsts, prepend=-1))
+        steps = starts[np.diff(starts * _JOIN_STEPS // order.size, prepend=-1) > 0]
+        join = firsts[steps].tolist()
+        width = (((ref_slots + np.append(steps[1:], order.size)) * B + 63) // 64).tolist()
+        W = width[-1]
 
+        plane = np.empty((nq, W), dtype=np.uint64)
+        plane[:, :S] = block
+        blocks = plane.reshape(nq, W // S, S)
         plane_flat = plane.reshape(-1)
-        scratch = np.empty(width, dtype=np.uint64)
+        sign = np.zeros(W, dtype=np.uint64)
+        scratch = np.empty((2, W), dtype=np.uint64)
+        spans_idx, spans_mask = self._trial_spans(ref_slots + order.size, B)
 
+        w, step = S, 0
+        rows, tmp, spare = list(plane[:, :w]), scratch[0, :w], scratch[1, :w]
         for li, ops in enumerate(self._ops):
-            _gate_pass(ops, plane, row, scratch)
+            _gate_pass(ops, rows, tmp, spare)
+            if step < len(join) and join[step] == li:
+                # copy the block out first: broadcasting it from a view of
+                # the same plane would buffer the whole fill
+                blocks[:, w // S : width[step] // S] = plane[:, :S].copy()[:, None, :]
+                w = width[step]
+                step += 1
+                rows, tmp, spare = list(plane[:, :w]), scratch[0, :w], scratch[1, :w]
             # X flips of this layer, then Z phases read from the flipped plane
             for is_z in (0, 1):
                 lo, hi = bounds[2 * li + is_z], bounds[2 * li + is_z + 1]
                 if lo == hi:
                     continue
-                cell, t_idx = np.divmod(codes[lo:hi], total)
-                widx = (row[cell % nq][:, None] * width + spans_idx[t_idx]).ravel()
-                wmask = spans_mask[t_idx].ravel()
+                cell, t = np.divmod(codes[lo:hi], total)
+                t = slot[t]
+                words, wmask = spans_idx[t], spans_mask[t].ravel()
+                widx = (maps[li][cell % nq][:, None] * W + words).ravel()
                 if is_z:
-                    np.bitwise_xor.at(sign, spans_idx[t_idx].ravel(), plane_flat[widx] & wmask)
+                    np.bitwise_xor.at(sign, words.ravel(), plane_flat[widx] & wmask)
                 else:
                     np.bitwise_xor.at(plane_flat, widx, wmask)
 
+        row = maps[n_layers - 1]
         if self.sampled_basis:
-            return self._fidelities_sampled(plane, row, initial, total, trial_addresses)
-        return self._fidelities(plane, row, sign, total, B)
+            return self._fidelities_sampled(plane, row, ref_slots, trial_addresses)
+        fids[order] = self._fidelities(plane, row, sign, order.size)
+        return fids
 
     def _sample_events(
         self, rng: np.random.Generator, n_trials: int, total: int, offset: int
@@ -423,42 +479,49 @@ class PlaneEngine:
         return (np.array(cells, dtype=np.int64)[:, None] * n_trials + np.arange(n_trials)).ravel()
 
     @staticmethod
-    def _trial_spans(n_trials: int, B: int, width: int):
-        """Per trial, the plane words its B columns touch and the bits it
-        owns in each (zero index and mask pad the unused slots)."""
-        per = max(B // 64 + (2 if B % 64 else 0), 1)
-        start = np.arange(n_trials, dtype=np.int64)[:, None] * B
+    def _trial_spans(n_slots: int, B: int):
+        """Per slot of B columns, the plane words it touches and the bits
+        it owns in each. B is a power of two, so no slot straddles a word:
+        a slot of B < 64 columns owns part of one word."""
+        per = max(B // 64, 1)
+        start = np.arange(n_slots, dtype=np.int64)[:, None] * B
         words = (start >> 6) + np.arange(per, dtype=np.int64)
-        lo = np.clip(start - 64 * words, 0, 64)
-        hi = np.clip(start + B - 64 * words, 0, 64)
-        used = hi > lo
-        ones = np.where(used, hi - lo, 1).astype(np.uint64)
-        shift = np.where(used, lo, 0).astype(np.uint64)
-        msk = (_FULL >> (np.uint64(64) - ones)) << shift
-        return np.where(used, words, 0), np.where(used, msk, np.uint64(0))
+        msk = (_FULL >> np.uint64(64 - min(B, 64))) << (start & 63).astype(np.uint64)
+        return words, np.broadcast_to(msk, words.shape)
 
-    def _fidelities(self, plane, row, sign, n_trials: int, B: int) -> np.ndarray:
+    def _ideal(self, plane: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Each read row's noiseless final bits from the pass's reference
+        block, under `_care`: branch b's ideal bit at each qubit of its
+        output mask, packed like `_care`."""
+        return plane[row[self._read_rows], : self._care.shape[1]] & self._care
+
+    def _fidelities(self, plane, row, sign, active: int) -> np.ndarray:
+        """Fidelities of the `active` trials after the reference block, in
+        plane order."""
         # a branch is bad when any bit it reads differs from its ideal bit
-        span = self._care.shape[1]
-        bad = np.zeros((plane.shape[1] // span, span), dtype=np.uint64)
+        B = self.branch_count
+        S = self._care.shape[1]
+        bad = np.zeros((plane.shape[1] // S - 1, S), dtype=np.uint64)
         diff = np.empty_like(bad)
-        for q, care, ideal in zip(self._read_rows, self._care, self._ideal):
-            np.bitwise_xor(plane[row[q]].reshape(bad.shape), ideal, out=diff)
+        ideal = self._ideal(plane, row)
+        for r, care, ref in zip(row[self._read_rows], self._care, ideal):
+            np.bitwise_xor(plane[r, S:].reshape(bad.shape), ref, out=diff)
             diff &= care
             bad |= diff
-        cols = n_trials * B
-        good = _unpack_bits_lsb(~bad.reshape(-1), cols).reshape(n_trials, B)
-        flipped = _unpack_bits_lsb(sign, cols).reshape(n_trials, B) & good
+        cols = active * B
+        good = _unpack_bits_lsb(~bad.reshape(-1), cols).reshape(active, B)
+        flipped = _unpack_bits_lsb(sign[S:], cols).reshape(active, B) & good
         # every weight is 2^-n, so this is the per-branch overlap sum exactly
         net = good.sum(axis=1, dtype=np.int64) - 2 * flipped.sum(axis=1, dtype=np.int64)
         overlap = net * (1.0 / B)
         return overlap**2
 
-    def _fidelities_sampled(self, plane, row, initial, n_trials: int, addresses) -> np.ndarray:
-        # one noiseless pass over the batch's initial plane is the reference;
-        # per-trial masks, and a global sign never shows in |overlap|^2
-        ref_row = self._noiseless_pass(initial)
+    def _fidelities_sampled(self, plane, row, ref_slots: int, addresses) -> np.ndarray:
+        # trial t's column is ref_slots + t and its noiseless copy in the
+        # reference block is column t; per-trial masks, and a global sign
+        # never shows in |overlap|^2
         trial, qubit = self._mask_entries(addresses)
-        diff = _column_bits(plane, row[qubit], trial) ^ _column_bits(initial, ref_row[qubit], trial)
-        bad = np.bincount(trial, weights=diff, minlength=n_trials)
+        rows = row[qubit]
+        diff = _column_bits(plane, rows, trial + ref_slots) ^ _column_bits(plane, rows, trial)
+        bad = np.bincount(trial, weights=diff, minlength=addresses.size)
         return (bad == 0).astype(np.float64)

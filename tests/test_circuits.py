@@ -90,6 +90,30 @@ def test_all_built_layers_are_parallel():
             assert layer.code_cycles >= 1
 
 
+def _first_active_layer_sets(sched):
+    """Set-based definition: each qubit's first layer in the union of
+    its layers' gate supports; input qubits live from layer 0."""
+    first = [len(sched.layers)] * sched.qubit_count
+    for q in sched.input_qubits:
+        first[q] = 0
+    for i, layer in enumerate(sched.layers):
+        for q in layer.touched():
+            if i < first[q]:
+                first[q] = i
+    return tuple(first)
+
+
+@pytest.mark.parametrize("arch,kind", ALL_VARIANTS)
+def test_first_active_layer_equals_set_definition(arch, kind):
+    rng = random.Random(3)
+    for n in range(1, 6):
+        db = [rng.randint(0, 1) for _ in range(1 << n)]
+        protocols = [{}] if arch == "walker" else [{"round_trip": True}, {"round_trip": False}]
+        for kw in protocols:
+            sched = make(arch, kind, n, db, **kw)
+            assert sched.first_active_layer() == _first_active_layer_sets(sched), (n, kw)
+
+
 def test_database_validation():
     with pytest.raises(ValueError):
         validate_database([0, 1, 0], 2)

@@ -377,8 +377,9 @@ def _word_bits_loop(words, nq):
 
 
 def _trial_spans_loop(n_trials, B):
-    """Word-by-word definition of the per-trial spans."""
-    per = max(B // 64 + (2 if B % 64 else 0), 1)
+    """Word-by-word definition of the per-trial spans; B is a power of two,
+    so a trial touches max(B // 64, 1) words."""
+    per = max(B // 64, 1)
     idx = np.zeros((n_trials, per), dtype=np.int64)
     msk = np.zeros((n_trials, per), dtype=np.uint64)
     for t in range(n_trials):
@@ -418,7 +419,7 @@ def test_word_bits_equals_bit_by_bit_definition(data):
 @pytest.mark.parametrize("B", [1, 2, 8, 32, 64, 128, 1024])
 @pytest.mark.parametrize("n_trials", [1, 7, 63, 64, 65, 130])
 def test_trial_spans_equal_word_by_word_definition(B, n_trials):
-    idx, msk = PlaneEngine._trial_spans(n_trials, B, (n_trials * B + 63) // 64)
+    idx, msk = PlaneEngine._trial_spans(n_trials, B)
     ref_idx, ref_msk = _trial_spans_loop(n_trials, B)
     assert np.array_equal(idx, ref_idx) and idx.dtype == ref_idx.dtype
     assert np.array_equal(msk, ref_msk) and msk.dtype == ref_msk.dtype
@@ -426,19 +427,33 @@ def test_trial_spans_equal_word_by_word_definition(B, n_trials):
 
 @pytest.mark.parametrize("arch,kind", VARIANTS)
 @pytest.mark.parametrize("round_trip", [None, True, False])
-def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip):
-    """Each branch's ideal bits, as the readout holds them after the
-    engine's noiseless plane pass, equal the bits of the per-address oracle
-    `Schedule.ideal_word(a)` at `output_mask(a)`, and no mask qubit is
-    missing or extra."""
+def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip, monkeypatch):
+    """Each branch's ideal bits, as the readout reads them off a pass's
+    reference block after the last layer, equal the bits of the
+    per-address oracle `Schedule.ideal_word(a)` at `output_mask(a)`, and no
+    mask qubit is missing or extra. A Z event at layer 0 on every trial
+    makes the pass simulate its trials through every layer, and a Z flips
+    no bit of the plane."""
+    patterns = []
+    ideal_of = PlaneEngine._ideal
+
+    def spy(self, plane, row):
+        patterns.append(ideal_of(self, plane, row))
+        return patterns[-1]
+
+    monkeypatch.setattr(PlaneEngine, "_ideal", spy)
     for n in range(1, 7):
         sched = build_schedule(arch, n, kind, _database(n), round_trip=round_trip)
         eng = PlaneEngine(sched, None)
+        patterns.clear()
+        eng.run(trajectory_rng(0, 0), 3, forced_events={0: [PauliEvent(0, "Z")]})
+        assert len(patterns) == 1
         B = 1 << n
         masks = [set(sched.output_mask(a)) for a in range(B)]
         assert set(eng._read_rows.tolist()) == set().union(*masks)
         span = eng._care.shape[1] * 64
-        for q, care, ideal in zip(eng._read_rows, eng._care, eng._ideal):
+        assert patterns[0].shape == eng._care.shape
+        for q, care, ideal in zip(eng._read_rows, eng._care, patterns[0]):
             care, ideal = _unpack_bits_lsb(care, span), _unpack_bits_lsb(ideal, span)
             for col in range(span):
                 a = col % B
@@ -446,6 +461,32 @@ def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip):
                 assert care[col] == expect_care, (n, q, a)
                 expect = (sched.ideal_word(a) >> int(q)) & 1 if expect_care else 0
                 assert ideal[col] == expect, (n, q, a)
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_each_trial_equals_word_oracle_on_its_own_events(arch, kind):
+    """Trials join a pass at their first event layer, in that order, and
+    come back in trial order: each trial's fidelity from one seeded pass
+    equals, exactly, the word-by-word oracle run on that trial's own
+    events, decoded from the same stream. The trials cover no event at all
+    and first events at several layers."""
+    quiet, first_layers = 0, 0
+    for n in (2, 3, 4):
+        sched = build_schedule(arch, n, kind, _database(n), round_trip=n != 3)
+        noise = NoiseModel(SurfaceParams(0.03, 0.2), sched.profile)
+        eng = PlaneEngine(sched, noise)
+        n_trials = 60
+        fids = eng.run(trajectory_rng(n, 0), n_trials)
+        key, qubit, trial = _events_by_key(eng, trajectory_rng(n, 0), n_trials)
+        events = [{} for _ in range(n_trials)]
+        # within a layer X flips land before Z phases, as in the engine
+        for k, q, t in sorted(zip(key.tolist(), qubit.tolist(), trial.tolist())):
+            events[t].setdefault(k // 2, []).append(PauliEvent(q, "XZ"[k % 2]))
+        quiet += sum(not e for e in events)
+        first_layers = max(first_layers, len({min(e) for e in events if e}))
+        for t in range(n_trials):
+            assert fids[t] == reference_fidelity(sched, events[t]), (arch, kind, n, t)
+    assert quiet > 0 and first_layers > 2, (quiet, first_layers)
 
 
 def test_sampled_basis_fidelities_unchanged():

@@ -85,6 +85,12 @@ class Gate:
         return cls(GateKind.CLASSICAL_CX, (target,), data_bit=data_bit)
 
     def _validate(self) -> None:
+        # passing path: one set, which is short of one qubit per control
+        # and operand when a qubit repeats or a polarity is not 0 or 1
+        qubits = {q for q, pol in self.controls if pol == 0 or pol == 1}
+        qubits.update(self.operands)
+        if len(qubits) == len(self.controls) + len(self.operands):
+            return
         ctrl_qubits = {q for q, _ in self.controls}
         if len(ctrl_qubits) != len(self.controls):
             raise ValueError("duplicate control qubit")
@@ -155,8 +161,22 @@ def _check_layer_parallel(gates: Sequence[Gate]) -> None:
     """Operands pairwise disjoint; control sets disjoint or identical.
 
     Identical control sets mark the bit-moves of one controlled
-    qutrit-mode swap, which execute as a single operation.
+    qutrit-mode swap, which execute as a single operation. The passing
+    path builds one flat list of operands and one of the qubits of the
+    distinct control tuples; only a layer that fails it is checked
+    condition by condition, to name its fault.
     """
+    ops = [q for g in gates for q in g.operands]
+    ctrl = [q for controls in {g.controls for g in gates} for q, _ in controls]
+    seen = set(ops)
+    if len(seen) == len(ops) and len(set(ctrl)) == len(ctrl) and seen.isdisjoint(ctrl):
+        return
+    _layer_fault(gates)
+
+
+def _layer_fault(gates: Sequence[Gate]) -> None:
+    """Raise the first condition of `_check_layer_parallel` that `gates`
+    break, if any."""
     seen_ops: set[int] = set()
     all_ctrl: set[int] = set()
     for g in gates:
@@ -221,8 +241,12 @@ class Schedule:
     _decode_fn: Callable[[int], tuple[int, int, bool]] = field(repr=False, default=None)
 
     def __post_init__(self):
-        for layer in self.layers:
-            for g in layer.gates:
+        gates = [g for layer in self.layers for g in layer.gates]
+        qubits = [q for g in gates for q in g.operands]
+        qubits += [q for g in gates for q, _ in g.controls]
+        if qubits and (min(qubits) < 0 or max(qubits) >= self.qubit_count):
+            # name the first offending qubit, gate by gate
+            for g in gates:
                 for q in g.support():
                     if not 0 <= q < self.qubit_count:
                         raise ValueError(f"gate touches unregistered qubit {q}")
@@ -346,45 +370,56 @@ def address_bit(address: int, level: int, n: int) -> int:
 
 
 def path_nodes(address: int, n: int) -> list[int]:
-    """Node index within each level along the routing path of `address`."""
-    nodes = []
-    j = 0
-    for l in range(n):
-        nodes.append(j)
-        j = 2 * j + address_bit(address, l, n)
-    return nodes
+    """Node index within each level along the routing path of `address`:
+    at level l, the address's top l bits."""
+    return [address >> (n - l) for l in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # schedule assembly helpers
 
 
-class _LayerAccum:
-    """Collects gates for one layer and prices it when sealed."""
+def _distance_table(levels: Sequence[int], profile: DistanceProfile) -> list[int]:
+    """The profile's code distance at each registry qubit's level."""
+    by_level = profile.distances()
+    return [by_level[level] for level in levels]
 
-    def __init__(self, schedule_levels: list[int], profile: DistanceProfile, cost: CycleCost):
+
+class _LayerAccum:
+    """Collects gates for one layer and prices it when sealed.
+
+    `distance` is the builder's per-qubit distance table
+    (`_distance_table`, made once its registry is complete). Sealing
+    prices each gate once: its distance d is the largest over its operands
+    and controls. The layer's noise_rounds is the largest d, and its
+    code_cycles the largest c*d over controlled swaps and s*d over the
+    other gates.
+    """
+
+    def __init__(self, distance: list[int], cost: CycleCost):
         self.gates: list[Gate] = []
-        self._levels = schedule_levels
-        self._profile = profile
+        self._distance = distance
         self._cost = cost
 
-    def add(self, gate: Gate) -> None:
-        self.gates.append(gate)
-
-    def _gate_distance(self, gate: Gate) -> int:
-        return max(self._profile.distance(self._levels[q]) for q in gate.support())
-
-    def _gate_cycles(self, gate: Gate) -> int:
-        step = self._cost.c if gate.kind in (GateKind.CSWAP, GateKind.CCSWAP) else self._cost.s
-        return step * self._gate_distance(gate)
+    def add(self, *gates: Gate) -> None:
+        self.gates.extend(gates)
 
     def seal(self, phase: int) -> Layer | None:
         if not self.gates:
             return None
         _check_layer_parallel(self.gates)
-        cycles = max(self._gate_cycles(g) for g in self.gates)
-        rounds = max(self._gate_distance(g) for g in self.gates)
-        return Layer(tuple(self.gates), cycles, rounds, phase)
+        swaps: list[Gate] = []
+        plain: list[Gate] = []
+        for g in self.gates:
+            (swaps if g.kind is GateKind.CSWAP or g.kind is GateKind.CCSWAP else plain).append(g)
+        d_c, d_s = self._max_distance(swaps), self._max_distance(plain)
+        cycles = max(self._cost.c * d_c, self._cost.s * d_s)
+        return Layer(tuple(self.gates), cycles, max(d_c, d_s), phase)
+
+    def _max_distance(self, gates: list[Gate]) -> int:
+        qubits = [q for g in gates for q in g.operands]
+        qubits += [q for g in gates for q, _ in g.controls]
+        return max(map(self._distance.__getitem__, qubits), default=0)
 
 
 def _seal_phases(accums: Iterable[_LayerAccum], phase: int) -> list[Layer]:
@@ -554,8 +589,16 @@ def _build_pipelined(
         if qutrit:
             rail_p[n, j] = reg.add(n, "bus")
 
+    dist = _distance_table(reg.levels, profile)
+    routes: dict[tuple[int, bool], list[Gate]] = {}
+
     def route_gates(level: int, right: bool) -> list[Gate]:
-        gates = []
+        """One level's routing swaps to the left or right children; every
+        payload that crosses the level shares them."""
+        gates = routes.get((level, right))
+        if gates is not None:
+            return gates
+        gates = routes[level, right] = []
         for j in range(1 << level):
             child = 2 * j + (1 if right else 0)
             if qutrit:
@@ -569,8 +612,8 @@ def _build_pipelined(
 
     layers: list[Layer] = []
     for tau in range(3 * n + 3):
-        sub1 = _LayerAccum(reg.levels, profile, cost)
-        sub2 = _LayerAccum(reg.levels, profile, cost)
+        sub1 = _LayerAccum(dist, cost)
+        sub2 = _LayerAccum(dist, cost)
         for k in range(n + 1):
             is_bus = k == n
             inject_at = 2 * k + 1 if is_bus else 2 * k
@@ -589,10 +632,8 @@ def _build_pipelined(
                 j = tau - inject_at
                 limit = n if is_bus else k
                 if 1 <= j <= limit:
-                    for g in route_gates(j - 1, right=False):
-                        sub1.add(g)
-                    for g in route_gates(j - 1, right=True):
-                        sub2.add(g)
+                    sub1.add(*route_gates(j - 1, right=False))
+                    sub2.add(*route_gates(j - 1, right=True))
         if tau == 3 * n + 2:
             for j in range(1 << n):
                 sub1.add(Gate.classical_cx(database[j], rail_v[n, j]))
@@ -717,10 +758,11 @@ def build_ft_hetero(
         if qutrit:
             slot_p[n, j, 0] = reg.add(n, "bus")
 
+    dist = _distance_table(reg.levels, profile)
     layers: list[Layer] = []
     phase = 0
     for l in range(n):
-        park = _LayerAccum(reg.levels, profile, cost)
+        park = _LayerAccum(dist, cost)
         for j in range(1 << l):
             park.add(Gate.swap(slot_v[l, j, 0], r_bit[l, j]))
             if qutrit:
@@ -729,7 +771,7 @@ def build_ft_hetero(
         phase += 1
         for s in range(1, n - l + 1):
             for right in (False, True):
-                acc = _LayerAccum(reg.levels, profile, cost)
+                acc = _LayerAccum(dist, cost)
                 for j in range(1 << l):
                     child = 2 * j + (1 if right else 0)
                     if qutrit:
@@ -741,7 +783,7 @@ def build_ft_hetero(
                         acc.add(Gate.cswap(controls, slot_v[l, j, s], slot_v[l + 1, child, s - 1]))
                 layers.extend(_seal_phases([acc], phase))
             phase += 1
-    copy = _LayerAccum(reg.levels, profile, cost)
+    copy = _LayerAccum(dist, cost)
     for j in range(1 << n):
         copy.add(Gate.classical_cx(database[j], slot_v[n, j, 0]))
     layers.extend(_seal_phases([copy], phase))
@@ -810,10 +852,11 @@ def build_walker(
         rail_b[n, j] = reg.add(n, "walker")
         rail_r[n, j] = reg.add(n, "walker")
 
+    dist = _distance_table(reg.levels, profile)
     layers: list[Layer] = []
     for tau in range(3 * n + 3):
-        sub1 = _LayerAccum(reg.levels, profile, cost)
-        sub2 = _LayerAccum(reg.levels, profile, cost)
+        sub1 = _LayerAccum(dist, cost)
+        sub2 = _LayerAccum(dist, cost)
         for k in range(n + 1):
             is_bus = k == n
             inject_at = 2 * k + 1 if is_bus else 2 * k

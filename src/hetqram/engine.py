@@ -17,16 +17,17 @@ noise exactly up to the O((eps*k)^2) chance of an X and a Z landing on
 the same qubit in the same phase in a specific order.
 
 Noise sampling: every (noise step, live group, X or Z) segment of the plan
-is pooled, once at construction, by its net flip probability q. Each batch
-then draws all its noise up front, one Bernoulli(q) process per class over
-the class's (slot, trial) pairs, by summing geometric gaps between hits
-(the rare-error sampling of Stim, Gidney, Quantum 5, 497 (2021)): exact
-iid flips at a cost proportional to the number of hits. Each hit is
-coded as one int64, ((layer * 2 + is_z) * qubits + qubit) * total +
-offset + trial, where the pass runs `total` trials and the batch's own
-start at `offset`; the pass's codes are sorted once, so each layer's X
-flips and then its Z phases are two contiguous runs that the gate loop
-applies right after that layer's gates.
+is pooled, once at construction, by its net flip probability q, into one
+table of event cells per class: one slot per qubit of its segments, each
+holding its cell (layer * 2 + is_z) * qubits + qubit. Each batch then
+draws all its noise up front, one Bernoulli(q) process per class over the
+class's (slot, trial) pairs, by summing geometric gaps between hits (the
+rare-error sampling of Stim, Gidney, Quantum 5, 497 (2021)): exact iid
+flips at a cost proportional to the number of hits. Each hit is coded as
+one int64, cell * total + offset + trial, where the pass runs `total`
+trials and the batch's own start at `offset`; the pass's codes are sorted
+once, so each layer's X flips and then its Z phases are two contiguous
+runs that the gate loop applies right after that layer's gates.
 
 Passes: a batch is the unit of randomness (one generator stream each),
 not of work. Consecutive batches share one plane pass until it would span
@@ -36,7 +37,10 @@ call overhead rather than its bits. Each batch still draws its addresses
 and noise from its own generator, so the grouping changes no fidelity.
 Sampled-basis mode keeps one batch per pass: there a row holds one column
 per trial while the qubit count grows as ~6 * 2^n, so a pass that wide
-would need gigabytes at large n.
+would need gigabytes at large n. A pass decodes its sorted codes once,
+cell and trial with one `//` each (`divmod` and `%` by a scalar cost
+several times more), and looks up each event's plane words and bit mask
+in per-trial tables filled once the trials' places in the plane are known.
 
 A pass simulates only the trials that leave the noiseless path. A trial's
 columns equal the noiseless run until its first error event, whose layer
@@ -79,7 +83,9 @@ does to a plane) runs through every layer next to the trials. In
 superposition mode the block holds the 2^n initial words packed as 2^n
 columns; at the end of the pass each branch's ideal bits are read off it
 at the branch's output mask as per-qubit packed patterns under the static
-`_care` masks, so the readout compares whole plane words. In sampled-basis
+`_care` masks, so the readout compares whole plane words, and per read row
+only the words its `_care` covers: a leaf cell's row holds one branch, so
+at n=8 it reads one of the four words of each trial's span. In sampled-basis
 mode the block holds each trial's own initial column, and each trial is
 read against its noiseless copy. `Schedule.ideal_word` and `run_noiseless`
 stay the independent per-address oracle that the tests compare against.
@@ -216,11 +222,11 @@ class PlaneEngine:
         """Pool the plan's (noise step, live group, X or Z) segments by their
         net flip probability q; returns the layers where events can land.
 
-        Per class, in order of first appearance, `(q, key, start, edges)`:
-        one row per segment, in (step, group, X before Z) order, with the
-        event key `layer * 2 + is_z`, the segment's start in `_pool` (the
-        plan's group qubit arrays, concatenated) and the cumulative segment
-        lengths (`edges[-1]` slots per trial). Both orders fix the draws.
+        Per class, in order of first appearance, `(q, cells)`: the class's
+        slots of one trial, segment after segment in (step, group, X before
+        Z) order and each group's qubits in order, each holding its event
+        cell `(layer * 2 + is_z) * qubits + qubit`. Both orders fix the
+        draws.
         """
         self._classes = []
         if noise is None:
@@ -229,9 +235,10 @@ class PlaneEngine:
         groups = plan.groups
         if not groups:
             return set()
+        nq = self.schedule.qubit_count
         size = np.array([g.qubits.size for g in groups], dtype=np.int64)
         start = np.cumsum(size) - size
-        self._pool = np.concatenate([g.qubits for g in groups])
+        pool = np.concatenate([g.qubits for g in groups])
         layer = np.array([step.layer for step in plan.steps], dtype=np.int64)
         # q of each distinct (rate, rounds), one scalar call each
         p_vals, p_idx = np.unique([(g.px, g.pz) for g in groups], return_inverse=True)
@@ -241,13 +248,25 @@ class PlaneEngine:
         live = np.array([g.first_active for g in groups]) <= layer[:, None]
         step_i, group_i, is_z = np.nonzero(live[:, :, None] & (q > 0.0))
         q = q[step_i, group_i, is_z]
+        if not q.size:
+            return set()
         values, first, cls = np.unique(q, return_index=True, return_inverse=True)
-        for c in np.argsort(first):
-            sel = cls.reshape(-1) == c
-            g = group_i[sel]
-            key = layer[step_i[sel]] * 2 + is_z[sel]
-            edges = np.concatenate([[0], np.cumsum(size[g])])
-            self._classes.append((float(values[c]), key, start[g], edges))
+        # classes in order of first appearance, and the segments class by
+        # class, each class's in plan order (a stable sort)
+        by_first = np.argsort(first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(by_first.size)
+        rank = rank[cls.reshape(-1)]
+        seg_order = np.argsort(rank, kind="stable")
+        g = group_i[seg_order]
+        key = layer[step_i[seg_order]] * 2 + is_z[seg_order]
+        # slot k of a segment is qubit k of its group: pool[start + k]
+        seg = size[g]
+        ends = np.cumsum(seg)
+        slot = np.arange(ends[-1]) + np.repeat(start[g] - (ends - seg), seg)
+        cells = np.repeat(key * nq, seg) + pool[slot]
+        split = ends[np.flatnonzero(np.diff(rank[seg_order]))]
+        self._classes = list(zip(values[by_first].tolist(), np.split(cells, split)))
         return set(layer[step_i].tolist())
 
     def _compile(self, keep: set[int]) -> tuple[list[list[tuple]], dict[int, np.ndarray]]:
@@ -264,12 +283,13 @@ class PlaneEngine:
         for li, layer in enumerate(self.schedule.layers):
             layer_ops = []
             for g in layer.gates:
-                if g.kind is GateKind.SWAP:
+                if g.controls:  # a controlled swap
+                    a, b = g.operands
+                    layer_ops.append(("cswap", [(row[c], pol) for c, pol in g.controls],
+                                      row[a], row[b]))
+                elif g.kind is GateKind.SWAP:
                     a, b = g.operands
                     row[a], row[b] = row[b], row[a]
-                elif g.kind in (GateKind.CSWAP, GateKind.CCSWAP):
-                    controls = tuple([(row[c], pol) for c, pol in g.controls])
-                    layer_ops.append(("cswap", controls, row[g.operands[0]], row[g.operands[1]]))
                 elif g.kind is GateKind.X:
                     layer_ops.append(("invert", row[g.operands[0]]))
                 elif g.kind is GateKind.CLASSICAL_CX:
@@ -287,13 +307,22 @@ class PlaneEngine:
         the branches whose mask holds it, packed like one trial's columns:
         B/64 words, or for B < 64 one word holding the B columns 64/B times.
         Every trial's span of the pass plane, and its reference block, line
-        up with that pattern."""
+        up with that pattern. `_care_words` holds each row's words from its
+        first to its last nonzero `_care` word, or None for all of them: a
+        leaf's row covers one branch, a router's the branches below it."""
         B = self.branch_count
         branch, qubit = self._mask_entries(self.addresses)
         self._read_rows, slot = np.unique(qubit, return_inverse=True)
         care = np.zeros((self._read_rows.size, B), dtype=bool)
         care[slot, branch] = True
         self._care = _pack_bits_lsb(np.tile(care, max(64 // B, 1)))
+        nonzero = self._care != 0
+        lo = nonzero.argmax(axis=1)
+        hi = nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1)
+        self._care_words = [
+            None if b - a == nonzero.shape[1] else slice(a, b)
+            for a, b in zip(lo.tolist(), hi.tolist())
+        ]
 
     def _mask_entries(self, addresses) -> tuple[np.ndarray, np.ndarray]:
         """(column, qubit) of each output-mask qubit, column c holding
@@ -371,10 +400,13 @@ class PlaneEngine:
         if forced_events is not None:
             codes.append(self._forced_events(forced_events, total))
             maps = {**maps, **self._compile(set(forced_events))[1]}
-        # event code ((layer * 2 + is_z) * nq + qubit) * total + trial, sorted
+        # event code cell * total + trial, cell = (layer * 2 + is_z) * nq +
+        # qubit, sorted; decoded once with // (divmod and % cost far more)
         codes = np.concatenate(codes)
         codes.sort()
         bounds = np.searchsorted(codes, np.arange(2 * n_layers + 1) * (nq * total))
+        cell = codes // total
+        trial = np.subtract(codes, cell * total, out=codes)  # the codes are spent
 
         # the reference block and each trial's first event layer (n_layers
         # for none); trials join the plane in that order, reference first
@@ -389,15 +421,13 @@ class PlaneEngine:
             # last layer first, so each trial keeps its earliest; segment by
             # segment, with no temporary the size of all the codes
             for li in range(n_layers - 1, -1, -1):
-                first[codes[bounds[2 * li] : bounds[2 * li + 2]] % total] = li
+                first[trial[bounds[2 * li] : bounds[2 * li + 2]]] = li
         order = np.argsort(first, kind="stable")[: np.count_nonzero(first < n_layers)]
         fids = np.ones(total)
         if not order.size:
             return fids
         S = block.shape[1]
         ref_slots = S * 64 // B
-        slot = np.empty(total, dtype=np.int64)
-        slot[order] = ref_slots + np.arange(order.size)
 
         # join steps: after the gates of layer join[k] the active prefix
         # grows to width[k] words; each step starts at a new first layer
@@ -414,7 +444,13 @@ class PlaneEngine:
         plane_flat = plane.reshape(-1)
         sign = np.zeros(W, dtype=np.uint64)
         scratch = np.empty((2, W), dtype=np.uint64)
+        # per trial of the pass, the plane words of its slot and its bits
+        # in each (trials that never join have no event to look them up)
         spans_idx, spans_mask = self._trial_spans(ref_slots + order.size, B)
+        trial_words = np.zeros((total, spans_idx.shape[1]), dtype=np.int64)
+        trial_words[order] = spans_idx[ref_slots:]
+        trial_mask = np.zeros(trial_words.shape, dtype=np.uint64)
+        trial_mask[order] = spans_mask[ref_slots:]
 
         w, step = S, 0
         rows, tmp, spare = list(plane[:, :w]), scratch[0, :w], scratch[1, :w]
@@ -432,12 +468,13 @@ class PlaneEngine:
                 lo, hi = bounds[2 * li + is_z], bounds[2 * li + is_z + 1]
                 if lo == hi:
                     continue
-                cell, t = np.divmod(codes[lo:hi], total)
-                t = slot[t]
-                words, wmask = spans_idx[t], spans_mask[t].ravel()
-                widx = (maps[li][cell % nq][:, None] * W + words).ravel()
+                # take, not fancy indexing: several times faster on rows
+                t = trial[lo:hi]
+                words, wmask = trial_words.take(t, axis=0), trial_mask.take(t, axis=0).ravel()
+                qubit = cell[lo:hi] - (2 * li + is_z) * nq
+                widx = (maps[li].take(qubit)[:, None] * W + words).ravel()
                 if is_z:
-                    np.bitwise_xor.at(sign, words.ravel(), plane_flat[widx] & wmask)
+                    np.bitwise_xor.at(sign, words.ravel(), plane_flat.take(widx) & wmask)
                 else:
                     np.bitwise_xor.at(plane_flat, widx, wmask)
 
@@ -451,22 +488,21 @@ class PlaneEngine:
         self, rng: np.random.Generator, n_trials: int, total: int, offset: int
     ) -> list[np.ndarray]:
         """Draw one batch's noise: one Bernoulli process per flip-probability
-        class over its `slots-per-trial * n_trials` slots, as one unsorted
-        array of event codes ((layer * 2 + is_z) * nq + qubit) * total +
-        offset + trial per class.
+        class over its `cells.size * n_trials` slots, as one unsorted array
+        of event codes `cells[j] * total + offset + trial` per class.
 
         The batch's trials are trials `offset..` of a pass of `total`.
-        Slot `j * n_trials + t` is slot j of the class's segments in trial t.
+        Slot `j * n_trials + t` is slot j of the class's cells in trial t.
         """
-        nq = self.schedule.qubit_count
         codes = []
-        for q, key, start, edges in self._classes:
-            j, t = np.divmod(_bernoulli_hits(rng, int(edges[-1]) * n_trials, q), n_trials)
-            seg = np.searchsorted(edges, j, side="right") - 1
-            code = key[seg] * nq + self._pool[start[seg] + j - edges[seg]]
+        for q, cells in self._classes:
+            hits = _bernoulli_hits(rng, cells.size * n_trials, q)
+            j = hits // n_trials
+            hits -= j * n_trials  # the trial
+            hits += offset
+            code = cells[j]
             code *= total
-            t += offset
-            code += t
+            code += hits
             codes.append(code)
         return codes
 
@@ -504,10 +540,13 @@ class PlaneEngine:
         bad = np.zeros((plane.shape[1] // S - 1, S), dtype=np.uint64)
         diff = np.empty_like(bad)
         ideal = self._ideal(plane, row)
-        for r, care, ref in zip(row[self._read_rows], self._care, ideal):
-            np.bitwise_xor(plane[r, S:].reshape(bad.shape), ref, out=diff)
-            diff &= care
-            bad |= diff
+        for r, care, ref, w in zip(row[self._read_rows], self._care, ideal, self._care_words):
+            tile, d, b = plane[r, S:].reshape(bad.shape), diff, bad
+            if w is not None:  # the row's branches lie within words w
+                tile, ref, care, d, b = tile[:, w], ref[w], care[w], diff[:, w], bad[:, w]
+            np.bitwise_xor(tile, ref, out=d)
+            d &= care
+            b |= d
         cols = active * B
         good = _unpack_bits_lsb(~bad.reshape(-1), cols).reshape(active, B)
         flipped = _unpack_bits_lsb(sign[S:], cols).reshape(active, B) & good

@@ -122,6 +122,15 @@ def database_for(config: ExperimentConfig, n: int) -> list[int]:
 # batched estimation
 
 
+def check_superposition_ceiling(n: int, address_mode: str) -> None:
+    """Raise ResourceLimitError when superposition mode cannot run depth n."""
+    if address_mode == "superposition" and n > MAX_SUPERPOSITION_N:
+        raise ResourceLimitError(
+            f"superposition mode is capped at n={MAX_SUPERPOSITION_N}; "
+            "use basis address mode for deeper trees"
+        )
+
+
 def run_fidelities(
     schedule: Schedule,
     noise: NoiseModel | None,
@@ -139,11 +148,7 @@ def run_fidelities(
     not depend on how the engine runs the batches. One plane pass may
     span several consecutive batches (see `PlaneEngine.run_batches`).
     """
-    if address_mode == "superposition" and schedule.n > MAX_SUPERPOSITION_N:
-        raise ResourceLimitError(
-            f"superposition mode is capped at n={MAX_SUPERPOSITION_N}; "
-            "use basis address mode for deeper trees"
-        )
+    check_superposition_ceiling(schedule.n, address_mode)
     engine = PlaneEngine(schedule, noise, address_mode)
     return engine.run_batches(
         (trajectory_rng(seed, stream * _POINT_STRIDE + b), min(batch_size, trials - done))
@@ -308,7 +313,10 @@ class ExperimentReport:
 def run_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Monte Carlo sweep over (architecture, n) points.
 
-    Every point is checked (depth, profile, bound) before any is simulated.
+    Every point is checked (depth, profile, bound, then the superposition
+    ceiling) before any is simulated, so an invalid configuration (exit 2)
+    is reported first and no point runs before a too-deep one stops the
+    sweep (exit 3).
     """
     points = []
     for arch in config.architectures:
@@ -319,6 +327,8 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
             profile = config.profile_for(arch, n)
             bound = matching_bound(arch, kind, n, config.params, config.cost, profile)
             points.append((arch, kind, n, profile, bound))
+    for _, _, n, _, _ in points:
+        check_superposition_ceiling(n, config.address_mode)
     report = ExperimentReport()
     for stream, (arch, kind, n, profile, bound) in enumerate(points):
         schedule = build_schedule(

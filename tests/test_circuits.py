@@ -1,6 +1,10 @@
 """Schedule builders: routing correctness, layer structure, coherence envelopes."""
 
+import hashlib
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from hetqram.circuits import (
     Gate,
     GateKind,
     Layer,
+    Schedule,
     _check_layer_parallel,
     build_bb_hetero,
     build_ft_hetero,
@@ -54,6 +59,50 @@ def test_gate_validation():
         Gate.cswap([(0, 1), (1, 0), (2, 1)], 3, 4)
     with pytest.raises(ValueError):
         Gate.cswap([(0, 2)], 1, 3)
+
+
+def _schedule_with(gates, qubits=4):
+    return Schedule("uniform-bb", "qubit", 1, (0,) * qubits, ("bus",) * qubits,
+                    (Layer(tuple(gates), 1),), DistanceProfile.uniform(1, 3), CycleCost(), (0, 1))
+
+
+@pytest.mark.parametrize("make_fault,message", [
+    (lambda: Gate.cswap([], 0, 1), "1 or 2 controls"),
+    (lambda: Gate.cswap([(0, 1), (1, 0), (2, 1)], 3, 4), "1 or 2 controls"),
+    (lambda: Gate.classical_cx(2, 0), "data_bit must be 0 or 1"),
+    (lambda: Gate.cswap([(0, 1), (0, 0)], 2, 3), "duplicate control qubit"),
+    (lambda: Gate.cswap([(0, 1)], 0, 2), "controls overlap operands"),
+    (lambda: Gate.cswap([(0, 1)], 2, 2), "duplicate operand"),
+    (lambda: Gate.cswap([(0, 2)], 1, 3), "polarity must be 0 or 1"),
+    (lambda: _check_layer_parallel([Gate.swap(0, 1), Gate.swap(1, 2)]),
+     "overlapping operands in layer"),
+    (lambda: _check_layer_parallel([Gate.swap(0, 1), Gate.cswap([(1, 1)], 2, 3)]),
+     "a control qubit is another gate's operand in the same layer"),
+    (lambda: _check_layer_parallel([Gate.cswap([(0, 1), (1, 0)], 2, 3),
+                                    Gate.cswap([(0, 1), (6, 0)], 4, 5)]),
+     "overlapping but non-identical control sets in layer"),
+    (lambda: _schedule_with([Gate.swap(0, 1), Gate.cswap([(2, 1)], 3, 4)]),
+     "gate touches unregistered qubit 4"),
+    (lambda: _schedule_with([Gate.x(-1)]), "gate touches unregistered qubit -1"),
+], ids=["no-control", "three-controls", "data-bit", "duplicate-control", "control-on-operand",
+        "duplicate-operand", "polarity", "layer-operands", "layer-control-on-operand",
+        "layer-control-sets", "unregistered-high", "unregistered-negative"])
+def test_every_check_raises_its_message(make_fault, message):
+    """Each validation condition of gates, layers and schedules has a case
+    that only it catches, named by its message."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_fault()
+
+
+def test_checks_pass_valid_input():
+    """The cases above, minus their one fault, pass every check."""
+    Gate.cswap([(0, 1), (1, 0)], 2, 3)
+    Gate.classical_cx(1, 0)
+    _check_layer_parallel([Gate.swap(0, 1), Gate.cswap([(4, 1)], 2, 3)])
+    _check_layer_parallel([Gate.cswap([(0, 1), (1, 0)], 2, 3),
+                           Gate.cswap([(1, 0), (0, 1)], 4, 5)])  # one control set
+    _check_layer_parallel([Gate.swap(2, 2)])  # a gate's own operands are Gate's to check
+    assert _schedule_with([Gate.swap(0, 1), Gate.cswap([(2, 1)], 3, 4)], qubits=5).depth == 1
 
 
 def test_gate_word_application():
@@ -357,6 +406,33 @@ def test_dump_golden_n1(tmp_path):
     golden = pathlib.Path(__file__).parent / "data" / "uniform_bb_n1_qubit.dump"
     sched = build_uniform_bb(1, "qubit", [1, 0], distance=2)
     assert sched.dump() == golden.read_text()
+
+
+def schedule_digests() -> dict[str, str]:
+    """sha256 of every variant's schedule at n=1..8 under each protocol:
+    its `dump()`, its qubit `levels`, and each layer's (code_cycles,
+    noise_rounds, phase), which `dump()` leaves out. The walker has no
+    return pass, so it has one protocol. Regenerate the golden file with
+    `python -c "import json, test_circuits as t; print(json.dumps(
+    t.schedule_digests(), indent=1, sort_keys=True))"` from `tests/`."""
+    out = {}
+    for arch, kind in ALL_VARIANTS:
+        for n in range(1, 9):
+            rng = random.Random(n)
+            db = [rng.randint(0, 1) for _ in range(1 << n)]
+            for rt in [None] if arch == "walker" else [None, True, False]:
+                sched = build_schedule(arch, n, kind, db, round_trip=rt)
+                pricing = [(l.code_cycles, l.noise_rounds, l.phase) for l in sched.layers]
+                text = f"{sched.dump()}{sched.levels}\n{pricing}\n"
+                out[f"{arch}/{kind}/n={n}/rt={rt}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_schedule_digests_golden():
+    """Every built schedule, its gates, registry levels and per-layer
+    pricing, is byte-identical to the one the golden file was made from."""
+    golden = json.loads((Path(__file__).parent / "data" / "schedule_digest.json").read_text())
+    assert schedule_digests() == golden
 
 
 def test_build_schedule_dispatch():

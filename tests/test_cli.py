@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hetqram import harness
 from hetqram.cli import main
 from hetqram.harness import (
     ARCHITECTURES,
@@ -85,6 +86,29 @@ def test_resource_limit_exit_3(capsys):
     )
     assert code == 3
     assert "basis" in err
+
+
+def test_sweep_past_ceiling_exits_3_before_simulating(capsys, monkeypatch):
+    """A sweep whose last points exceed the superposition ceiling stops
+    before its first point is simulated: no engine is ever built."""
+    built = []
+
+    def no_engine(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("a point was simulated before the ceiling check")
+
+    monkeypatch.setattr(harness, "PlaneEngine", no_engine)
+    code, out, err = run_cli(
+        ["sim", "--arch", "uniform-bb", "--n", "9..11", "--trials", "3"], capsys
+    )
+    assert (code, out, built) == (3, "", [])
+    assert "capped at n=10" in err
+    # an invalid depth anywhere in the sweep is still reported first
+    code, _, err = run_cli(
+        ["sim", "--arch", "uniform-bb", "--n", "11..17", "--trials", "3"], capsys
+    )
+    assert (code, built) == (2, [])
+    assert "depth must be <= 16" in err
 
 
 def test_io_failure_exit_4(capsys, tmp_path):

@@ -515,30 +515,30 @@ def test_sampled_basis_fidelities_unchanged():
 def _noise_classes_loop(sched, noise):
     """Loop definition of the engine's noise classes: per distinct net flip
     probability q, in order of first appearance over (step, live group,
-    X before Z), the event key and the qubits of each segment."""
-    classes: dict[float, tuple[list, list]] = {}
+    X before Z), the event cell (layer * 2 + is_z) * qubits + qubit of each
+    slot, group qubit by group qubit."""
+    nq = sched.qubit_count
+    classes: dict[float, list[int]] = {}
     for step in NoisePlan(sched, noise).steps:
         for g in step.groups:
             for is_z, p in ((0, g.px), (1, g.pz)):
                 q = net_flip_probability(p, step.rounds)
                 if q > 0.0:
-                    keys, qubits = classes.setdefault(q, ([], []))
-                    keys.append(step.layer * 2 + is_z)
-                    qubits.append(g.qubits.tolist())
-    return [(q, keys, qubits) for q, (keys, qubits) in classes.items()]
+                    cells = classes.setdefault(q, [])
+                    cells.extend((step.layer * 2 + is_z) * nq + int(b) for b in g.qubits)
+    return list(classes.items())
 
 
 @pytest.mark.parametrize("arch,kind", VARIANTS)
 def test_noise_classes_equal_loop_definition(arch, kind):
     """The engine's vectorized class table holds the loop's classes, in the
-    same order and with the same segments in the same order: both orders
-    fix which slot each geometric draw lands on."""
+    same order and with the same cells in the same order: both orders fix
+    which slot each geometric draw lands on."""
     for n in (1, 3, 5):
         sched = build_schedule(arch, n, kind, _database(n), round_trip=n != 3)
         for channel in ("xz", "x", "z"):
             noise = NoiseModel(SurfaceParams(0.03, 0.3), sched.profile, channel=channel)
             eng = PlaneEngine(sched, noise)
-            got = [(q, key.tolist(), [eng._pool[s:s + e1 - e0].tolist()
-                                      for s, e0, e1 in zip(start, edges[:-1], edges[1:])])
-                   for q, key, start, edges in eng._classes]
+            got = [(q, cells.tolist()) for q, cells in eng._classes]
+            assert all(cells.dtype == np.int64 for _, cells in eng._classes)
             assert got == _noise_classes_loop(sched, noise), (arch, kind, n, channel)

@@ -410,11 +410,13 @@ def test_dump_golden_n1(tmp_path):
 
 def schedule_digests() -> dict[str, str]:
     """sha256 of every variant's schedule at n=1..8 under each protocol:
-    its `dump()`, its qubit `levels`, and each layer's (code_cycles,
-    noise_rounds, phase), which `dump()` leaves out. The walker has no
-    return pass, so it has one protocol. Regenerate the golden file with
-    `python -c "import json, test_circuits as t; print(json.dumps(
-    t.schedule_digests(), indent=1, sort_keys=True))"` from `tests/`."""
+    its `dump()`, its qubit `levels` and `roles`, each layer's
+    (code_cycles, noise_rounds, phase), which `dump()` leaves out, its
+    `input_qubits` in order, and (initial_word, output_mask) of every
+    address. The walker has no return pass, so it has one protocol.
+    Regenerate the golden file with `python -c "import json, test_circuits
+    as t; print(json.dumps(t.schedule_digests(), indent=1,
+    sort_keys=True))"` from `tests/`."""
     out = {}
     for arch, kind in ALL_VARIANTS:
         for n in range(1, 9):
@@ -423,7 +425,9 @@ def schedule_digests() -> dict[str, str]:
             for rt in [None] if arch == "walker" else [None, True, False]:
                 sched = build_schedule(arch, n, kind, db, round_trip=rt)
                 pricing = [(l.code_cycles, l.noise_rounds, l.phase) for l in sched.layers]
-                text = f"{sched.dump()}{sched.levels}\n{pricing}\n"
+                readout = [(sched.initial_word(a), sched.output_mask(a)) for a in range(1 << n)]
+                text = (f"{sched.dump()}{sched.levels}\n{sched.roles}\n{pricing}\n"
+                        f"{sched.input_qubits}\n{readout}\n")
                 out[f"{arch}/{kind}/n={n}/rt={rt}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
 

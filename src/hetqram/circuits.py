@@ -12,13 +12,18 @@ Conventions shared by all architectures:
   level l is (address >> (n-1-l)) & 1, and 0 routes to the left child
   (node 2j), 1 to the right (node 2j+1), so the bus lands on leaf index
   == address.
-* Qutrit routers use two qubits (active bit a, direction bit r): wait
-  state |W> = (a=0), |0> = (a=1, r=0), |1> = (a=1, r=1). Payloads in
-  transit are two-qubit modes as well (presence bit, value bit), so
-  setting a router is a pair of plain swaps and only routers that really
-  received an address bit leave the wait state.
-* Qubit routers drop the active bit; transit modes are single qubits and
-  the bus carries a marker value of 1 so delivery is observable.
+* A mode is a tuple of qubits, one per rail. A transit mode is (value,
+  presence) and a router (direction, active) under qutrit routers, whose
+  wait state |W> is active = 0 and |0>, |1> are active = 1 with that
+  direction. Qubit routers drop the second rail: both modes are
+  (value,) / (direction,), and the bus carries a marker value of 1 so
+  delivery is observable. The router kind is only the modes' width:
+  parking a payload is `_move(rail, router)`, plain swaps rail by rail,
+  and routing it is `_route`, controlled swaps rail by rail, so only
+  routers that really received an address bit leave the wait state.
+* The bucket brigades and the walker share one sequential-address
+  pipeline (`_pipeline_layers`), which owns its timing rule and makes
+  each level's routing gates once; the fat tree routes whole blocks.
 * The descent ends with the classical data copy at the leaves. The
   router trees can mirror it afterwards (round_trip): the bus is routed
   back up and the address uncomputed, so the output is read at the root.
@@ -59,6 +64,8 @@ class Gate:
 
     @classmethod
     def swap(cls, a: int, b: int) -> "Gate":
+        if a == b:
+            raise ValueError("duplicate operand")
         return cls(GateKind.SWAP, (a, b))
 
     @classmethod
@@ -87,8 +94,10 @@ class Gate:
     def _validate(self) -> None:
         # passing path: one set, which is short of one qubit per control
         # and operand when a qubit repeats or a polarity is not 0 or 1
-        qubits = {q for q, pol in self.controls if pol == 0 or pol == 1}
-        qubits.update(self.operands)
+        qubits = set(self.operands)
+        for q, pol in self.controls:
+            if pol == 0 or pol == 1:
+                qubits.add(q)
         if len(qubits) == len(self.controls) + len(self.operands):
             return
         ctrl_qubits = {q for q, _ in self.controls}
@@ -199,18 +208,34 @@ def _layer_fault(gates: Sequence[Gate]) -> None:
 
 
 class _Registry:
+    """Qubit levels and roles in allocation order; a qubit's index is its
+    position. A mode is a tuple of qubits, one per rail."""
+
     def __init__(self):
         self.levels: list[int] = []
         self.roles: list[str] = []
 
-    def add(self, level: int, role: str) -> int:
-        self.levels.append(level)
-        self.roles.append(role)
-        return len(self.levels) - 1
+    def _take(self, level: int, roles: tuple[str, ...]) -> range:
+        """One qubit per role, in order."""
+        first = len(self.roles)
+        self.roles += roles
+        self.levels += [level] * len(roles)
+        return range(first, len(self.roles))
 
-    @property
-    def count(self) -> int:
-        return len(self.levels)
+    def mode(self, level: int, *roles: str) -> tuple[int, ...]:
+        """One mode with a rail per role."""
+        return tuple(self._take(level, roles))
+
+    def modes(self, count: int, level: int, *roles: str) -> list[tuple[int, ...]]:
+        """`count` modes allocated rail by rail: every mode's first rail,
+        then every mode's second."""
+        return list(zip(*[self._take(level, (role,) * count) for role in roles]))
+
+    def nodes(self, count: int, level: int, *roles: str) -> list[tuple[int, ...]]:
+        """`count` modes, one per tree node, allocated mode by mode."""
+        qubits = self._take(level, roles * count)
+        width = len(roles)
+        return [tuple(qubits[i:i + width]) for i in range(0, len(qubits), width)]
 
 
 def validate_database(bits: Sequence[int], n: int) -> tuple[int, ...]:
@@ -408,10 +433,8 @@ class _LayerAccum:
         if not self.gates:
             return None
         _check_layer_parallel(self.gates)
-        swaps: list[Gate] = []
-        plain: list[Gate] = []
-        for g in self.gates:
-            (swaps if g.kind is GateKind.CSWAP or g.kind is GateKind.CCSWAP else plain).append(g)
+        swaps = [g for g in self.gates if g.controls]  # only controlled swaps have controls
+        plain = [g for g in self.gates if not g.controls]
         d_c, d_s = self._max_distance(swaps), self._max_distance(plain)
         cycles = max(self._cost.c * d_c, self._cost.s * d_s)
         return Layer(tuple(self.gates), cycles, max(d_c, d_s), phase)
@@ -432,7 +455,36 @@ def _seal_phases(accums: Iterable[_LayerAccum], phase: int) -> list[Layer]:
 
 
 # ---------------------------------------------------------------------------
-# router-tree readout shared by the pipelined and block builders
+# router-tree vocabulary: modes, moves and routes
+
+
+#: the rails of a router mode, in allocation order: (direction, active)
+#: for a qutrit router, (direction,) for a qubit router
+_ROUTER_ROLES = ("router_direction", "router_active")
+
+
+def _router_width(router_kind: str) -> int:
+    """Rails per router and per transit mode: 2 for qutrit routers, 1 for
+    qubit routers."""
+    if router_kind not in ("qutrit", "qubit"):
+        raise ValueError(f"router_kind must be 'qutrit' or 'qubit', got {router_kind!r}")
+    return 2 if router_kind == "qutrit" else 1
+
+
+def _move(src: Sequence[int], dst: Sequence[int]) -> list[Gate]:
+    """Plain swaps of two modes, rail by rail."""
+    return [Gate.swap(a, b) for a, b in zip(src, dst)]
+
+
+def _route(
+    router: Sequence[int], src: Sequence[int], dst: Sequence[int], bit: int
+) -> list[Gate]:
+    """Controlled swaps of a transit mode into child `bit` (0 left, 1
+    right), rail by rail, fired by the router's active rail (if any) at 1
+    and its direction at `bit`."""
+    controls = [(q, 1) for q in router[1:]]
+    controls.append((router[0], bit))
+    return [Gate.cswap(controls, a, b) for a, b in zip(src, dst)]
 
 
 def _append_return_pass(layers: list[Layer]) -> None:
@@ -457,65 +509,54 @@ def _tree_schedule(
     database: tuple[int, ...],
     round_trip: bool,
     *,
-    root_v: Sequence[int],
-    root_p: Sequence[int] | None,
-    r_bit: dict[tuple[int, int], int],
-    a_bit: dict[tuple[int, int], int],
-    leaf_v: Sequence[int],
-    leaf_p: Sequence[int] | None,
+    roots: Sequence[tuple[int, ...]],
+    routers: dict[tuple[int, int], tuple[int, ...]],
+    leaves: Sequence[tuple[int, ...]],
 ) -> Schedule:
     """A router tree's Schedule with its input map, output mask and decoder.
 
-    `root_v`/`root_p` are the value/presence qubits of the root slots: the
-    n address slots, then the bus. `r_bit`/`a_bit` are the direction and
-    active bits of router (level, node), and `leaf_v`/`leaf_p` the rails
-    of each leaf. Presence and active bits exist for qutrit routers only
-    (`root_p`, `leaf_p` None and `a_bit` empty otherwise); a qubit-router
-    bus carries the marker 1, so its data reads inverted. With round_trip
-    the descent is mirrored after the copy and the output is read back at
-    the root slots; without it, at the routers on the path and the leaf.
+    `roots` are the modes of the root slots: the n address slots, then the
+    bus. `routers` maps (level, node) to a router mode and `leaves` holds
+    each leaf's mode. Transit modes are (value, presence) and routers
+    (direction, active) under qutrit routers; under qubit routers both are
+    one rail, and the bus carries the marker 1, so its data reads
+    inverted. With round_trip the descent is mirrored after the copy and
+    the output is read back at the root slots; without it, at the routers
+    on the path and the leaf.
     """
-    qutrit = root_p is not None
+    qutrit = router_kind == "qutrit"
     if round_trip:
         _append_return_pass(layers)
-
-    def modes(values, presences, keys):
-        out = []
-        for k in keys:
-            out.append(values[k])
-            if qutrit:
-                out.append(presences[k])
-        return out
 
     def initial_word(address: int) -> int:
         word = 0
         for k in range(n):
-            word |= address_bit(address, k, n) << root_v[k]
-        for q in root_p if qutrit else [root_v[n]]:
+            word |= address_bit(address, k, n) << roots[k][0]
+        for q in [m[1] for m in roots] if qutrit else [roots[n][0]]:
             word |= 1 << q
         return word
 
     def mask(address: int) -> tuple[int, ...]:
         if round_trip:
-            return tuple(modes(root_v, root_p, range(n + 1)))
-        path = list(enumerate(path_nodes(address, n)))
-        return tuple(modes(r_bit, a_bit, path) + modes(leaf_v, leaf_p, [address]))
+            return tuple(q for m in roots for q in m)
+        path = [routers[key] for key in enumerate(path_nodes(address, n))]
+        return tuple(q for m in path + [leaves[address]] for q in m)
 
     def decode(word: int) -> tuple[int, int, bool]:
         addr = 0
         if round_trip:
             for k in range(n):
-                addr = (addr << 1) | ((word >> root_v[k]) & 1)
-            value = (word >> root_v[n]) & 1
-            delivered = not qutrit or all((word >> q) & 1 for q in root_p)
+                addr = (addr << 1) | ((word >> roots[k][0]) & 1)
+            value = (word >> roots[n][0]) & 1
+            delivered = not qutrit or all((word >> m[1]) & 1 for m in roots)
         else:
             j = 0
             for l in range(n):
-                bit = (word >> r_bit[l, j]) & 1
+                bit = (word >> routers[l, j][0]) & 1
                 addr = (addr << 1) | bit
                 j = 2 * j + bit
-            value = (word >> leaf_v[addr]) & 1
-            delivered = not qutrit or ((word >> leaf_p[addr]) & 1) == 1
+            value = (word >> leaves[addr][0]) & 1
+            delivered = not qutrit or ((word >> leaves[addr][1]) & 1) == 1
         if not qutrit:
             value ^= 1  # the copy landed on the bus marker 1
         return addr, value, delivered
@@ -530,11 +571,99 @@ def _tree_schedule(
         profile,
         cost,
         database,
-        input_qubits=tuple(list(root_v) + (list(root_p) if qutrit else [])),
+        input_qubits=tuple(q for rail in zip(*roots) for q in rail),
         _initial_word_fn=initial_word,
         _mask_fn=mask,
         _decode_fn=decode,
     )
+
+
+# ---------------------------------------------------------------------------
+# the sequential-address pipeline shared by the bucket brigades and the walker
+
+
+def _pipeline_registry(n: int, width: int, role: str | None = None):
+    """Ports, bus, routers and rails of a pipelined tree of `width`-rail
+    modes, in registry order: the n port modes (rail by rail), the bus
+    mode, then per (level, node) its router and its transit rail, then
+    the leaf rails. `role` tags every qubit alike; by default ports are
+    "address", routers carry the router roles and the rest is "bus".
+    """
+    reg = _Registry()
+    ports = reg.modes(n, 0, *(role or "address",) * width)
+    bus = reg.mode(0, *(role or "bus",) * width)
+    router_roles = (role,) * width if role else _ROUTER_ROLES[:width]
+    rail_roles = (role or "bus",) * width
+    routers: dict[tuple[int, int], tuple[int, ...]] = {}
+    rails: dict[tuple[int, int], tuple[int, ...]] = {}
+    for l in range(n):
+        for j, node in enumerate(reg.nodes(1 << l, l, *router_roles, *rail_roles)):
+            routers[l, j], rails[l, j] = node[:width], node[width:]
+    for j, leaf in enumerate(reg.nodes(1 << n, n, *rail_roles)):
+        rails[n, j] = leaf
+    return reg, ports, bus, routers, rails
+
+
+def _pipeline_layers(
+    n: int,
+    dist: list[int],
+    cost: CycleCost,
+    database: tuple[int, ...],
+    ports: Sequence[tuple[int, ...]],
+    rails: dict[tuple[int, int], tuple[int, ...]],
+    routers: dict[tuple[int, int], tuple[int, ...]],
+    inject_bus: list[Gate],
+    route: Callable[..., list[Gate]],
+) -> list[Layer]:
+    """Sequential-address pipeline: payload k enters two phases after k-1.
+
+    Address bit k is moved from its port into the root rail at phase 2k,
+    crosses one level per phase, and is parked in its router at phase
+    3k+1; the bus enters (`inject_bus`) one extra phase behind the last
+    address bit. Payloads therefore stay at least two levels apart and
+    route layers of distinct payloads merge. The data copy onto the leaf
+    value rails runs at phase 3n+2, once the bus reaches the leaves.
+    `route(router, src, dst, bit)` makes one node's routing gates; each
+    level's left and right gates are made once, and every payload that
+    crosses the level shares them.
+    """
+    routes: dict[tuple[int, int], list[Gate]] = {}
+
+    def route_gates(level: int, bit: int) -> list[Gate]:
+        gates = routes.get((level, bit))
+        if gates is None:
+            gates = routes[level, bit] = [
+                g
+                for j in range(1 << level)
+                for g in route(
+                    routers[level, j], rails[level, j], rails[level + 1, 2 * j + bit], bit
+                )
+            ]
+        return gates
+
+    layers: list[Layer] = []
+    for tau in range(3 * n + 3):
+        sub1 = _LayerAccum(dist, cost)
+        sub2 = _LayerAccum(dist, cost)
+        for k in range(n + 1):
+            is_bus = k == n
+            inject_at = 2 * k + 1 if is_bus else 2 * k
+            if tau == inject_at:
+                sub1.add(*(inject_bus if is_bus else _move(ports[k], rails[0, 0])))
+            elif not is_bus and tau == 3 * k + 1:
+                for j in range(1 << k):
+                    sub1.add(*_move(rails[k, j], routers[k, j]))
+            else:
+                j = tau - inject_at
+                limit = n if is_bus else k
+                if 1 <= j <= limit:
+                    sub1.add(*route_gates(j - 1, 0))
+                    sub2.add(*route_gates(j - 1, 1))
+        if tau == 3 * n + 2:
+            for j in range(1 << n):
+                sub1.add(Gate.classical_cx(database[j], rails[n, j][0]))
+        layers.extend(_seal_phases([sub1, sub2], tau))
+    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +679,7 @@ def _build_pipelined(
     cost: CycleCost,
     round_trip: bool = False,
 ) -> Schedule:
-    """Sequential-address pipeline: payload k enters two phases after k-1.
-
-    Address bit k is injected at phase 2k, crosses one level per phase,
-    and is set into its router at phase 3k+1; the bus follows one extra
-    phase behind the last address bit. Payloads therefore stay at least
-    two levels apart and route layers of distinct payloads merge. The
-    data copy runs once the bus reaches the leaves.
+    """The bucket brigade on the shared pipeline (`_pipeline_layers`).
 
     With round_trip the descent is mirrored after the copy: the bus is
     retrieved back to its port and the address bits are uncomputed out of
@@ -564,96 +687,17 @@ def _build_pipelined(
     picked up in the tree rides back out with it.
     """
     database = validate_database(database, n)
-    qutrit = _check_router_kind(router_kind)
-    reg = _Registry()
-
-    port_v = [reg.add(0, "address") for _ in range(n)]
-    port_p = [reg.add(0, "address") for _ in range(n)] if qutrit else None
-    bus_v = reg.add(0, "bus")
-    bus_p = reg.add(0, "bus") if qutrit else None
-
-    r_bit: dict[tuple[int, int], int] = {}
-    a_bit: dict[tuple[int, int], int] = {}
-    rail_v: dict[tuple[int, int], int] = {}
-    rail_p: dict[tuple[int, int], int] = {}
-    for l in range(n):
-        for j in range(1 << l):
-            r_bit[l, j] = reg.add(l, "router_direction")
-            if qutrit:
-                a_bit[l, j] = reg.add(l, "router_active")
-            rail_v[l, j] = reg.add(l, "bus")
-            if qutrit:
-                rail_p[l, j] = reg.add(l, "bus")
-    for j in range(1 << n):
-        rail_v[n, j] = reg.add(n, "bus")
-        if qutrit:
-            rail_p[n, j] = reg.add(n, "bus")
-
+    reg, ports, bus, routers, rails = _pipeline_registry(n, _router_width(router_kind))
     dist = _distance_table(reg.levels, profile)
-    routes: dict[tuple[int, bool], list[Gate]] = {}
-
-    def route_gates(level: int, right: bool) -> list[Gate]:
-        """One level's routing swaps to the left or right children; every
-        payload that crosses the level shares them."""
-        gates = routes.get((level, right))
-        if gates is not None:
-            return gates
-        gates = routes[level, right] = []
-        for j in range(1 << level):
-            child = 2 * j + (1 if right else 0)
-            if qutrit:
-                controls = [(a_bit[level, j], 1), (r_bit[level, j], 1 if right else 0)]
-                gates.append(Gate.cswap(controls, rail_v[level, j], rail_v[level + 1, child]))
-                gates.append(Gate.cswap(controls, rail_p[level, j], rail_p[level + 1, child]))
-            else:
-                controls = [(r_bit[level, j], 1 if right else 0)]
-                gates.append(Gate.cswap(controls, rail_v[level, j], rail_v[level + 1, child]))
-        return gates
-
-    layers: list[Layer] = []
-    for tau in range(3 * n + 3):
-        sub1 = _LayerAccum(dist, cost)
-        sub2 = _LayerAccum(dist, cost)
-        for k in range(n + 1):
-            is_bus = k == n
-            inject_at = 2 * k + 1 if is_bus else 2 * k
-            if tau == inject_at:
-                src_v = bus_v if is_bus else port_v[k]
-                sub1.add(Gate.swap(src_v, rail_v[0, 0]))
-                if qutrit:
-                    src_p = bus_p if is_bus else port_p[k]
-                    sub1.add(Gate.swap(src_p, rail_p[0, 0]))
-            elif not is_bus and tau == 3 * k + 1:
-                for j in range(1 << k):
-                    sub1.add(Gate.swap(rail_v[k, j], r_bit[k, j]))
-                    if qutrit:
-                        sub1.add(Gate.swap(rail_p[k, j], a_bit[k, j]))
-            else:
-                j = tau - inject_at
-                limit = n if is_bus else k
-                if 1 <= j <= limit:
-                    sub1.add(*route_gates(j - 1, right=False))
-                    sub2.add(*route_gates(j - 1, right=True))
-        if tau == 3 * n + 2:
-            for j in range(1 << n):
-                sub1.add(Gate.classical_cx(database[j], rail_v[n, j]))
-        layers.extend(_seal_phases([sub1, sub2], tau))
-
+    layers = _pipeline_layers(
+        n, dist, cost, database, ports, rails, routers, _move(bus, rails[0, 0]), _route
+    )
     return _tree_schedule(
         architecture, router_kind, n, reg, layers, profile, cost, database, round_trip,
-        root_v=port_v + [bus_v],
-        root_p=port_p + [bus_p] if qutrit else None,
-        r_bit=r_bit,
-        a_bit=a_bit,
-        leaf_v=[rail_v[n, j] for j in range(1 << n)],
-        leaf_p=[rail_p[n, j] for j in range(1 << n)] if qutrit else None,
+        roots=ports + [bus],
+        routers=routers,
+        leaves=[rails[n, j] for j in range(1 << n)],
     )
-
-
-def _check_router_kind(router_kind: str) -> bool:
-    if router_kind not in ("qutrit", "qubit"):
-        raise ValueError(f"router_kind must be 'qutrit' or 'qubit', got {router_kind!r}")
-    return router_kind == "qutrit"
 
 
 MAX_DEPTH = 16
@@ -662,6 +706,17 @@ MAX_DEPTH = 16
 def _check_n(n: int) -> None:
     if not 1 <= n <= MAX_DEPTH:
         raise ValueError(f"tree depth must lie in [1, {MAX_DEPTH}], got {n}")
+
+
+def _profile_for(
+    n: int, profile: DistanceProfile | None, default: DistanceProfile
+) -> DistanceProfile:
+    """`profile`, or `default` when it is None, checked against depth n."""
+    if profile is None:
+        profile = default
+    if profile.n != n:
+        raise ValueError("profile depth does not match n")
+    return profile
 
 
 def build_uniform_bb(
@@ -699,10 +754,7 @@ def build_bb_hetero(
     is what its per-level coherence windows describe.
     """
     _check_n(n)
-    if profile is None:
-        profile = DistanceProfile.linear(n)
-    if profile.n != n:
-        raise ValueError("profile depth does not match n")
+    profile = _profile_for(n, profile, DistanceProfile.linear(n))
     return _build_pipelined(
         "bb-hetero", n, router_kind, database, profile, cost, round_trip=round_trip
     )
@@ -731,32 +783,22 @@ def build_ft_hetero(
     """
     _check_n(n)
     database = validate_database(database, n)
-    qutrit = _check_router_kind(router_kind)
-    if profile is None:
-        profile = DistanceProfile.linear(n)
-    if profile.n != n:
-        raise ValueError("profile depth does not match n")
+    width = _router_width(router_kind)
+    profile = _profile_for(n, profile, DistanceProfile.linear(n))
 
+    # a node is its router, then its slots (the address tail, then the
+    # bus), split into modes of `width` rails
     reg = _Registry()
-    r_bit: dict[tuple[int, int], int] = {}
-    a_bit: dict[tuple[int, int], int] = {}
-    slot_v: dict[tuple[int, int, int], int] = {}
-    slot_p: dict[tuple[int, int, int], int] = {}
+    address, bus = ("address",) * width, ("bus",) * width
+    routers: dict[tuple[int, int], tuple[int, ...]] = {}
+    slots: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for l in range(n):
-        width = n - l + 1
-        for j in range(1 << l):
-            r_bit[l, j] = reg.add(l, "router_direction")
-            if qutrit:
-                a_bit[l, j] = reg.add(l, "router_active")
-            for s in range(width):
-                role = "bus" if s == width - 1 else "address"
-                slot_v[l, j, s] = reg.add(l, role)
-                if qutrit:
-                    slot_p[l, j, s] = reg.add(l, role)
-    for j in range(1 << n):
-        slot_v[n, j, 0] = reg.add(n, "bus")
-        if qutrit:
-            slot_p[n, j, 0] = reg.add(n, "bus")
+        node_roles = _ROUTER_ROLES[:width] + address * (n - l) + bus
+        for j, node in enumerate(reg.nodes(1 << l, l, *node_roles)):
+            routers[l, j] = node[:width]
+            slots[l, j] = [node[i:i + width] for i in range(width, len(node), width)]
+    for j, leaf in enumerate(reg.nodes(1 << n, n, *bus)):
+        slots[n, j] = [leaf]
 
     dist = _distance_table(reg.levels, profile)
     layers: list[Layer] = []
@@ -764,38 +806,27 @@ def build_ft_hetero(
     for l in range(n):
         park = _LayerAccum(dist, cost)
         for j in range(1 << l):
-            park.add(Gate.swap(slot_v[l, j, 0], r_bit[l, j]))
-            if qutrit:
-                park.add(Gate.swap(slot_p[l, j, 0], a_bit[l, j]))
+            park.add(*_move(slots[l, j][0], routers[l, j]))
         layers.extend(_seal_phases([park], phase))
         phase += 1
         for s in range(1, n - l + 1):
-            for right in (False, True):
+            for bit in (0, 1):
                 acc = _LayerAccum(dist, cost)
                 for j in range(1 << l):
-                    child = 2 * j + (1 if right else 0)
-                    if qutrit:
-                        controls = [(a_bit[l, j], 1), (r_bit[l, j], 1 if right else 0)]
-                        acc.add(Gate.cswap(controls, slot_v[l, j, s], slot_v[l + 1, child, s - 1]))
-                        acc.add(Gate.cswap(controls, slot_p[l, j, s], slot_p[l + 1, child, s - 1]))
-                    else:
-                        controls = [(r_bit[l, j], 1 if right else 0)]
-                        acc.add(Gate.cswap(controls, slot_v[l, j, s], slot_v[l + 1, child, s - 1]))
+                    child = slots[l + 1, 2 * j + bit]
+                    acc.add(*_route(routers[l, j], slots[l, j][s], child[s - 1], bit))
                 layers.extend(_seal_phases([acc], phase))
             phase += 1
     copy = _LayerAccum(dist, cost)
     for j in range(1 << n):
-        copy.add(Gate.classical_cx(database[j], slot_v[n, j, 0]))
+        copy.add(Gate.classical_cx(database[j], slots[n, j][0][0]))
     layers.extend(_seal_phases([copy], phase))
 
     return _tree_schedule(
         "ft-hetero", router_kind, n, reg, layers, profile, cost, database, round_trip,
-        root_v=[slot_v[0, 0, s] for s in range(n + 1)],
-        root_p=[slot_p[0, 0, s] for s in range(n + 1)] if qutrit else None,
-        r_bit=r_bit,
-        a_bit=a_bit,
-        leaf_v=[slot_v[n, j, 0] for j in range(1 << n)],
-        leaf_p=[slot_p[n, j, 0] for j in range(1 << n)] if qutrit else None,
+        roots=slots[0, 0],
+        routers=routers,
+        leaves=[slots[n, j][0] for j in range(1 << n)],
     )
 
 
@@ -812,6 +843,15 @@ def walker_s_hop(parent_b: int, parent_r: int, child_b: int, child_r: int) -> Ga
     return Gate.cswap([(child_b, 0), (parent_r, 0)], parent_b, child_r)
 
 
+def _steer_route(
+    steer: Sequence[int], src: Sequence[int], dst: Sequence[int], bit: int
+) -> list[Gate]:
+    """A walker's hop into child `bit`, rail by rail, fired by the steer
+    cell's B rail (bit 0, left) or R rail (bit 1, right)."""
+    controls = [(steer[bit], 1)]
+    return [Gate.cswap(controls, a, b) for a, b in zip(src, dst)]
+
+
 def build_walker(
     n: int,
     database: Sequence[int],
@@ -820,100 +860,43 @@ def build_walker(
 ) -> Schedule:
     """Walker QRAM: passive tree nodes, dual-rail walker modes hopping down.
 
-    Every spatio-temporal mode is one two-qubit dual-rail cell. Address
-    walkers park in a node's steer cell (one-hot: B = 0, R = 1) and steer
-    later walkers by rail-controlled hops; the bus walker enters through
-    the hop operator and is deposited at the addressed leaf, where the
-    classical copy writes the data bit onto its empty rail.
+    Every spatio-temporal mode is one two-qubit dual-rail cell (B, R).
+    Address walkers park in a node's steer cell (one-hot: B = 0, R = 1)
+    and steer later walkers by rail-controlled hops; the bus walker enters
+    through the hop operator and is deposited at the addressed leaf, where
+    the classical copy writes the data bit onto its empty rail. The
+    timing is the bucket brigade's pipeline (`_pipeline_layers`), with
+    steer cells in place of routers.
     """
     _check_n(n)
     database = validate_database(database, n)
-    if profile is None:
-        profile = DistanceProfile.uniform(n, 7)
-    if profile.n != n:
-        raise ValueError("profile depth does not match n")
+    profile = _profile_for(n, profile, DistanceProfile.uniform(n, 7))
 
-    reg = _Registry()
-    port_b = [reg.add(0, "walker") for _ in range(n)]
-    port_r = [reg.add(0, "walker") for _ in range(n)]
-    bus_b = reg.add(0, "walker")
-    bus_r = reg.add(0, "walker")
-    steer_b: dict[tuple[int, int], int] = {}
-    steer_r: dict[tuple[int, int], int] = {}
-    rail_b: dict[tuple[int, int], int] = {}
-    rail_r: dict[tuple[int, int], int] = {}
-    for l in range(n):
-        for j in range(1 << l):
-            steer_b[l, j] = reg.add(l, "walker")
-            steer_r[l, j] = reg.add(l, "walker")
-            rail_b[l, j] = reg.add(l, "walker")
-            rail_r[l, j] = reg.add(l, "walker")
-    for j in range(1 << n):
-        rail_b[n, j] = reg.add(n, "walker")
-        rail_r[n, j] = reg.add(n, "walker")
-
+    reg, ports, bus, steer, rails = _pipeline_registry(n, 2, role="walker")
     dist = _distance_table(reg.levels, profile)
-    layers: list[Layer] = []
-    for tau in range(3 * n + 3):
-        sub1 = _LayerAccum(dist, cost)
-        sub2 = _LayerAccum(dist, cost)
-        for k in range(n + 1):
-            is_bus = k == n
-            inject_at = 2 * k + 1 if is_bus else 2 * k
-            if tau == inject_at:
-                if is_bus:
-                    sub1.add(walker_s_hop(bus_b, bus_r, rail_b[0, 0], rail_r[0, 0]))
-                else:
-                    sub1.add(Gate.swap(port_b[k], rail_b[0, 0]))
-                    sub1.add(Gate.swap(port_r[k], rail_r[0, 0]))
-            elif not is_bus and tau == 3 * k + 1:
-                for j in range(1 << k):
-                    sub1.add(Gate.swap(rail_b[k, j], steer_b[k, j]))
-                    sub1.add(Gate.swap(rail_r[k, j], steer_r[k, j]))
-            else:
-                j = tau - inject_at
-                limit = n if is_bus else k
-                if 1 <= j <= limit:
-                    l = j - 1
-                    for node in range(1 << l):
-                        left, right = 2 * node, 2 * node + 1
-                        ctl_l = [(steer_b[l, node], 1)]
-                        sub1.add(Gate.cswap(ctl_l, rail_b[l, node], rail_b[l + 1, left]))
-                        sub1.add(Gate.cswap(ctl_l, rail_r[l, node], rail_r[l + 1, left]))
-                        ctl_r = [(steer_r[l, node], 1)]
-                        sub2.add(Gate.cswap(ctl_r, rail_b[l, node], rail_b[l + 1, right]))
-                        sub2.add(Gate.cswap(ctl_r, rail_r[l, node], rail_r[l + 1, right]))
-        if tau == 3 * n + 2:
-            for j in range(1 << n):
-                sub1.add(Gate.classical_cx(database[j], rail_b[n, j]))
-        layers.extend(_seal_phases([sub1, sub2], tau))
+    hop = [walker_s_hop(*bus, *rails[0, 0])]
+    layers = _pipeline_layers(n, dist, cost, database, ports, rails, steer, hop, _steer_route)
 
     def initial_word(address: int) -> int:
-        word = 1 << bus_b
+        word = 1 << bus[0]
         for k in range(n):
-            bit = address_bit(address, k, n)
-            word |= 1 << (port_r[k] if bit else port_b[k])
+            word |= 1 << ports[k][address_bit(address, k, n)]
         return word
 
     def mask(address: int) -> tuple[int, ...]:
-        bits = []
-        for l, j in enumerate(path_nodes(address, n)):
-            bits.extend((steer_b[l, j], steer_r[l, j]))
-        bits.extend((rail_b[n, address], rail_r[n, address]))
-        return tuple(bits)
+        cells = [steer[key] for key in enumerate(path_nodes(address, n))]
+        return tuple(q for cell in cells + [rails[n, address]] for q in cell)
 
     def decode(word: int) -> tuple[int, int, bool]:
         addr = 0
         j = 0
         for l in range(n):
-            bit = (word >> steer_r[l, j]) & 1
+            bit = (word >> steer[l, j][1]) & 1
             addr = (addr << 1) | bit
             j = 2 * j + bit
-        delivered = ((word >> rail_r[n, addr]) & 1) == 1
-        data = (word >> rail_b[n, addr]) & 1
-        return addr, data, delivered
+        b, r = rails[n, addr]
+        return addr, (word >> b) & 1, ((word >> r) & 1) == 1
 
-    inputs = list(port_b) + list(port_r) + [bus_b, bus_r]
     return Schedule(
         "walker",
         "qutrit",
@@ -924,19 +907,11 @@ def build_walker(
         profile,
         cost,
         database,
-        input_qubits=tuple(inputs),
+        input_qubits=tuple(q for rail in zip(*ports) for q in rail) + bus,
         _initial_word_fn=initial_word,
         _mask_fn=mask,
         _decode_fn=decode,
     )
-
-
-BUILDERS = {
-    "uniform-bb": build_uniform_bb,
-    "ft-hetero": build_ft_hetero,
-    "bb-hetero": build_bb_hetero,
-    "walker": build_walker,
-}
 
 
 def build_schedule(
@@ -950,24 +925,23 @@ def build_schedule(
 ) -> Schedule:
     """Dispatch to the architecture's builder with a shared signature.
 
-    round_trip=None keeps each architecture's default protocol (full
-    query for the uniform tree, descent-only for the rest); the walker
-    has no return pass and ignores the flag.
+    round_trip=None keeps the builder's default protocol (full query for
+    the uniform tree, descent-only for the rest); the walker has no
+    return pass and ignores the flag.
     """
+    protocol = {} if round_trip is None else {"round_trip": round_trip}
     if architecture == "uniform-bb":
-        rt = True if round_trip is None else round_trip
         if profile is None:
-            return build_uniform_bb(n, router_kind, database, cost=cost, round_trip=rt)
+            return build_uniform_bb(n, router_kind, database, cost=cost, **protocol)
         if profile.kind != "uniform":
             raise ValueError("uniform-bb requires a uniform profile")
         return build_uniform_bb(
-            n, router_kind, database, distance=profile.uniform_d, cost=cost, round_trip=rt
+            n, router_kind, database, distance=profile.uniform_d, cost=cost, **protocol
         )
-    rt = False if round_trip is None else round_trip
     if architecture == "ft-hetero":
-        return build_ft_hetero(n, router_kind, database, profile=profile, cost=cost, round_trip=rt)
+        return build_ft_hetero(n, router_kind, database, profile=profile, cost=cost, **protocol)
     if architecture == "bb-hetero":
-        return build_bb_hetero(n, router_kind, database, profile=profile, cost=cost, round_trip=rt)
+        return build_bb_hetero(n, router_kind, database, profile=profile, cost=cost, **protocol)
     if architecture == "walker":
         return build_walker(n, database, profile=profile, cost=cost)
     raise ValueError(f"unknown architecture {architecture!r}")

@@ -222,7 +222,9 @@ def bound_pair(
     Single-qubit router variants add the error-propagation term 4*delta
     on top of both wait-state bounds. The uniform tree's bound needs a
     uniform profile; the walker reads a non-uniform one at its root
-    distance.
+    distance. The heterogeneous bounds assume the linear profile's
+    distances (odd-paired gives every level the same effective distance),
+    so a uniform profile has no bound there.
     """
     inputs = analytics.BoundInputs(n, params, cost)
     if architecture in ("uniform-bb", "walker"):
@@ -236,6 +238,9 @@ def bound_pair(
         if router_kind == "qubit":
             exact = closed = exact + 4.0 * analytics.uniform_qubit_delta(inputs, d)
         return exact, closed
+    if architecture in ("ft-hetero", "bb-hetero") and profile.kind == "uniform":
+        raise ConfigError(f"{architecture} has no bound for a uniform profile; "
+                          "use linear or odd-paired")
     if architecture == "ft-hetero":
         exact, closed = analytics.ft_infidelity_bound(inputs)
         key = "ft"

@@ -5,7 +5,9 @@ qubit) with complex amplitudes. The gate set is restricted to permutations
 of the computational basis (SWAP, controlled SWAPs, X, classically
 controlled X) plus Z phases, which is all a bucket-brigade style query
 circuit needs. Under these gates branches never merge or split, so the
-branch count is invariant and every operation runs in O(branches).
+branch count is invariant and every operation runs in O(branches). The
+permutations are `circuits.Gate`s, applied to each branch's word by
+`Gate.apply_to_word`, the action every schedule and simulator uses.
 
 Words are stored as Python integers, bit ``i`` of the word being the value
 of qubit ``i``. String constructors read character ``k`` of the string as
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import math
 from typing import Iterable
+
+from .circuits import Gate
 
 #: branches with |amp|^2 below this are dropped by normalize()
 PRUNE_THRESHOLD = 1e-24
@@ -135,19 +139,17 @@ class BranchState:
     # -- gates ----------------------------------------------------------
     # All gates mutate in place and return self so calls can be chained.
 
+    def _apply(self, gate: Gate) -> "BranchState":
+        """Map `gate.apply_to_word` over the branches: the one permutation
+        semantics the schedules and the simulators share."""
+        self._check(*gate.operands, *(q for q, _ in gate.controls))
+        apply = gate.apply_to_word
+        self.branches = {apply(w): a for w, a in self.branches.items()}
+        return self
+
     def swap(self, a: int, b: int) -> "BranchState":
         """Exchange bits a and b in every word."""
-        self._check(a, b)
-        if a == b:
-            raise ValueError("swap operands must differ")
-        mask = (1 << a) | (1 << b)
-        out: dict[int, complex] = {}
-        for w, amp in self.branches.items():
-            ba = (w >> a) & 1
-            bb = (w >> b) & 1
-            out[w ^ mask if ba != bb else w] = amp
-        self.branches = out
-        return self
+        return self._apply(Gate.swap(a, b))
 
     def cswap(self, controls: list[tuple[int, int]], a: int, b: int) -> "BranchState":
         """Swap bits a, b in branches where every control matches its polarity.
@@ -155,33 +157,11 @@ class BranchState:
         ``controls`` is a list of 1 or 2 ``(qubit, polarity)`` pairs with
         polarity 1 (control fires on |1>) or 0 (fires on |0>).
         """
-        if not 1 <= len(controls) <= 2:
-            raise ValueError("cswap takes 1 or 2 controls")
-        ops = {a, b}
-        for cq, pol in controls:
-            if pol not in (0, 1):
-                raise ValueError(f"polarity must be 0 or 1, got {pol}")
-            ops.add(cq)
-        if len(ops) != 2 + len(controls):
-            raise ValueError("controls and swap operands must be pairwise distinct")
-        self._check(a, b, *(cq for cq, _ in controls))
-        mask = (1 << a) | (1 << b)
-        out: dict[int, complex] = {}
-        for w, amp in self.branches.items():
-            fire = all(((w >> cq) & 1) == pol for cq, pol in controls)
-            if fire and ((w >> a) & 1) != ((w >> b) & 1):
-                out[w ^ mask] = amp
-            else:
-                out[w] = amp
-        self.branches = out
-        return self
+        return self._apply(Gate.cswap(controls, a, b))
 
     def x(self, q: int) -> "BranchState":
         """Flip bit q in every word."""
-        self._check(q)
-        bit = 1 << q
-        self.branches = {w ^ bit: a for w, a in self.branches.items()}
-        return self
+        return self._apply(Gate.x(q))
 
     def z(self, q: int) -> "BranchState":
         """Negate the amplitude of branches with bit q set."""
@@ -193,12 +173,7 @@ class BranchState:
 
     def classical_cx(self, data_bit: int, target: int) -> "BranchState":
         """X on target iff the classically stored data bit is 1."""
-        if data_bit not in (0, 1):
-            raise ValueError(f"data_bit must be 0 or 1, got {data_bit}")
-        if data_bit:
-            return self.x(target)
-        self._check(target)
-        return self
+        return self._apply(Gate.classical_cx(data_bit, target))
 
     # -- measures ---------------------------------------------------------
 

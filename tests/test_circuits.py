@@ -73,6 +73,7 @@ def _schedule_with(gates, qubits=4):
     (lambda: Gate.cswap([(0, 1), (0, 0)], 2, 3), "duplicate control qubit"),
     (lambda: Gate.cswap([(0, 1)], 0, 2), "controls overlap operands"),
     (lambda: Gate.cswap([(0, 1)], 2, 2), "duplicate operand"),
+    (lambda: Gate.swap(2, 2), "duplicate operand"),
     (lambda: Gate.cswap([(0, 2)], 1, 3), "polarity must be 0 or 1"),
     (lambda: _check_layer_parallel([Gate.swap(0, 1), Gate.swap(1, 2)]),
      "overlapping operands in layer"),
@@ -85,7 +86,7 @@ def _schedule_with(gates, qubits=4):
      "gate touches unregistered qubit 4"),
     (lambda: _schedule_with([Gate.x(-1)]), "gate touches unregistered qubit -1"),
 ], ids=["no-control", "three-controls", "data-bit", "duplicate-control", "control-on-operand",
-        "duplicate-operand", "polarity", "layer-operands", "layer-control-on-operand",
+        "duplicate-operand", "self-swap", "polarity", "layer-operands", "layer-control-on-operand",
         "layer-control-sets", "unregistered-high", "unregistered-negative"])
 def test_every_check_raises_its_message(make_fault, message):
     """Each validation condition of gates, layers and schedules has a case
@@ -101,7 +102,8 @@ def test_checks_pass_valid_input():
     _check_layer_parallel([Gate.swap(0, 1), Gate.cswap([(4, 1)], 2, 3)])
     _check_layer_parallel([Gate.cswap([(0, 1), (1, 0)], 2, 3),
                            Gate.cswap([(1, 0), (0, 1)], 4, 5)])  # one control set
-    _check_layer_parallel([Gate.swap(2, 2)])  # a gate's own operands are Gate's to check
+    # a gate's own operands are Gate's to check, so build the self-swap raw
+    _check_layer_parallel([Gate(GateKind.SWAP, (2, 2))])
     assert _schedule_with([Gate.swap(0, 1), Gate.cswap([(2, 1)], 3, 4)], qubits=5).depth == 1
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,10 +20,22 @@ from hetqram.harness import (
 )
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_cli_process(args, timeout=None):
+    """`python -m hetqram.cli args` in a subprocess that imports the
+    package from this checkout's `src`, installed or not."""
+    return subprocess.run(
+        [sys.executable, "-m", "hetqram.cli", *args], capture_output=True, text=True,
+        timeout=timeout, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
 
 
 def test_sim_stdout_csv(capsys):
@@ -166,11 +179,7 @@ def test_fit_command(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hetqram.cli", "resources", "--arch", "ft-hetero", "--n", "5"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli_process(["resources", "--arch", "ft-hetero", "--n", "5"])
     assert proc.returncode == 0
     assert "physical_qubits" in proc.stdout
 
@@ -268,6 +277,9 @@ def test_config_file_round_trip_validated(tmp_path, capsys, value):
         (["sim", "--profile", "uniform:0"], None),
         (["sim", "--arch", "uniform-bb", "--profile", "linear"], None),
         (["bounds", "--arch", "uniform-bb", "--profile", "linear"], None),
+        (["sim", "--arch", "bb-hetero", "--n", "3", "--trials", "200",
+          "--profile", "uniform:5"], None),
+        (["bounds", "--arch", "ft-hetero,bb-hetero", "--profile", "uniform:5"], None),
         (["sim"], "trials = abc\n"),
         (["bounds", "--n", "0"], None),
         (["sim", "--n", "2", "--trials", "10"], "format = xml\n"),
@@ -279,6 +291,7 @@ def test_config_file_round_trip_validated(tmp_path, capsys, value):
         (["sim", "--n", "2", "--trials", "10"], "in = nothere.csv\n"),
     ],
     ids=["sim-n20", "sim-uniform0", "sim-uniform-bb-linear", "bounds-uniform-bb-linear",
+         "sim-hetero-uniform", "bounds-hetero-uniform",
          "config-trials-abc", "bounds-n0", "config-sim-format-xml", "config-bounds-format-xml",
          "config-mode-fast", "config-efficient-maybe", "config-distance-abc",
          "config-distance-0", "config-in-unknown"],
@@ -289,9 +302,7 @@ def test_invalid_config_exits_2_without_traceback(tmp_path, args, config):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         args = args + ["--config", str(cfg)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "hetqram.cli", *args], capture_output=True, text=True, timeout=120
-    )
+    proc = run_cli_process(args, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
@@ -303,9 +314,7 @@ def _cli_stdout(args, config=None, tmp_path=None):
         cfg = tmp_path / "cmd.cfg"
         cfg.write_text(config)
         args = args + ["--config", str(cfg)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "hetqram.cli", *args], capture_output=True, text=True, timeout=300
-    )
+    proc = run_cli_process(args, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -16,31 +16,34 @@ within a phase can affect the final state, so this matches round-by-round
 noise exactly up to the O((eps*k)^2) chance of an X and a Z landing on
 the same qubit in the same phase in a specific order.
 
+Event codes: `_run_codes`, the one method that builds and runs a plane,
+takes a pass's error events as int64 codes cell * total + trial, in any
+order, with cell (layer * 2 + is_z) * qubits + qubit, and draws nothing.
+It sorts them once, so each layer's X flips and then its Z phases are two
+contiguous runs that the gate loop applies right after that layer's
+gates, and decodes cell and trial with one `//` each (`divmod` and `%` by
+a scalar cost several times more). The test hook `run_events` codes the
+same given events on every trial; the sampler draws them.
+
 Noise sampling: every (noise step, live group, X or Z) segment of the plan
 is pooled, once at construction, by its net flip probability q, into one
-table of event cells per class: one slot per qubit of its segments, each
-holding its cell (layer * 2 + is_z) * qubits + qubit. Each batch then
-draws all its noise up front, one Bernoulli(q) process per class over the
-class's (slot, trial) pairs, by summing geometric gaps between hits (the
-rare-error sampling of Stim, Gidney, Quantum 5, 497 (2021)): exact iid
-flips at a cost proportional to the number of hits. Each hit is coded as
-one int64, cell * total + offset + trial, where the pass runs `total`
-trials and the batch's own start at `offset`; the pass's codes are sorted
-once, so each layer's X flips and then its Z phases are two contiguous
-runs that the gate loop applies right after that layer's gates.
+table of event cells per class. A batch draws all its noise up front, one
+Bernoulli(q) process per class over the class's (slot, trial) pairs, by
+summing geometric gaps between hits (the rare-error sampling of Stim,
+Gidney, Quantum 5, 497 (2021)): exact iid flips at a cost proportional to
+the number of hits.
 
 Passes: a batch is the unit of randomness (one generator stream each),
 not of work. Consecutive batches share one plane pass until it would span
 more than 2^16 (trial, branch) columns, 8 KB per plane row: a narrow batch
 alone gives rows of a few hundred words, where every gate costs its numpy
 call overhead rather than its bits. Each batch still draws its addresses
-and noise from its own generator, so the grouping changes no fidelity.
-Sampled-basis mode keeps one batch per pass: there a row holds one column
-per trial while the qubit count grows as ~6 * 2^n, so a pass that wide
-would need gigabytes at large n. A pass decodes its sorted codes once,
-cell and trial with one `//` each (`divmod` and `%` by a scalar cost
-several times more), and looks up each event's plane words and bit mask
-in per-trial tables filled once the trials' places in the plane are known.
+and then its noise from its own generator, so the grouping changes no
+fidelity. Sampled-basis mode keeps one batch per pass: there a row holds
+one column per trial while the qubit count grows as ~6 * 2^n, so a pass
+that wide would need gigabytes at large n. Within a pass, each event's
+plane words and bit mask come from per-trial tables filled once the
+trials' places in the plane are known.
 
 A pass simulates only the trials that leave the noiseless path. A trial's
 columns equal the noiseless run until its first error event, whose layer
@@ -59,7 +62,7 @@ one noiseless column per trial and every trial joined at layer 0.
 Swaps are unconditional, so they never reach the plane: each layer
 compiles once to gates on physical plane rows, and the swaps fold into a
 static logical-to-physical row map, kept at the layers where noise lands
-and at the last layer.
+and at the last layer. `run_events` adds the maps of its own layers.
 
 Error events are identical across the branches of one trial (they are
 physical events on qubits, hitting the whole superposition), which is why
@@ -77,18 +80,19 @@ corrupted branches as orthogonal junk. Good branches count as coherent
 with each other whatever residue is left outside their output masks, so
 junk that a router moves off the addressed path never lowers fidelity.
 
-Noiseless reference: each pass's own reference block, which the engine's
-gate kernel (`_gate_pass`, the one place that says what a compiled gate
-does to a plane) runs through every layer next to the trials. In
-superposition mode the block holds the 2^n initial words packed as 2^n
-columns; at the end of the pass each branch's ideal bits are read off it
-at the branch's output mask as per-qubit packed patterns under the static
-`_care` masks, so the readout compares whole plane words, and per read row
-only the words its `_care` covers: a leaf cell's row holds one branch, so
-at n=8 it reads one of the four words of each trial's span. In sampled-basis
-mode the block holds each trial's own initial column, and each trial is
-read against its noiseless copy. `Schedule.ideal_word` and `run_noiseless`
-stay the independent per-address oracle that the tests compare against.
+Readout and noiseless reference: the reference is each pass's own block,
+which the engine's gate kernel (`_gate_pass`, the one place that says
+what a compiled gate does to a plane) runs through every layer next to
+the trials. Both address modes read out through `_fidelities`, with the
+`_compile_readout` of the block's column addresses: the 2^n addresses,
+compiled once, or in sampled-basis mode the pass's trial addresses, one
+column each, where B = 1 makes the squared overlap exactly the good bit.
+The ideal bits are read off the block at each column's output mask under
+the `care` patterns, and every trial's span is compared with them as whole
+plane words, word by word of the span and only on the rows whose `care`
+covers that word: a leaf cell's row holds one branch, so at n=8 it is read
+at one of the four words of each trial's span. `Schedule.ideal_word` and `run_noiseless` stay the
+independent per-address oracle that the tests compare against.
 """
 
 from __future__ import annotations
@@ -111,6 +115,10 @@ _PASS_COLUMNS = 1 << 16
 #: rebinds one view per plane row, which costs more than simulating a few
 #: pristine trials early
 _JOIN_STEPS = 8
+
+#: the readout gathers up to about this many plane words (256 KB) at a
+#: time: one step per read row costs far more, a whole gather far more memory
+_READ_CHUNK = 1 << 15
 
 
 def _pack_bits_lsb(bits: np.ndarray) -> np.ndarray:
@@ -136,9 +144,10 @@ def _word_bits(words: list[int], nq: int) -> np.ndarray:
     return np.ascontiguousarray(bits.T).view(bool)
 
 
-def _column_bits(plane: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Bit `cols[k]` of plane row `rows[k]`, for every k, as uint64 0/1."""
-    return (plane[rows, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
+def _pack_span(bits: np.ndarray) -> np.ndarray:
+    """Pack (rows, C) column bits like one span of C columns: C/64 words,
+    or for C < 64 one word holding the C columns 64/C times."""
+    return _pack_bits_lsb(np.tile(bits, max(64 // bits.shape[1], 1)))
 
 
 def _gate_pass(ops, rows: list[np.ndarray], scratch: np.ndarray, spare: np.ndarray) -> None:
@@ -213,10 +222,10 @@ class PlaneEngine:
         self._ops, self._maps = self._compile(noise_layers | {len(schedule.layers) - 1})
 
         if not self.sampled_basis:
-            # one trial's span: B/64 words, or one word holding 64/B copies
-            bits = _word_bits([schedule.initial_word(a) for a in self.addresses], nq)
-            self._init_span = _pack_bits_lsb(np.tile(bits, max(64 // self.branch_count, 1)))
-            self._compile_readout()
+            # one trial's span of B columns, and its readout
+            words = [schedule.initial_word(a) for a in self.addresses]
+            self._init_span = _pack_span(_word_bits(words, nq))
+            self._readout = self._compile_readout(self.addresses)
 
     def _compile_noise(self, noise: NoiseModel | None) -> set[int]:
         """Pool the plan's (noise step, live group, X or Z) segments by their
@@ -302,50 +311,30 @@ class PlaneEngine:
                 maps[li] = np.array(row)
         return ops, maps
 
-    def _compile_readout(self) -> None:
-        """For each distinct output-mask qubit (`_read_rows`), `_care` marks
-        the branches whose mask holds it, packed like one trial's columns:
-        B/64 words, or for B < 64 one word holding the B columns 64/B times.
-        Every trial's span of the pass plane, and its reference block, line
-        up with that pattern. `_care_words` holds each row's words from its
-        first to its last nonzero `_care` word, or None for all of them: a
-        leaf's row covers one branch, a router's the branches below it."""
-        B = self.branch_count
-        branch, qubit = self._mask_entries(self.addresses)
-        self._read_rows, slot = np.unique(qubit, return_inverse=True)
-        care = np.zeros((self._read_rows.size, B), dtype=bool)
-        care[slot, branch] = True
-        self._care = _pack_bits_lsb(np.tile(care, max(64 // B, 1)))
-        nonzero = self._care != 0
-        lo = nonzero.argmax(axis=1)
-        hi = nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1)
-        self._care_words = [
-            None if b - a == nonzero.shape[1] else slice(a, b)
-            for a, b in zip(lo.tolist(), hi.tolist())
-        ]
+    def _compile_readout(self, addresses) -> tuple[np.ndarray, np.ndarray, list]:
+        """The readout of a span of columns, column c holding addresses[c]:
+        `(read_rows, care, word_rows)`.
 
-    def _mask_entries(self, addresses) -> tuple[np.ndarray, np.ndarray]:
-        """(column, qubit) of each output-mask qubit, column c holding
-        addresses[c], flat and column by column."""
+        For each distinct output-mask qubit (`read_rows`), `care` marks the
+        columns whose mask holds it, packed like the span by `_pack_span`:
+        every trial's span of a pass plane, and its reference block, line
+        up with that pattern. `word_rows` lists, for each word of the span,
+        the read rows whose `care` is nonzero there: a leaf's row covers
+        one branch, so one word, and a router's the branches below it."""
         masks = [self.schedule.output_mask(int(a)) for a in addresses]
         col = np.repeat(np.arange(len(masks)), [len(m) for m in masks])
         qubit = np.fromiter((q for m in masks for q in m), dtype=np.int64, count=col.size)
-        return col, qubit
+        read_rows, slot = np.unique(qubit, return_inverse=True)
+        care = np.zeros((read_rows.size, len(masks)), dtype=bool)
+        care[slot, col] = True
+        care = _pack_span(care)
+        return read_rows, care, [np.flatnonzero(words) for words in care.T]
 
     # -- execution -------------------------------------------------------
 
-    def run(
-        self,
-        rng: np.random.Generator,
-        n_trials: int,
-        forced_events: dict[int, list[PauliEvent]] | None = None,
-    ) -> np.ndarray:
-        """Run `n_trials` trajectories; returns their fidelities.
-
-        `forced_events` maps a layer index to Pauli events applied to all
-        trials after that layer, replacing sampled noise (test hook).
-        """
-        return self._run_pass([(rng, n_trials)], forced_events)
+    def run(self, rng: np.random.Generator, n_trials: int) -> np.ndarray:
+        """Run `n_trials` trajectories; returns their fidelities."""
+        return self.run_batches([(rng, n_trials)])
 
     def run_batches(self, batches: Iterable[tuple[np.random.Generator, int]]) -> np.ndarray:
         """Fidelities of every `(rng, n_trials)` batch, in order.
@@ -359,64 +348,83 @@ class PlaneEngine:
         for rng, n_trials in batches:
             span = n_trials * self.branch_count
             if group and (self.sampled_basis or cols + span > _PASS_COLUMNS):
-                out.append(self._run_pass(group))
+                out.append(self._run_sampled(group))
                 group, cols = [], 0
             group.append((rng, n_trials))
             cols += span
         if group:
-            out.append(self._run_pass(group))
+            out.append(self._run_sampled(group))
         return np.concatenate(out)
 
-    def _run_pass(
-        self,
-        batches: list[tuple[np.random.Generator, int]],
-        forced_events: dict[int, list[PauliEvent]] | None = None,
-    ) -> np.ndarray:
-        """Run the trials of `batches` in one plane pass; returns their
-        fidelities, batch after batch.
+    def run_events(self, events_by_layer: dict[int, list[PauliEvent]], n_trials: int) -> np.ndarray:
+        """Fidelities of `n_trials` superposition-mode trials that each see
+        exactly the Pauli events of `events_by_layer`, applied after the
+        named layers in place of sampled noise (a test hook)."""
+        if self.sampled_basis:
+            raise ValueError("run_events needs superposition address mode")
+        if n_trials < 1:
+            raise ValueError("n_trials must be >= 1")
+        nq = self.schedule.qubit_count
+        for li, events in events_by_layer.items():
+            if not 0 <= li < len(self._ops):
+                raise ValueError(f"event layer {li} outside [0, {len(self._ops)})")
+            for ev in events:
+                if not 0 <= ev.qubit < nq:
+                    raise ValueError(f"event qubit {ev.qubit} outside [0, {nq})")
+        missing = set(events_by_layer) - set(self._maps)
+        if missing:
+            self._maps.update(self._compile(missing)[1])
+        cells = np.array([(li * 2 + (ev.kind == "Z")) * nq + ev.qubit
+                          for li, events in events_by_layer.items() for ev in events],
+                         dtype=np.int64)
+        return self._run_codes((cells[:, None] * n_trials + np.arange(n_trials)).ravel(), n_trials)
 
-        Each batch draws its addresses (sampled-basis mode) and then its
-        noise from its own generator. `forced_events` replaces the noise of
-        every trial, as in `run`.
-        """
+    def _run_sampled(self, batches: list[tuple[np.random.Generator, int]]) -> np.ndarray:
+        """Run the trials of `batches` in one plane pass; returns their
+        fidelities, batch after batch. Each batch draws its addresses
+        (sampled-basis mode) and then its noise from its own generator."""
         sizes = [n for _, n in batches]
         if min(sizes) < 1:
             raise ValueError("n_trials must be >= 1")
-        nq = self.schedule.qubit_count
-        B = self.branch_count
-        n_layers = len(self._ops)
         total = sum(sizes)
-
-        addresses = []
-        codes = [np.zeros(0, dtype=np.int64)]
-        offset = 0
+        addresses, codes, offset = [], [np.zeros(0, dtype=np.int64)], 0
         for rng, n_trials in batches:
             if self.sampled_basis:
                 addresses.append(rng.integers(0, 1 << self.schedule.n, size=n_trials))
-            if forced_events is None:
-                codes += self._sample_events(rng, n_trials, total, offset)
+            codes += self._sample_events(rng, n_trials, total, offset)
             offset += n_trials
-        maps = self._maps
-        if forced_events is not None:
-            codes.append(self._forced_events(forced_events, total))
-            maps = {**maps, **self._compile(set(forced_events))[1]}
-        # event code cell * total + trial, cell = (layer * 2 + is_z) * nq +
-        # qubit, sorted; decoded once with // (divmod and % cost far more)
+        # one array, so the per-class arrays are freed before the pass
         codes = np.concatenate(codes)
+        return self._run_codes(codes, total, np.concatenate(addresses) if addresses else None)
+
+    def _run_codes(self, codes: np.ndarray, total: int, trial_addresses=None) -> np.ndarray:
+        """Run one plane pass of `total` trials whose error events are the
+        int64 `codes`, `cell * total + trial` with cell `(layer * 2 + is_z)
+        * qubits + qubit`, in any order; returns the trials' fidelities.
+
+        Sampled-basis mode takes each trial's address in `trial_addresses`.
+        The pass sorts `codes` in place and then spends them.
+        """
+        nq = self.schedule.qubit_count
+        B = self.branch_count
+        n_layers = len(self._ops)
+        maps = self._maps
+        # sorted, each layer's X flips and then its Z phases are contiguous;
+        # decoded once with // (divmod and % cost far more)
         codes.sort()
         bounds = np.searchsorted(codes, np.arange(2 * n_layers + 1) * (nq * total))
         cell = codes // total
-        trial = np.subtract(codes, cell * total, out=codes)  # the codes are spent
+        trial = np.subtract(codes, cell * total, out=codes)
 
         # the reference block and each trial's first event layer (n_layers
         # for none); trials join the plane in that order, reference first
         if self.sampled_basis:
-            trial_addresses = np.concatenate(addresses)
             words = [self.schedule.initial_word(int(a)) for a in trial_addresses]
-            block = _pack_bits_lsb(_word_bits(words, nq))
+            block = _pack_span(_word_bits(words, nq))
+            readout = self._compile_readout(trial_addresses)
             first = np.zeros(total, dtype=np.int64)
         else:
-            block = self._init_span
+            block, readout = self._init_span, self._readout
             first = np.full(total, n_layers, dtype=np.int64)
             # last layer first, so each trial keeps its earliest; segment by
             # segment, with no temporary the size of all the codes
@@ -478,10 +486,7 @@ class PlaneEngine:
                 else:
                     np.bitwise_xor.at(plane_flat, widx, wmask)
 
-        row = maps[n_layers - 1]
-        if self.sampled_basis:
-            return self._fidelities_sampled(plane, row, ref_slots, trial_addresses)
-        fids[order] = self._fidelities(plane, row, sign, order.size)
+        fids[order] = self._fidelities(plane, maps[n_layers - 1], sign, order.size, readout)
         return fids
 
     def _sample_events(
@@ -506,14 +511,6 @@ class PlaneEngine:
             codes.append(code)
         return codes
 
-    def _forced_events(self, forced: dict[int, list[PauliEvent]], n_trials: int) -> np.ndarray:
-        """The test hook's events after each layer, on every trial, coded
-        as in `_sample_events` (unsorted)."""
-        nq = self.schedule.qubit_count
-        cells = [(li * 2 + (ev.kind == "Z")) * nq + ev.qubit
-                 for li, events in forced.items() for ev in events]
-        return (np.array(cells, dtype=np.int64)[:, None] * n_trials + np.arange(n_trials)).ravel()
-
     @staticmethod
     def _trial_spans(n_slots: int, B: int):
         """Per slot of B columns, the plane words it touches and the bits
@@ -525,28 +522,34 @@ class PlaneEngine:
         msk = (_FULL >> np.uint64(64 - min(B, 64))) << (start & 63).astype(np.uint64)
         return words, np.broadcast_to(msk, words.shape)
 
-    def _ideal(self, plane: np.ndarray, row: np.ndarray) -> np.ndarray:
+    def _ideal(self, plane: np.ndarray, row: np.ndarray, readout) -> np.ndarray:
         """Each read row's noiseless final bits from the pass's reference
-        block, under `_care`: branch b's ideal bit at each qubit of its
-        output mask, packed like `_care`."""
-        return plane[row[self._read_rows], : self._care.shape[1]] & self._care
+        block, under `care`: column c's ideal bit at each qubit of its
+        output mask, packed like `care`."""
+        read_rows, care, _ = readout
+        return plane[row[read_rows], : care.shape[1]] & care
 
-    def _fidelities(self, plane, row, sign, active: int) -> np.ndarray:
+    def _fidelities(self, plane, row, sign, active: int, readout) -> np.ndarray:
         """Fidelities of the `active` trials after the reference block, in
         plane order."""
-        # a branch is bad when any bit it reads differs from its ideal bit
+        # a branch is bad when any bit it reads differs from its ideal bit;
+        # word k of every tile of S words at once, for up to _READ_CHUNK
+        # words per step, from the rows whose care covers word k
         B = self.branch_count
-        S = self._care.shape[1]
+        read_rows, care, word_rows = readout
+        S = care.shape[1]
         bad = np.zeros((plane.shape[1] // S - 1, S), dtype=np.uint64)
-        diff = np.empty_like(bad)
-        ideal = self._ideal(plane, row)
-        for r, care, ref, w in zip(row[self._read_rows], self._care, ideal, self._care_words):
-            tile, d, b = plane[r, S:].reshape(bad.shape), diff, bad
-            if w is not None:  # the row's branches lie within words w
-                tile, ref, care, d, b = tile[:, w], ref[w], care[w], diff[:, w], bad[:, w]
-            np.bitwise_xor(tile, ref, out=d)
-            d &= care
-            b |= d
+        ideal = self._ideal(plane, row, readout)
+        phys = row[read_rows]
+        step = max(_READ_CHUNK // bad.shape[0], 1)
+        for k, rows in enumerate(word_rows):
+            tiles = plane[:, S + k :: S]
+            for lo in range(0, rows.size, step):
+                r = rows[lo : lo + step]
+                d = tiles[phys[r]]
+                d ^= ideal[r, k, None]
+                d &= care[r, k, None]
+                bad[:, k] |= np.bitwise_or.reduce(d, axis=0)
         cols = active * B
         good = _unpack_bits_lsb(~bad.reshape(-1), cols).reshape(active, B)
         flipped = _unpack_bits_lsb(sign[S:], cols).reshape(active, B) & good
@@ -554,13 +557,3 @@ class PlaneEngine:
         net = good.sum(axis=1, dtype=np.int64) - 2 * flipped.sum(axis=1, dtype=np.int64)
         overlap = net * (1.0 / B)
         return overlap**2
-
-    def _fidelities_sampled(self, plane, row, ref_slots: int, addresses) -> np.ndarray:
-        # trial t's column is ref_slots + t and its noiseless copy in the
-        # reference block is column t; per-trial masks, and a global sign
-        # never shows in |overlap|^2
-        trial, qubit = self._mask_entries(addresses)
-        rows = row[qubit]
-        diff = _column_bits(plane, rows, trial + ref_slots) ^ _column_bits(plane, rows, trial)
-        bad = np.bincount(trial, weights=diff, minlength=addresses.size)
-        return (bad == 0).astype(np.float64)

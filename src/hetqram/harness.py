@@ -405,10 +405,16 @@ def compare_resources(
     (mode="analytic"), or from simulation when the depth is simulable
     (mode="simulated"/"auto"). The minimum uniform distance reaching that
     target prices the uniform tree at 18 d^2 N physical qubits; the
-    heterogeneous side uses the odd-paired distance packing.
+    heterogeneous side uses the odd-paired distance packing. The bounds
+    and the simulated target are those of the qutrit-router tree with the
+    paper's linear profile, so any other router kind or profile is refused.
     """
     if architecture not in ("ft-hetero", "bb-hetero"):
         raise ConfigError("comparison target must be ft-hetero or bb-hetero")
+    if config.router_kind != "qutrit":
+        raise ConfigError(f"compare models qutrit routers only, not {config.router_kind!r}")
+    if config.profile not in (None, "linear"):
+        raise ConfigError(f"compare models the linear profile only, not {config.profile!r}")
     inputs = analytics.BoundInputs(n, config.params, config.cost)
     simulable = n <= MAX_SUPERPOSITION_N
     use_sim = mode == "simulated" or (mode == "auto" and simulable)

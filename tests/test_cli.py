@@ -285,6 +285,10 @@ def test_config_file_round_trip_validated(tmp_path, capsys, value):
         (["sim", "--n", "2", "--trials", "10"], "format = xml\n"),
         (["bounds"], "format = xml\n"),
         (["compare"], "mode = fast\n"),
+        (["compare", "--n", "8", "--routers", "qubit"], None),
+        (["compare", "--n", "3", "--trials", "50", "--profile", "uniform:3",
+          "--mode", "simulated"], None),
+        (["compare", "--profile", "odd-paired"], None),
         (["resources"], "efficient = maybe\n"),
         (["resources", "--arch", "uniform-bb"], "distance = abc\n"),
         (["resources", "--arch", "uniform-bb"], "distance = 0\n"),
@@ -293,7 +297,8 @@ def test_config_file_round_trip_validated(tmp_path, capsys, value):
     ids=["sim-n20", "sim-uniform0", "sim-uniform-bb-linear", "bounds-uniform-bb-linear",
          "sim-hetero-uniform", "bounds-hetero-uniform",
          "config-trials-abc", "bounds-n0", "config-sim-format-xml", "config-bounds-format-xml",
-         "config-mode-fast", "config-efficient-maybe", "config-distance-abc",
+         "config-mode-fast", "compare-routers-qubit", "compare-simulated-uniform",
+         "compare-odd-paired", "config-efficient-maybe", "config-distance-abc",
          "config-distance-0", "config-in-unknown"],
 )
 def test_invalid_config_exits_2_without_traceback(tmp_path, args, config):

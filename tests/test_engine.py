@@ -172,20 +172,16 @@ def test_forced_leaf_flip_kills_exactly_one_branch():
     eng = PlaneEngine(sched, None)
     leaf_value_bit = sched.output_mask(5)[-2]
     forced = {len(sched.layers) - 1: [PauliEvent(leaf_value_bit, "X")]}
-    fids = eng.run(trajectory_rng(0, 0), 4, forced_events=forced)
+    fids = eng.run_events(forced, 4)
     assert np.allclose(fids, (7 / 8) ** 2)
 
 
 def test_forced_z_on_root_direction_halves_overlap_to_zero():
     sched = build_bb_hetero(3, "qutrit", [0] * 8)
-    root_r = next(
-        q
-        for q in range(sched.qubit_count)
-        if sched.roles[q] == "router_direction" and sched.levels[q] == 0
-    )
+    root_r = _root_direction(sched)
     eng = PlaneEngine(sched, None)
     forced = {len(sched.layers) - 1: [PauliEvent(root_r, "Z")]}
-    fids = eng.run(trajectory_rng(0, 0), 2, forced_events=forced)
+    fids = eng.run_events(forced, 2)
     # half the branches flip sign: overlap (4 - 4)/8 = 0
     assert np.allclose(fids, 0.0)
 
@@ -202,9 +198,41 @@ def test_forced_events_match_reference_engine_exactly():
     ):
         for layer_idx in (0, len(sched.layers) // 2, len(sched.layers) - 1):
             eng = PlaneEngine(sched, None)
-            batch = eng.run(trajectory_rng(0, 0), 3, forced_events={layer_idx: events})
+            batch = eng.run_events({layer_idx: events}, 3)
             ref = reference_fidelity(sched, {layer_idx: events})
             assert batch == pytest.approx([ref] * 3, abs=1e-12)
+
+
+def _root_direction(sched):
+    return next(
+        q
+        for q in range(sched.qubit_count)
+        if sched.roles[q] == "router_direction" and sched.levels[q] == 0
+    )
+
+
+@pytest.mark.parametrize(
+    "where",
+    ["qubit-past-end", "qubit-negative", "layer-past-end", "layer-negative"],
+)
+def test_run_events_rejects_events_outside_the_schedule(where):
+    """An event on no qubit of the schedule, or after no layer of it, is
+    refused rather than run. Without the check, an X on qubit
+    `qubit_count + r` at the last layer would be coded as a Z on qubit r
+    (fidelity 0 for the root direction of bb-hetero qutrit n=3), and an X
+    at layer -1 or `len(layers)` would be dropped (fidelity 1)."""
+    sched = build_bb_hetero(3, "qutrit", [0] * 8)
+    nq, last = sched.qubit_count, len(sched.layers) - 1
+    assert nq == 52
+    layer, qubit = {
+        "qubit-past-end": (last, nq + _root_direction(sched)),
+        "qubit-negative": (last, -1),
+        "layer-past-end": (last + 1, 0),
+        "layer-negative": (-1, 0),
+    }[where]
+    eng = PlaneEngine(sched, None)
+    with pytest.raises(ValueError, match=where.split("-")[0]):
+        eng.run_events({layer: [PauliEvent(qubit, "X")]}, 2)
 
 
 @pytest.mark.parametrize(
@@ -250,15 +278,15 @@ def test_small_branch_counts_unaligned_words():
 
 
 def _spy_passes(monkeypatch):
-    """Record the batch sizes of every `_run_pass` call."""
+    """Record the batch sizes of every `_run_sampled` call."""
     passes = []
-    run_pass = PlaneEngine._run_pass
+    run_sampled = PlaneEngine._run_sampled
 
-    def spy(self, batches, forced_events=None):
+    def spy(self, batches):
         passes.append([n for _, n in batches])
-        return run_pass(self, batches, forced_events)
+        return run_sampled(self, batches)
 
-    monkeypatch.setattr(PlaneEngine, "_run_pass", spy)
+    monkeypatch.setattr(PlaneEngine, "_run_sampled", spy)
     return passes
 
 
@@ -437,8 +465,8 @@ def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip, monkeyp
     patterns = []
     ideal_of = PlaneEngine._ideal
 
-    def spy(self, plane, row):
-        patterns.append(ideal_of(self, plane, row))
+    def spy(self, plane, row, readout):
+        patterns.append(ideal_of(self, plane, row, readout))
         return patterns[-1]
 
     monkeypatch.setattr(PlaneEngine, "_ideal", spy)
@@ -446,14 +474,15 @@ def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip, monkeyp
         sched = build_schedule(arch, n, kind, _database(n), round_trip=round_trip)
         eng = PlaneEngine(sched, None)
         patterns.clear()
-        eng.run(trajectory_rng(0, 0), 3, forced_events={0: [PauliEvent(0, "Z")]})
+        eng.run_events({0: [PauliEvent(0, "Z")]}, 3)
         assert len(patterns) == 1
         B = 1 << n
         masks = [set(sched.output_mask(a)) for a in range(B)]
-        assert set(eng._read_rows.tolist()) == set().union(*masks)
-        span = eng._care.shape[1] * 64
-        assert patterns[0].shape == eng._care.shape
-        for q, care, ideal in zip(eng._read_rows, eng._care, patterns[0]):
+        read_rows, care_rows, _ = eng._readout
+        assert set(read_rows.tolist()) == set().union(*masks)
+        span = care_rows.shape[1] * 64
+        assert patterns[0].shape == care_rows.shape
+        for q, care, ideal in zip(read_rows, care_rows, patterns[0]):
             care, ideal = _unpack_bits_lsb(care, span), _unpack_bits_lsb(ideal, span)
             for col in range(span):
                 a = col % B
@@ -487,6 +516,29 @@ def test_each_trial_equals_word_oracle_on_its_own_events(arch, kind):
         for t in range(n_trials):
             assert fids[t] == reference_fidelity(sched, events[t]), (arch, kind, n, t)
     assert quiet > 0 and first_layers > 2, (quiet, first_layers)
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_run_codes_single_faults_equal_word_oracle(arch, kind):
+    """One `_run_codes` pass in which trial t sees only its own event,
+    `cells[t] * total + t`, over every noise location of the engine's
+    classes: each trial's fidelity equals the word-by-word oracle run on
+    that one event. The pass runs every location; the oracle checks all of
+    them at n=2 and an even spread of 48 (all layers, X and Z) at n=3, 4."""
+    for n in (2, 3, 4):
+        sched = build_schedule(arch, n, kind, _database(n))
+        eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 0.2), sched.profile))
+        cells = np.sort(np.concatenate([c for _, c in eng._classes]))
+        total = cells.size
+        fids = eng._run_codes(cells * total + np.arange(total), total)
+        assert fids.shape == (total,)
+        check = range(total) if n == 2 else np.linspace(0, total - 1, 48).astype(int)
+        nq = sched.qubit_count
+        for t in check:
+            key, qubit = divmod(int(cells[t]), nq)
+            event = {key // 2: [PauliEvent(qubit, "XZ"[key % 2])]}
+            assert fids[t] == reference_fidelity(sched, event), (arch, kind, n, key, qubit)
+        assert np.any(fids < 1.0) and np.any(fids == 1.0)
 
 
 def test_sampled_basis_fidelities_unchanged():

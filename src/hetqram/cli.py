@@ -83,43 +83,44 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags that `sim`, `bounds`, `resources` and `compare` share,
+    declared once and handed to each through `parents=`."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--arch", help="comma list of " + ",".join(ARCHITECTURES))
+    p.add_argument("--routers", choices=("qubit", "qutrit"))
+    p.add_argument("--n", help="depth range A..B or comma list")
+    p.add_argument("--p-prime", type=float, dest="p_prime")
+    p.add_argument("--epsilon-prime", type=float, dest="epsilon_prime")
+    p.add_argument("--c", type=int)
+    p.add_argument("--s", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--profile", help="linear | odd-paired | uniform:D")
+    p.add_argument("--address-mode", choices=("superposition", "basis"), dest="address_mode")
+    p.add_argument("--database", choices=("random", "all_zero", "all_one"))
+    p.add_argument("--round-trip", choices=("on", "off"), dest="round_trip",
+                   help="default: each architecture's own protocol")
+    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--format", choices=("csv", "json"))
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetqram",
         description="Heterogeneously error-corrected QRAM simulator and analytics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--arch", help="comma list of " + ",".join(ARCHITECTURES))
-        p.add_argument("--routers", choices=("qubit", "qutrit"))
-        p.add_argument("--n", help="depth range A..B or comma list")
-        p.add_argument("--p-prime", type=float, dest="p_prime")
-        p.add_argument("--epsilon-prime", type=float, dest="epsilon_prime")
-        p.add_argument("--c", type=int)
-        p.add_argument("--s", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--profile", help="linear | odd-paired | uniform:D")
-        p.add_argument("--address-mode", choices=("superposition", "basis"), dest="address_mode")
-        p.add_argument("--database", choices=("random", "all_zero", "all_one"))
-        p.add_argument("--round-trip", choices=("on", "off"), dest="round_trip",
-                       help="default: each architecture's own protocol")
-        p.add_argument("--batch-size", type=int, dest="batch_size")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
-
-    p_sim = sub.add_parser("sim", help="Monte Carlo infidelity sweep")
-    common(p_sim)
-    p_bounds = sub.add_parser("bounds", help="closed-form bound curves")
-    common(p_bounds)
-    p_res = sub.add_parser("resources", help="physical qubit overhead tables")
-    common(p_res)
+    common = [_common_parser()]
+    sub.add_parser("sim", parents=common, help="Monte Carlo infidelity sweep")
+    sub.add_parser("bounds", parents=common, help="closed-form bound curves")
+    p_res = sub.add_parser("resources", parents=common, help="physical qubit overhead tables")
     p_res.add_argument("--efficient", action="store_true", help="odd-paired distances")
     p_res.add_argument("--distance", type=int, help="uniform tree distance")
-    p_cmp = sub.add_parser("compare", help="equal-fidelity overhead comparison")
-    common(p_cmp)
+    p_cmp = sub.add_parser("compare", parents=common, help="equal-fidelity overhead comparison")
     p_cmp.add_argument("--mode", choices=("analytic", "simulated", "auto"), default=None)
     p_fit = sub.add_parser("fit", help="scaling exponent from a sweep CSV")
     p_fit.add_argument("--in", dest="input", required=True, help="sweep report (csv or json)")

@@ -59,10 +59,29 @@ reference. A trial that sees no event is never simulated: its fidelity is
 exactly 1. Sampled-basis mode runs the same pass with a reference block of
 one noiseless column per trial and every trial joined at layer 0.
 
+Deviation-tracked passes: one fault corrupts only the branches that pass
+through the faulty router, so in a deep tree a joined trial still matches
+the reference on most (row, trial) pairs. A superposition pass whose trial
+spans are at least two plane words wide (n >= 7), and whose joined trials
+carry at most `_DEVIATION_EVENTS_PER_ROW` events per plane row each, keeps
+only each joined trial's XOR against the reference block, as Stim's frame
+simulator tracks only the deviation from a noiseless reference sample
+(Gidney, Quantum 5, 497 (2021)). A controlled swap then runs only on the
+(row, trial) pairs where an operand or a control deviates, and the readout
+compares only the read rows that deviate. The dense plane stays for every
+other pass: with one trial per word or less (n <= 6), in sampled-basis
+mode and on heavy passes, its whole-row operations beat the per-pair
+gathers (measured at n=7..9 past about 1/30 events per row). Both kernels
+give the same fidelities bit for bit.
+
 Swaps are unconditional, so they never reach the plane: each layer
 compiles once to gates on physical plane rows, and the swaps fold into a
 static logical-to-physical row map, kept at the layers where noise lands
-and at the last layer. `run_events` adds the maps of its own layers.
+and at the last layer. `run_events` adds the maps of its own layers. The
+layers, the maps and the superposition block and readout are compiled on
+the first pass that sees an event, and the deviation kernel's per-layer
+groups on its first pass, so an engine whose trials see no event compiles
+nothing.
 
 Error events are identical across the branches of one trial (they are
 physical events on qubits, hitting the whole superposition), which is why
@@ -84,9 +103,10 @@ Readout and noiseless reference: the reference is each pass's own block,
 which the engine's gate kernel (`_gate_pass`, the one place that says
 what a compiled gate does to a plane) runs through every layer next to
 the trials. Both address modes read out through `_fidelities`, with the
-`_compile_readout` of the block's column addresses: the 2^n addresses,
-compiled once, or in sampled-basis mode the pass's trial addresses, one
-column each, where B = 1 makes the squared overlap exactly the good bit.
+`_span` of the block's column addresses: the 2^n addresses, compiled
+once, or in sampled-basis mode the pass's trial addresses, one column
+each, where B = 1 makes the squared overlap exactly the good bit. Each
+address's initial word and output mask are decoded once per engine.
 The ideal bits are read off the block at each column's output mask under
 the `care` patterns, and every trial's span is compared with them as whole
 plane words, word by word of the span and only on the rows whose `care`
@@ -98,6 +118,7 @@ independent per-address oracle that the tests compare against.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -115,6 +136,13 @@ _PASS_COLUMNS = 1 << 16
 #: rebinds one view per plane row, which costs more than simulating a few
 #: pristine trials early
 _JOIN_STEPS = 8
+
+#: a superposition pass whose trials span two or more plane words runs the
+#: deviation-tracked kernel when its events per joined trial are at most
+#: this many per plane row. Its gathers grow with the deviating pairs, and
+#: those with events per row, not per trial: measured at n=7..9, it beat
+#: the dense kernel up to 1/40 and lost from about 1/30 on
+_DEVIATION_EVENTS_PER_ROW = 1 / 40
 
 #: the readout gathers up to about this many plane words (256 KB) at a
 #: time: one step per read row costs far more, a whole gather far more memory
@@ -205,7 +233,6 @@ class PlaneEngine:
         self.schedule = schedule
         self.noise = noise
         self.address_mode = address_mode
-        nq = schedule.qubit_count
 
         if address_mode == "superposition":
             self.addresses = list(range(1 << schedule.n))
@@ -218,14 +245,11 @@ class PlaneEngine:
         self.sampled_basis = not self.addresses
         self.branch_count = max(len(self.addresses), 1)
 
-        noise_layers = self._compile_noise(noise)
-        self._ops, self._maps = self._compile(noise_layers | {len(schedule.layers) - 1})
-
-        if not self.sampled_basis:
-            # one trial's span of B columns, and its readout
-            words = [schedule.initial_word(a) for a in self.addresses]
-            self._init_span = _pack_span(_word_bits(words, nq))
-            self._readout = self._compile_readout(self.addresses)
+        self._noise_layers = self._compile_noise(noise)
+        # built by `_prepare` on the first pass that has an event
+        self._ops = self._maps = self._init_span = self._readout = self._groups = None
+        # per address seen: its initial word's set qubits and its output mask
+        self._columns: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def _compile_noise(self, noise: NoiseModel | None) -> set[int]:
         """Pool the plan's (noise step, live group, X or Z) segments by their
@@ -311,24 +335,97 @@ class PlaneEngine:
                 maps[li] = np.array(row)
         return ops, maps
 
-    def _compile_readout(self, addresses) -> tuple[np.ndarray, np.ndarray, list]:
-        """The readout of a span of columns, column c holding addresses[c]:
-        `(read_rows, care, word_rows)`.
+    def _prepare(self, layers: Iterable[int] = ()) -> None:
+        """Compile the layers, with the row maps after the noise layers, the
+        last layer and `layers`, and the superposition span, on the first
+        pass that has an event: a pass with none needs none of them."""
+        keep = self._noise_layers | {len(self.schedule.layers) - 1} | set(layers)
+        if self._ops is None:
+            self._ops, self._maps = self._compile(keep)
+            if not self.sampled_basis:
+                # one trial's span of B columns, and its readout
+                self._init_span, self._readout = self._span(self.addresses)
+        elif not keep <= self._maps.keys():
+            self._maps.update(self._compile(keep - self._maps.keys())[1])
 
+    def _span(self, addresses) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, list]]:
+        """The noiseless block and the readout of a span of columns, column
+        c holding addresses[c]: `(block, (read_rows, care, word_rows))`.
+
+        The block holds each column's initial word, packed by `_pack_span`.
         For each distinct output-mask qubit (`read_rows`), `care` marks the
-        columns whose mask holds it, packed like the span by `_pack_span`:
-        every trial's span of a pass plane, and its reference block, line
-        up with that pattern. `word_rows` lists, for each word of the span,
-        the read rows whose `care` is nonzero there: a leaf's row covers
-        one branch, so one word, and a router's the branches below it."""
-        masks = [self.schedule.output_mask(int(a)) for a in addresses]
-        col = np.repeat(np.arange(len(masks)), [len(m) for m in masks])
-        qubit = np.fromiter((q for m in masks for q in m), dtype=np.int64, count=col.size)
+        columns whose mask holds it, packed the same way: every trial's
+        span of a pass plane, and its reference block, line up with that
+        pattern. `word_rows` lists, for each word of the span, the read
+        rows whose `care` is nonzero there: a leaf's row covers one branch,
+        so one word, and a router's the branches below it. Each address's
+        initial word and output mask are decoded once per engine, so a
+        sampled-basis pass pays per trial only for lookups."""
+        nq = self.schedule.qubit_count
+        known = self._columns
+        addresses = [int(a) for a in addresses]
+        new = list(dict.fromkeys(a for a in addresses if a not in known))
+        step = max((1 << 24) // nq, 1)  # bounds the (nq, step) bit matrix
+        for lo in range(0, len(new), step):
+            chunk = new[lo : lo + step]
+            words = [self.schedule.initial_word(a) for a in chunk]
+            set_bits = np.flatnonzero(_word_bits(words, nq))
+            qubit = set_bits // len(chunk)
+            col = set_bits - qubit * len(chunk)
+            order = np.argsort(col, kind="stable")
+            ends = np.searchsorted(col[order], np.arange(1, len(chunk) + 1)).tolist()
+            qubit = qubit[order].tolist()
+            for a, start, end in zip(chunk, [0] + ends, ends):
+                known[a] = tuple(qubit[start:end]), self.schedule.output_mask(a)
+        cols = [known[a] for a in addresses]
+        C = len(cols)
+
+        def cells(part: int) -> tuple[np.ndarray, np.ndarray]:
+            """(qubit, column) of every qubit listed in `part` of a column."""
+            lists = [c[part] for c in cols]
+            count = np.fromiter(map(len, lists), dtype=np.int64, count=C)
+            qubits = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=count.sum())
+            return qubits, np.repeat(np.arange(C), count)
+
+        bits = np.zeros((nq, C), dtype=bool)
+        bits[cells(0)] = True
+        qubit, col = cells(1)
         read_rows, slot = np.unique(qubit, return_inverse=True)
-        care = np.zeros((read_rows.size, len(masks)), dtype=bool)
+        care = np.zeros((read_rows.size, C), dtype=bool)
         care[slot, col] = True
         care = _pack_span(care)
-        return read_rows, care, [np.flatnonzero(words) for words in care.T]
+        return _pack_span(bits), (read_rows, care, [np.flatnonzero(words) for words in care.T])
+
+    @staticmethod
+    def _group(ops) -> tuple[list[tuple], np.ndarray]:
+        """One compiled layer as the deviation kernel runs it: its
+        controlled swaps grouped by their control polarities, each group
+        `(a, b, controls)` with one entry per swap in `a`, `b` and each
+        `(rows, polarity)` of `controls`; and its inverted rows. The
+        layer-parallel rule keeps every operand of a layer off every other
+        gate's operands and controls, so a group may gather all its rows
+        before it writes any."""
+        by_pattern: dict[tuple, list] = {}
+        inverts = []
+        for op in ops:
+            if op[0] == "cswap":
+                controls = op[1]
+                # a controlled swap has one or two controls, so this key
+                # fixes every polarity
+                key = (len(controls), controls[0][1], controls[-1][1])
+                by_pattern.setdefault(key, []).append(op)
+            else:
+                inverts.append(op[1])
+
+        def rows(gates, get) -> np.ndarray:
+            return np.fromiter(map(get, gates), dtype=np.int64, count=len(gates))
+
+        swaps = []
+        for gates in by_pattern.values():
+            controls = [(rows(gates, lambda g: g[1][j][0]), pol)
+                        for j, (_, pol) in enumerate(gates[0][1])]
+            swaps.append((rows(gates, lambda g: g[2]), rows(gates, lambda g: g[3]), controls))
+        return swaps, np.array(inverts, dtype=np.int64)
 
     # -- execution -------------------------------------------------------
 
@@ -364,16 +461,14 @@ class PlaneEngine:
             raise ValueError("run_events needs superposition address mode")
         if n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        nq = self.schedule.qubit_count
+        nq, n_layers = self.schedule.qubit_count, len(self.schedule.layers)
         for li, events in events_by_layer.items():
-            if not 0 <= li < len(self._ops):
-                raise ValueError(f"event layer {li} outside [0, {len(self._ops)})")
+            if not 0 <= li < n_layers:
+                raise ValueError(f"event layer {li} outside [0, {n_layers})")
             for ev in events:
                 if not 0 <= ev.qubit < nq:
                     raise ValueError(f"event qubit {ev.qubit} outside [0, {nq})")
-        missing = set(events_by_layer) - set(self._maps)
-        if missing:
-            self._maps.update(self._compile(missing)[1])
+        self._prepare(events_by_layer)
         cells = np.array([(li * 2 + (ev.kind == "Z")) * nq + ev.qubit
                           for li, events in events_by_layer.items() for ev in events],
                          dtype=np.int64)
@@ -403,8 +498,14 @@ class PlaneEngine:
         * qubits + qubit`, in any order; returns the trials' fidelities.
 
         Sampled-basis mode takes each trial's address in `trial_addresses`.
-        The pass sorts `codes` in place and then spends them.
+        The pass sorts `codes` in place and then spends them. A light pass
+        with trial spans of two or more words runs `_run_deviations`, and
+        every other pass the dense plane below.
         """
+        if not codes.size:
+            # every trial is the noiseless run: fidelity exactly 1
+            return np.ones(total)
+        self._prepare()
         nq = self.schedule.qubit_count
         B = self.branch_count
         n_layers = len(self._ops)
@@ -419,11 +520,14 @@ class PlaneEngine:
         # the reference block and each trial's first event layer (n_layers
         # for none); trials join the plane in that order, reference first
         if self.sampled_basis:
-            words = [self.schedule.initial_word(int(a)) for a in trial_addresses]
-            block = _pack_span(_word_bits(words, nq))
-            readout = self._compile_readout(trial_addresses)
+            block, readout = self._span(trial_addresses)
             first = np.zeros(total, dtype=np.int64)
         else:
+            if B >= 128:  # each trial spans at least two plane words
+                joined = np.zeros(total, dtype=bool)
+                joined[trial] = True
+                if cell.size <= _DEVIATION_EVENTS_PER_ROW * np.count_nonzero(joined) * nq:
+                    return self._run_deviations(cell, trial, bounds, joined)
             block, readout = self._init_span, self._readout
             first = np.full(total, n_layers, dtype=np.int64)
             # last layer first, so each trial keeps its earliest; segment by
@@ -489,6 +593,92 @@ class PlaneEngine:
         fids[order] = self._fidelities(plane, maps[n_layers - 1], sign, order.size, readout)
         return fids
 
+    def _run_deviations(self, cell, trial, bounds, joined) -> np.ndarray:
+        """The deviation-tracked form of a superposition pass: the same
+        fidelities as the dense plane from the decoded, sorted events, for
+        passes whose joined trials carry few events.
+
+        Each joined trial (one with an event) keeps only its XOR against
+        the reference block, whose span of S >= 2 words runs densely. The
+        deviations start at zero, so no trial is copied in, and pages that
+        no deviation touches are never written. A flag per (row, joined
+        trial) marks the pairs that may deviate. Each group of a layer's
+        controlled swaps costs a fixed number of numpy calls: the
+        reference's swap, then a gather and a scatter of only the pairs
+        where an operand or a control is flagged. An inversion acts on the
+        reference alone, since it leaves every XOR as it was. An X event
+        flips its trial's whole span, and a Z event reads its row's value
+        as deviation ^ reference. The readout compares only the flagged
+        read rows: a clean pair reads exactly its ideal bits.
+        """
+        if self._groups is None:
+            self._groups = [self._group(ops) for ops in self._ops]
+        nq = self.schedule.qubit_count
+        n_layers = len(self._ops)
+        ref = self._init_span.copy()
+        S = ref.shape[1]
+        T = np.count_nonzero(joined)
+        slot = (np.cumsum(joined) - 1)[trial]  # each event's joined trial
+        dev = np.zeros((nq * T, S), dtype=np.uint64)  # row r, trial t at r * T + t
+        dirty = np.zeros(nq * T, dtype=bool)
+        flags = dirty.reshape(nq, T)
+        sign = np.zeros((T, S), dtype=np.uint64)
+        for li, (swaps, inverts) in enumerate(self._groups):
+            for a, b, controls in swaps:
+                ra, rb = ref.take(a, axis=0), ref.take(b, axis=0)
+                x = ra ^ rb
+                m = x.copy()  # the reference's swap mask
+                u = flags.take(a, axis=0) | flags.take(b, axis=0)
+                rcs = []
+                for c, pol in controls:
+                    rc = ref.take(c, axis=0)
+                    m &= rc if pol else ~rc
+                    u |= flags.take(c, axis=0)
+                    rcs.append(rc)
+                hit = np.flatnonzero(u)
+                if hit.size:
+                    g = hit // T
+                    t = hit - g * T
+                    fa, fb = a[g] * T + t, b[g] * T + t
+                    da, db = dev.take(fa, axis=0), dev.take(fb, axis=0)
+                    # how each pair's swap mask differs from the reference's
+                    dm = da ^ db
+                    dm ^= x.take(g, axis=0)
+                    for (c, pol), rc in zip(controls, rcs):
+                        vc = dev.take(c[g] * T + t, axis=0) ^ rc.take(g, axis=0)
+                        dm &= vc if pol else ~vc
+                    dm ^= m.take(g, axis=0)
+                    da ^= dm
+                    db ^= dm
+                    dev[fa], dev[fb] = da, db
+                    dirty[fa], dirty[fb] = da.any(axis=1), db.any(axis=1)
+                ra ^= m
+                rb ^= m
+                ref[a], ref[b] = ra, rb
+            if inverts.size:
+                ref[inverts] = ~ref[inverts]
+            lo, mid, hi = bounds[2 * li : 2 * li + 3]
+            if lo < mid:  # X flips: each trial's whole span
+                rows = self._maps[li].take(cell[lo:mid] - 2 * li * nq)
+                f = rows * T + slot[lo:mid]
+                dev[f] = ~dev[f]
+                dirty[f] = True
+            if mid < hi:  # Z phases, read from the flipped state
+                rows = self._maps[li].take(cell[mid:hi] - (2 * li + 1) * nq)
+                f = rows * T + slot[mid:hi]
+                np.bitwise_xor.at(sign, slot[mid:hi], dev[f] ^ ref[rows])
+
+        read_rows, care, _ = self._readout
+        phys = self._maps[n_layers - 1][read_rows]
+        hit = np.flatnonzero(flags.take(phys, axis=0))
+        r = hit // T
+        t = hit - r * T
+        bad = np.zeros((T, S), dtype=np.uint64)
+        np.bitwise_or.at(bad, t, dev.take(phys[r] * T + t, axis=0) & care.take(r, axis=0))
+        fids = np.ones(joined.size)
+        fids[joined] = self._overlap_squares(bad, sign, T)
+        return fids
+
     def _sample_events(
         self, rng: np.random.Generator, n_trials: int, total: int, offset: int
     ) -> list[np.ndarray]:
@@ -535,7 +725,6 @@ class PlaneEngine:
         # a branch is bad when any bit it reads differs from its ideal bit;
         # word k of every tile of S words at once, for up to _READ_CHUNK
         # words per step, from the rows whose care covers word k
-        B = self.branch_count
         read_rows, care, word_rows = readout
         S = care.shape[1]
         bad = np.zeros((plane.shape[1] // S - 1, S), dtype=np.uint64)
@@ -550,9 +739,16 @@ class PlaneEngine:
                 d ^= ideal[r, k, None]
                 d &= care[r, k, None]
                 bad[:, k] |= np.bitwise_or.reduce(d, axis=0)
+        return self._overlap_squares(bad, sign[S:], active)
+
+    def _overlap_squares(self, bad: np.ndarray, sign: np.ndarray, active: int) -> np.ndarray:
+        """Each of `active` trials' squared overlap with the noiseless run,
+        from the words of their spans in turn: `bad` marks the branches
+        that read a wrong bit, `sign` those whose sign flipped."""
+        B = self.branch_count
         cols = active * B
         good = _unpack_bits_lsb(~bad.reshape(-1), cols).reshape(active, B)
-        flipped = _unpack_bits_lsb(sign[S:], cols).reshape(active, B) & good
+        flipped = _unpack_bits_lsb(sign.reshape(-1), cols).reshape(active, B) & good
         # every weight is 2^-n, so this is the per-branch overlap sum exactly
         net = good.sum(axis=1, dtype=np.int64) - 2 * flipped.sum(axis=1, dtype=np.int64)
         overlap = net * (1.0 / B)

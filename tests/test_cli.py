@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hetqram import harness
-from hetqram.cli import main
+from hetqram.cli import _COMMON_KEYS, main
 from hetqram.harness import (
     ARCHITECTURES,
     ExperimentConfig,
@@ -220,6 +220,19 @@ def test_config_file_mirrors_every_flag(tmp_path, capsys):
     assert data[0]["p_prime"] == 0.15
     assert data[0]["trials"] == 25
     assert data[0]["seed"] == 77
+
+
+@pytest.mark.parametrize("command", ["sim", "bounds", "resources", "compare"])
+def test_subcommand_help_lists_every_common_flag(command, capsys):
+    """The shared flags are declared once, on a parent parser; each
+    subcommand that takes them still lists every one, and --config, in
+    its help."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    missing = [key for key in ("config",) + _COMMON_KEYS if f"--{key}" not in out]
+    assert not missing, (command, missing)
 
 
 def _sim_csv(capsys, *extra):

@@ -541,6 +541,71 @@ def test_run_codes_single_faults_equal_word_oracle(arch, kind):
         assert np.any(fids < 1.0) and np.any(fids == 1.0)
 
 
+def _spy_deviation_passes(monkeypatch):
+    """Count the passes that take the deviation-tracked kernel."""
+    calls = []
+    run = PlaneEngine._run_deviations
+
+    def spy(self, *args):
+        calls.append(self.schedule.n)
+        return run(self, *args)
+
+    monkeypatch.setattr(PlaneEngine, "_run_deviations", spy)
+    return calls
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_deviation_kernel_equals_dense_kernel(arch, kind, monkeypatch):
+    """The deviation-tracked pass and the dense plane pass give the same
+    fidelities, bit for bit, on the same sampled event codes: n=7 and 8
+    (trial spans of two and four plane words), both protocols, p'=0.01
+    and 0.1. A limit of 0 events per row forces the dense kernel and an
+    infinite one the deviation kernel, and a spy checks that the deviation
+    kernel ran on every pass that saw an event."""
+    calls = _spy_deviation_passes(monkeypatch)
+    n_trials, noisy = 128, 0
+    for n in (7, 8):
+        for round_trip in (True, False):
+            sched = build_schedule(arch, n, kind, _database(n), round_trip=round_trip)
+            for p_prime in (0.01, 0.1):
+                eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, p_prime), sched.profile))
+                codes = np.concatenate(
+                    eng._sample_events(trajectory_rng(n, 0), n_trials, n_trials, 0))
+                fids = {}
+                for limit in (0.0, math.inf):
+                    monkeypatch.setattr("hetqram.engine._DEVIATION_EVENTS_PER_ROW", limit)
+                    calls.clear()
+                    fids[limit] = eng._run_codes(codes.copy(), n_trials)
+                    assert len(calls) == (limit > 0 and codes.size > 0)
+                assert fids[0.0].tobytes() == fids[math.inf].tobytes(), (n, round_trip, p_prime)
+                noisy += np.any(fids[0.0] < 1.0)
+    assert noisy >= 4
+
+
+def test_deviation_single_faults_equal_word_oracle(monkeypatch):
+    """A single-fault pass at n=7 takes the deviation-tracked kernel (one
+    event per joined trial is far below its limit), and each trial's
+    fidelity equals the word-by-word oracle run on its one event: an even
+    spread of 48 of the noise locations of bb-hetero qubit, X and Z."""
+    calls = _spy_deviation_passes(monkeypatch)
+    sched = build_schedule("bb-hetero", 7, "qubit", _database(7))
+    eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 0.2), sched.profile))
+    cells = np.sort(np.concatenate([c for _, c in eng._classes]))
+    cells = cells[np.linspace(0, cells.size - 1, 48).astype(int)]
+    total = cells.size
+    fids = eng._run_codes(cells * total + np.arange(total), total)
+    assert calls == [7]
+    nq = sched.qubit_count
+    kinds = set()
+    for t, cell in enumerate(cells.tolist()):
+        key, qubit = divmod(cell, nq)
+        kinds.add("XZ"[key % 2])
+        event = {key // 2: [PauliEvent(qubit, "XZ"[key % 2])]}
+        assert fids[t] == reference_fidelity(sched, event), (key, qubit)
+    assert kinds == {"X", "Z"}
+    assert np.any(fids < 1.0) and np.any(fids == 1.0)
+
+
 def test_sampled_basis_fidelities_unchanged():
     """Basis-mode fidelities at a fixed seed for every architecture and
     router kind, n=3..6, both protocols, as packed hex bit strings. The

@@ -3,8 +3,8 @@
 Simulates many Monte Carlo trajectories of one schedule at once by storing
 the state transposed: one uint64 row per logical qubit, one bit per
 (trial, branch) column. Permutation gates become a handful of vectorized
-word operations per gate, and Pauli errors become XORs over each hit
-trial's column span, so the per-trajectory cost is a fraction of a
+word operations per group of like gates, and Pauli errors become XORs over
+each hit trial's column span, so the per-trajectory cost is a fraction of a
 millisecond even for thousand-qubit registries.
 
 Error model: the schedule's `NoisePlan` (noise.py), the one home of the
@@ -27,11 +27,15 @@ same given events on every trial; the sampler draws them.
 
 Noise sampling: every (noise step, live group, X or Z) segment of the plan
 is pooled, once at construction, by its net flip probability q, into one
-table of event cells per class. A batch draws all its noise up front, one
-Bernoulli(q) process per class over the class's (slot, trial) pairs, by
-summing geometric gaps between hits (the rare-error sampling of Stim,
-Gidney, Quantum 5, 497 (2021)): exact iid flips at a cost proportional to
-the number of hits.
+class per q; a class builds its table of event cells on the first batch
+that hits it. A batch draws all its noise up front, one Bernoulli(q)
+process per class over the class's (slot, trial) pairs, by summing
+geometric gaps between hits (the rare-error sampling of Stim, Gidney,
+Quantum 5, 497 (2021)): exact iid flips at a cost proportional to the
+number of hits. For q < 1/3 the gaps come from the inversion that numpy's
+`Generator.geometric` itself uses, ceil(E / -log1p(-q)) of standard
+exponentials E, with the logarithm taken once per class rather than once
+per draw: the same gaps from the same stream at about half the cost.
 
 Passes: a batch is the unit of randomness (one generator stream each),
 not of work. Consecutive batches share one plane pass until it would span
@@ -41,9 +45,16 @@ call overhead rather than its bits. Each batch still draws its addresses
 and then its noise from its own generator, so the grouping changes no
 fidelity. Sampled-basis mode keeps one batch per pass: there a row holds
 one column per trial while the qubit count grows as ~6 * 2^n, so a pass
-that wide would need gigabytes at large n. Within a pass, each event's
-plane words and bit mask come from per-trial tables filled once the
-trials' places in the plane are known.
+that wide would need gigabytes at large n. Within a pass each trial owns a
+slot of the plane, its place in join order after the reference block,
+and an event finds its plane place from that slot by arithmetic: the plane
+and the sign row are viewed as trial units (`_trial_units`), one unsigned
+unit per slot (uint{B} for 8 <= B <= 64, B/64 words beyond; spans of 2 or
+4 branches widen to a byte, as `_pack_span` tiles them). A layer's X flips
+are then one invert of distinct units, and its Z phases one unit gather
+and one `xor.at` into the sign units. In sampled-basis mode a unit is the
+byte of 8 one-column trials: flips that share a byte are OR-combined
+first, and phases masked to each trial's bit.
 
 A pass simulates only the trials that leave the noiseless path. A trial's
 columns equal the noiseless run until its first error event, whose layer
@@ -53,11 +64,12 @@ the trials in order of their first event layer, and the gates run on the
 active prefix only. Right after the gates of a trial's first event layer,
 and before that layer's flips, its columns are copied in from the
 reference block. The active width grows in at most `_JOIN_STEPS` steps,
-each of which rebinds the row views, so a trial may join a few layers
-early; that is exact, since until its first event it is a copy of the
-reference. A trial that sees no event is never simulated: its fidelity is
-exactly 1. Sampled-basis mode runs the same pass with a reference block of
-one noiseless column per trial and every trial joined at layer 0.
+each of which copies the block into the newly joined slots, so a trial may
+join a few layers early; that is exact, since until its first event it is
+a copy of the reference. A trial that sees no event is never simulated:
+its fidelity is exactly 1. Sampled-basis mode runs the same pass with a
+reference block of one noiseless column per trial and every trial joined
+at layer 0.
 
 Deviation-tracked passes: one fault corrupts only the branches that pass
 through the faulty router, so in a deep tree a joined trial still matches
@@ -68,7 +80,8 @@ only each joined trial's XOR against the reference block, as Stim's frame
 simulator tracks only the deviation from a noiseless reference sample
 (Gidney, Quantum 5, 497 (2021)). A controlled swap then runs only on the
 (row, trial) pairs where an operand or a control deviates, and the readout
-compares only the read rows that deviate. The dense plane stays for every
+compares only the read rows that deviate. It runs the same compiled
+polarity groups as the dense kernel. The dense plane stays for every
 other pass: with one trial per word or less (n <= 6), in sampled-basis
 mode and on heavy passes, its whole-row operations beat the per-pair
 gathers (measured at n=7..9 past about 1/30 events per row). Both kernels
@@ -77,11 +90,14 @@ give the same fidelities bit for bit.
 Swaps are unconditional, so they never reach the plane: each layer
 compiles once to gates on physical plane rows, and the swaps fold into a
 static logical-to-physical row map, kept at the layers where noise lands
-and at the last layer. `run_events` adds the maps of its own layers. The
-layers, the maps and the superposition block and readout are compiled on
-the first pass that sees an event, and the deviation kernel's per-layer
-groups on its first pass, so an engine whose trials see no event compiles
-nothing.
+and at the last layer. `run_events` adds the maps of its own layers. A
+layer compiles straight to its controlled swaps grouped by control
+polarities, as index arrays, plus the rows it inverts; the dense kernel
+(`_gate_pass`) runs each group with a fixed number of numpy calls (one
+gather, the swap mask, one scatter) on chunks of at most `_GATE_CHUNK`
+plane words. The layers, the maps and the superposition block and readout
+are compiled on the first pass that sees an event, so an engine whose
+trials see no event compiles nothing.
 
 Error events are identical across the branches of one trial (they are
 physical events on qubits, hitting the whole superposition), which is why
@@ -117,6 +133,7 @@ independent per-address oracle that the tests compare against.
 
 from __future__ import annotations
 
+import math
 from array import array
 from itertools import chain
 from typing import Iterable
@@ -126,16 +143,20 @@ import numpy as np
 from .circuits import GateKind, Schedule
 from .noise import NoiseModel, NoisePlan, PauliEvent, net_flip_probability
 
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 #: consecutive batches share a plane pass up to this many (trial, branch)
 #: columns: 1024 words (8 KB) per plane row
 _PASS_COLUMNS = 1 << 16
 
-#: a pass widens its active prefix in at most this many steps: each step
-#: rebinds one view per plane row, which costs more than simulating a few
-#: pristine trials early
+#: a pass widens its active prefix in at most this many steps, each one
+#: fill of the newly joined slots from the reference block, so a trial may
+#: join a few layers before its first event
 _JOIN_STEPS = 8
+
+#: the dense kernel gathers up to about this many plane words (64 KB) per
+#: row of a gate group's operands and controls at a time: every temporary
+#: stays small (2^15 raised sweep-trials' peak memory by 1.9 MB and ran no
+#: faster)
+_GATE_CHUNK = 1 << 13
 
 #: a superposition pass whose trials span two or more plane words runs the
 #: deviation-tracked kernel when its events per joined trial are at most
@@ -178,28 +199,57 @@ def _pack_span(bits: np.ndarray) -> np.ndarray:
     return _pack_bits_lsb(np.tile(bits, max(64 // bits.shape[1], 1)))
 
 
-def _gate_pass(ops, rows: list[np.ndarray], scratch: np.ndarray, spare: np.ndarray) -> None:
-    """Apply one compiled layer's gates in place.
+def _slot_columns(B: int) -> int:
+    """Columns of each trial's slot in a pass of B branches: B, widened to
+    a byte for B = 2, 4 (`_pack_span` tiles short spans, so the widened
+    slot repeats its B columns), or one in sampled-basis mode (B = 1)."""
+    return B if B == 1 else max(B, 8)
 
-    `rows` holds a view of each physical plane row, all of one width;
-    `scratch` and `spare` are two more rows of that width.
+
+def _trial_units(words: np.ndarray, cols: int) -> tuple[np.ndarray, int]:
+    """C-contiguous uint64 `words` as trial units along the first axis, and
+    the shift from a slot of `cols` columns to its unit.
+
+    A slot of 8 <= cols <= 64 columns is one uint{cols} unit and a wider
+    one a row of cols/64 words, both at unit `slot`; a slot of one column
+    is bit `slot & 7` of byte unit `slot >> 3`.
     """
-    for op in ops:
-        if op[0] == "cswap":
-            _, controls, a, b = op
-            ra, rb = rows[a], rows[b]
-            np.bitwise_xor(ra, rb, out=scratch)
-            for c, pol in controls:
-                if pol:
-                    np.bitwise_and(scratch, rows[c], out=scratch)
-                else:
-                    np.invert(rows[c], out=spare)
-                    np.bitwise_and(scratch, spare, out=scratch)
-            np.bitwise_xor(ra, scratch, out=ra)
-            np.bitwise_xor(rb, scratch, out=rb)
-        else:  # invert
-            r = rows[op[1]]
-            np.invert(r, out=r)
+    shift = 3 if cols == 1 else 0
+    bits = cols << shift
+    units = words.reshape(-1).view(f"<u{min(bits, 64) // 8}")
+    if bits > 64:
+        units = units.reshape(-1, bits // 64)
+    return units, shift
+
+
+def _gate_pass(layer, plane: np.ndarray, w: int) -> None:
+    """Apply one compiled layer's gates in place to the active prefix
+    `plane[:, :w]`.
+
+    Each polarity group of controlled swaps costs a fixed number of numpy
+    calls per chunk of `_GATE_CHUNK // w` gates: one gather of its operand
+    and control rows, the swap mask, and one scatter of both operands. The
+    layer-parallel rule keeps every operand off every other gate's
+    operands and controls, so a chunk may read all its rows before it
+    writes any.
+    """
+    groups, inverts = layer
+    active = plane[:, :w]
+    step = max(_GATE_CHUNK // w, 1)
+    for rows, pols in groups:
+        for lo in range(0, rows.shape[1], step):
+            idx = rows[:, lo : lo + step]
+            v = active[idx]  # operand a, operand b, then each control
+            m = v[0] ^ v[1]
+            for c, pol in zip(v[2:], pols):
+                if not pol:
+                    np.invert(c, out=c)
+                m &= c
+            v[:2] ^= m
+            active[idx[:2]] = v[:2]
+    for lo in range(0, inverts.size, step):
+        idx = inverts[lo : lo + step]
+        active[idx] = ~active[idx]
 
 
 def _bernoulli_hits(rng: np.random.Generator, slots: int, q: float) -> np.ndarray:
@@ -209,16 +259,67 @@ def _bernoulli_hits(rng: np.random.Generator, slots: int, q: float) -> np.ndarra
     geometric draws minus one: exact, distinct by construction, and O(hits).
     Clipping gaps at slots + 1 changes no hit below `slots` and keeps the
     sums within int64 even for vanishing q.
+
+    For q < 1/3, numpy's `Generator.geometric(q)` is the inversion
+    ceil(-E / log1p(-q)) of a standard exponential E, with `log1p` taken
+    on every draw. Dividing the same exponentials by -log1p(-q), computed
+    once with the C library's `log1p` as numpy's sampler does, gives the
+    same gaps from the same generator state at about half the cost; q >=
+    1/3 keeps `geometric`, which searches there.
     """
+    inversion = q < 1.0 / 3.0
+    if inversion:
+        scale = -math.log1p(-q)
+        # the least float >= slots + 1: a gap clipped there ends the hits
+        # just as one clipped at slots + 1 does
+        clip = float(slots + 1)
+        if clip < slots + 1:
+            clip = math.nextafter(clip, math.inf)
+
     def gaps(expect: float) -> np.ndarray:
-        m = int(expect + 5.0 * np.sqrt(expect)) + 16
-        return np.minimum(rng.geometric(q, m), slots + 1)
+        m = int(expect + 5.0 * math.sqrt(expect)) + 16
+        if not inversion:
+            return np.minimum(rng.geometric(q, m), slots + 1)
+        drawn = rng.standard_exponential(m)
+        drawn /= scale
+        np.ceil(drawn, out=drawn)
+        return np.minimum(drawn, clip, out=drawn).astype(np.int64)
 
     hits = np.cumsum(gaps(slots * q)) - 1
     while hits[-1] < slots:
         more = np.cumsum(gaps((slots - hits[-1]) * q)) + hits[-1]
         hits = np.concatenate([hits, more])
     return hits[: np.searchsorted(hits, slots)]
+
+
+class _NoiseClass:
+    """One flip-probability class of an engine's noise plan: its net flip
+    probability `q`, its `slots` per trial, and their event `cells`.
+
+    The class holds its segments, one per (noise step, live group, X or Z):
+    each one's `base` cell `(layer * 2 + is_z) * qubits`, and its group's
+    `start` and `size` in `pool`, the qubits of every group in turn. Slot k
+    of a segment is qubit k of its group. The cells are built on the first
+    batch that hits the class, so a class no batch hits never builds them.
+    """
+
+    __slots__ = ("q", "slots", "_segments", "_cells")
+
+    def __init__(self, q: float, base, start, size, pool: np.ndarray):
+        self.q = q
+        self.slots = int(size.sum())
+        self._segments = base, start, size, pool
+        self._cells = None
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Each slot's event cell, `(layer * 2 + is_z) * qubits + qubit`."""
+        if self._cells is None:
+            base, start, size, pool = self._segments
+            ends = np.cumsum(size)
+            slot = np.arange(ends[-1]) + np.repeat(start - (ends - size), size)
+            self._cells = np.repeat(base, size) + pool[slot]
+        return self._cells
 
 
 class PlaneEngine:
@@ -247,7 +348,7 @@ class PlaneEngine:
 
         self._noise_layers = self._compile_noise(noise)
         # built by `_prepare` on the first pass that has an event
-        self._ops = self._maps = self._init_span = self._readout = self._groups = None
+        self._layers = self._maps = self._init_span = self._readout = None
         # per address seen: its initial word's set qubits and its output mask
         self._columns: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
@@ -255,11 +356,9 @@ class PlaneEngine:
         """Pool the plan's (noise step, live group, X or Z) segments by their
         net flip probability q; returns the layers where events can land.
 
-        Per class, in order of first appearance, `(q, cells)`: the class's
-        slots of one trial, segment after segment in (step, group, X before
-        Z) order and each group's qubits in order, each holding its event
-        cell `(layer * 2 + is_z) * qubits + qubit`. Both orders fix the
-        draws.
+        One `_NoiseClass` per q, in order of first appearance, whose slots
+        of one trial run segment after segment in (step, group, X before Z)
+        order and each group's qubits in order. Both orders fix the draws.
         """
         self._classes = []
         if noise is None:
@@ -292,19 +391,24 @@ class PlaneEngine:
         rank = rank[cls.reshape(-1)]
         seg_order = np.argsort(rank, kind="stable")
         g = group_i[seg_order]
-        key = layer[step_i[seg_order]] * 2 + is_z[seg_order]
-        # slot k of a segment is qubit k of its group: pool[start + k]
-        seg = size[g]
-        ends = np.cumsum(seg)
-        slot = np.arange(ends[-1]) + np.repeat(start[g] - (ends - seg), seg)
-        cells = np.repeat(key * nq, seg) + pool[slot]
-        split = ends[np.flatnonzero(np.diff(rank[seg_order]))]
-        self._classes = list(zip(values[by_first].tolist(), np.split(cells, split)))
+        base = (layer[step_i[seg_order]] * 2 + is_z[seg_order]) * nq
+        split = np.flatnonzero(np.diff(rank[seg_order])) + 1
+        self._classes = [
+            _NoiseClass(q, *segments, pool)
+            for q, *segments in zip(values[by_first].tolist(), np.split(base, split),
+                                    np.split(start[g], split), np.split(size[g], split))
+        ]
         return set(layer[step_i].tolist())
 
-    def _compile(self, keep: set[int]) -> tuple[list[list[tuple]], dict[int, np.ndarray]]:
+    def _compile(self, keep: set[int]) -> tuple[list[tuple], dict[int, np.ndarray]]:
         """Each layer's gates on physical plane rows, and the logical-to-
         physical row map after each layer in `keep`.
+
+        A layer compiles to `(groups, inverts)`: its controlled swaps
+        grouped by their control polarities, and the rows it inverts. A
+        group is `(rows, polarities)`, with one column per swap in the
+        int64 array `rows`: operand a, operand b, then each control, whose
+        polarities are `polarities` in turn. Both kernels run these groups.
 
         A plain swap relabels two rows instead of moving their data. Swaps
         are unconditional, so the relabelling is the same in every pass:
@@ -312,36 +416,50 @@ class PlaneEngine:
         """
         # int64 buffer: each kept map is one copy, not a per-item conversion
         row = array("q", range(self.schedule.qubit_count))
-        ops, maps = [], {}
+        layers, maps = [], {}
         for li, layer in enumerate(self.schedule.layers):
-            layer_ops = []
+            # per polarity pattern, each swap's rows: a, b, then its controls'
+            by_pattern: dict[tuple, list] = {}
+            inverts = []
             for g in layer.gates:
-                if g.controls:  # a controlled swap
+                controls = g.controls
+                if controls:  # a controlled swap, with one or two controls
                     a, b = g.operands
-                    layer_ops.append(("cswap", [(row[c], pol) for c, pol in g.controls],
-                                      row[a], row[b]))
+                    if len(controls) == 1:
+                        (c, pol), = controls
+                        key, rows = (pol,), (row[a], row[b], row[c])
+                    else:
+                        (c, pol), (d, pol_d) = controls
+                        key, rows = (pol, pol_d), (row[a], row[b], row[c], row[d])
+                    group = by_pattern.get(key)
+                    if group is None:
+                        by_pattern[key] = [rows]
+                    else:
+                        group.append(rows)
                 elif g.kind is GateKind.SWAP:
                     a, b = g.operands
                     row[a], row[b] = row[b], row[a]
                 elif g.kind is GateKind.X:
-                    layer_ops.append(("invert", row[g.operands[0]]))
+                    inverts.append(row[g.operands[0]])
                 elif g.kind is GateKind.CLASSICAL_CX:
                     if g.data_bit:
-                        layer_ops.append(("invert", row[g.operands[0]]))
+                        inverts.append(row[g.operands[0]])
                 else:
                     raise AssertionError(g.kind)
-            ops.append(layer_ops)
+            groups = [(np.array(rows, dtype=np.int64).T.copy(), pols)
+                      for pols, rows in by_pattern.items()]
+            layers.append((groups, np.array(inverts, dtype=np.int64)))
             if li in keep:
                 maps[li] = np.array(row)
-        return ops, maps
+        return layers, maps
 
     def _prepare(self, layers: Iterable[int] = ()) -> None:
         """Compile the layers, with the row maps after the noise layers, the
         last layer and `layers`, and the superposition span, on the first
         pass that has an event: a pass with none needs none of them."""
         keep = self._noise_layers | {len(self.schedule.layers) - 1} | set(layers)
-        if self._ops is None:
-            self._ops, self._maps = self._compile(keep)
+        if self._layers is None:
+            self._layers, self._maps = self._compile(keep)
             if not self.sampled_basis:
                 # one trial's span of B columns, and its readout
                 self._init_span, self._readout = self._span(self.addresses)
@@ -396,37 +514,6 @@ class PlaneEngine:
         care = _pack_span(care)
         return _pack_span(bits), (read_rows, care, [np.flatnonzero(words) for words in care.T])
 
-    @staticmethod
-    def _group(ops) -> tuple[list[tuple], np.ndarray]:
-        """One compiled layer as the deviation kernel runs it: its
-        controlled swaps grouped by their control polarities, each group
-        `(a, b, controls)` with one entry per swap in `a`, `b` and each
-        `(rows, polarity)` of `controls`; and its inverted rows. The
-        layer-parallel rule keeps every operand of a layer off every other
-        gate's operands and controls, so a group may gather all its rows
-        before it writes any."""
-        by_pattern: dict[tuple, list] = {}
-        inverts = []
-        for op in ops:
-            if op[0] == "cswap":
-                controls = op[1]
-                # a controlled swap has one or two controls, so this key
-                # fixes every polarity
-                key = (len(controls), controls[0][1], controls[-1][1])
-                by_pattern.setdefault(key, []).append(op)
-            else:
-                inverts.append(op[1])
-
-        def rows(gates, get) -> np.ndarray:
-            return np.fromiter(map(get, gates), dtype=np.int64, count=len(gates))
-
-        swaps = []
-        for gates in by_pattern.values():
-            controls = [(rows(gates, lambda g: g[1][j][0]), pol)
-                        for j, (_, pol) in enumerate(gates[0][1])]
-            swaps.append((rows(gates, lambda g: g[2]), rows(gates, lambda g: g[3]), controls))
-        return swaps, np.array(inverts, dtype=np.int64)
-
     # -- execution -------------------------------------------------------
 
     def run(self, rng: np.random.Generator, n_trials: int) -> np.ndarray:
@@ -469,9 +556,11 @@ class PlaneEngine:
                 if not 0 <= ev.qubit < nq:
                     raise ValueError(f"event qubit {ev.qubit} outside [0, {nq})")
         self._prepare(events_by_layer)
-        cells = np.array([(li * 2 + (ev.kind == "Z")) * nq + ev.qubit
-                          for li, events in events_by_layer.items() for ev in events],
-                         dtype=np.int64)
+        cells, count = np.unique(np.array(
+            [(li * 2 + (ev.kind == "Z")) * nq + ev.qubit
+             for li, events in events_by_layer.items() for ev in events], dtype=np.int64),
+            return_counts=True)
+        cells = cells[count % 2 == 1]  # a repeated event cancels in pairs
         return self._run_codes((cells[:, None] * n_trials + np.arange(n_trials)).ravel(), n_trials)
 
     def _run_sampled(self, batches: list[tuple[np.random.Generator, int]]) -> np.ndarray:
@@ -508,7 +597,7 @@ class PlaneEngine:
         self._prepare()
         nq = self.schedule.qubit_count
         B = self.branch_count
-        n_layers = len(self._ops)
+        n_layers = len(self._layers)
         maps = self._maps
         # sorted, each layer's X flips and then its Z phases are contiguous;
         # decoded once with // (divmod and % cost far more)
@@ -539,7 +628,8 @@ class PlaneEngine:
         if not order.size:
             return fids
         S = block.shape[1]
-        ref_slots = S * 64 // B
+        cols = _slot_columns(B)
+        ref_slots = S * 64 // cols
 
         # join steps: after the gates of layer join[k] the active prefix
         # grows to width[k] words; each step starts at a new first layer
@@ -547,50 +637,58 @@ class PlaneEngine:
         starts = np.flatnonzero(np.diff(firsts, prepend=-1))
         steps = starts[np.diff(starts * _JOIN_STEPS // order.size, prepend=-1) > 0]
         join = firsts[steps].tolist()
-        width = (((ref_slots + np.append(steps[1:], order.size)) * B + 63) // 64).tolist()
+        width = (((ref_slots + np.append(steps[1:], order.size)) * cols + 63) // 64).tolist()
         W = width[-1]
 
         plane = np.empty((nq, W), dtype=np.uint64)
         plane[:, :S] = block
         blocks = plane.reshape(nq, W // S, S)
-        plane_flat = plane.reshape(-1)
         sign = np.zeros(W, dtype=np.uint64)
-        scratch = np.empty((2, W), dtype=np.uint64)
-        # per trial of the pass, the plane words of its slot and its bits
-        # in each (trials that never join have no event to look them up)
-        spans_idx, spans_mask = self._trial_spans(ref_slots + order.size, B)
-        trial_words = np.zeros((total, spans_idx.shape[1]), dtype=np.int64)
-        trial_words[order] = spans_idx[ref_slots:]
-        trial_mask = np.zeros(trial_words.shape, dtype=np.uint64)
-        trial_mask[order] = spans_mask[ref_slots:]
+        units, shift = _trial_units(plane, cols)
+        sign_units = _trial_units(sign, cols)[0]
+        U = sign_units.shape[0]  # units per plane row
+        whole = ~units.dtype.type(0)
+        slot_of = np.empty(total, dtype=np.int64)
+        slot_of[order] = np.arange(ref_slots, ref_slots + order.size)
 
         w, step = S, 0
-        rows, tmp, spare = list(plane[:, :w]), scratch[0, :w], scratch[1, :w]
-        for li, ops in enumerate(self._ops):
-            _gate_pass(ops, rows, tmp, spare)
+        for li, layer in enumerate(self._layers):
+            _gate_pass(layer, plane, w)
             if step < len(join) and join[step] == li:
                 # copy the block out first: broadcasting it from a view of
                 # the same plane would buffer the whole fill
                 blocks[:, w // S : width[step] // S] = plane[:, :S].copy()[:, None, :]
                 w = width[step]
                 step += 1
-                rows, tmp, spare = list(plane[:, :w]), scratch[0, :w], scratch[1, :w]
+            if bounds[2 * li] == bounds[2 * li + 2]:
+                continue
+            row_units = maps[li] * U  # each logical qubit's first unit
             # X flips of this layer, then Z phases read from the flipped plane
             for is_z in (0, 1):
                 lo, hi = bounds[2 * li + is_z], bounds[2 * li + is_z + 1]
                 if lo == hi:
                     continue
-                # take, not fancy indexing: several times faster on rows
-                t = trial[lo:hi]
-                words, wmask = trial_words.take(t, axis=0), trial_mask.take(t, axis=0).ravel()
-                qubit = cell[lo:hi] - (2 * li + is_z) * nq
-                widx = (maps[li].take(qubit)[:, None] * W + words).ravel()
+                unit = slot_of.take(trial[lo:hi])
+                if shift:  # each slot's bit in its byte
+                    bit = np.left_shift(1, unit & 7).astype(np.uint8)
+                    unit >>= shift
+                key = row_units.take(cell[lo:hi] - (2 * li + is_z) * nq)
+                key += unit
                 if is_z:
-                    np.bitwise_xor.at(sign, words.ravel(), plane_flat.take(widx) & wmask)
+                    phase = units[key]
+                    if shift:
+                        phase &= bit
+                    np.bitwise_xor.at(sign_units, unit, phase)
+                elif shift:
+                    # flips that share a byte are adjacent: each qubit's run
+                    # is sorted by trial, and trials hold their slots in order
+                    starts = np.flatnonzero(np.diff(key, prepend=-1))
+                    key = key[starts]
+                    units[key] ^= np.bitwise_or.reduceat(bit, starts)
                 else:
-                    np.bitwise_xor.at(plane_flat, widx, wmask)
+                    units[key] ^= whole
 
-        fids[order] = self._fidelities(plane, maps[n_layers - 1], sign, order.size, readout)
+        fids[order] = self._fidelities(plane, maps[n_layers - 1], sign, order.size, readout, cols)
         return fids
 
     def _run_deviations(self, cell, trial, bounds, joined) -> np.ndarray:
@@ -611,10 +709,8 @@ class PlaneEngine:
         as deviation ^ reference. The readout compares only the flagged
         read rows: a clean pair reads exactly its ideal bits.
         """
-        if self._groups is None:
-            self._groups = [self._group(ops) for ops in self._ops]
         nq = self.schedule.qubit_count
-        n_layers = len(self._ops)
+        n_layers = len(self._layers)
         ref = self._init_span.copy()
         S = ref.shape[1]
         T = np.count_nonzero(joined)
@@ -623,8 +719,10 @@ class PlaneEngine:
         dirty = np.zeros(nq * T, dtype=bool)
         flags = dirty.reshape(nq, T)
         sign = np.zeros((T, S), dtype=np.uint64)
-        for li, (swaps, inverts) in enumerate(self._groups):
-            for a, b, controls in swaps:
+        for li, (swaps, inverts) in enumerate(self._layers):
+            for rows, pols in swaps:
+                a, b, *cs = rows
+                controls = list(zip(cs, pols))
                 ra, rb = ref.take(a, axis=0), ref.take(b, axis=0)
                 x = ra ^ rb
                 m = x.copy()  # the reference's swap mask
@@ -676,41 +774,33 @@ class PlaneEngine:
         bad = np.zeros((T, S), dtype=np.uint64)
         np.bitwise_or.at(bad, t, dev.take(phys[r] * T + t, axis=0) & care.take(r, axis=0))
         fids = np.ones(joined.size)
-        fids[joined] = self._overlap_squares(bad, sign, T)
+        fids[joined] = self._overlap_squares(bad, sign, T, self.branch_count)
         return fids
 
     def _sample_events(
         self, rng: np.random.Generator, n_trials: int, total: int, offset: int
     ) -> list[np.ndarray]:
         """Draw one batch's noise: one Bernoulli process per flip-probability
-        class over its `cells.size * n_trials` slots, as one unsorted array
-        of event codes `cells[j] * total + offset + trial` per class.
+        class over its `slots * n_trials` slots, as one unsorted array of
+        event codes `cells[j] * total + offset + trial` per class that the
+        batch hits.
 
         The batch's trials are trials `offset..` of a pass of `total`.
         Slot `j * n_trials + t` is slot j of the class's cells in trial t.
         """
         codes = []
-        for q, cells in self._classes:
-            hits = _bernoulli_hits(rng, cells.size * n_trials, q)
+        for noise_class in self._classes:
+            hits = _bernoulli_hits(rng, noise_class.slots * n_trials, noise_class.q)
+            if not hits.size:
+                continue
             j = hits // n_trials
             hits -= j * n_trials  # the trial
             hits += offset
-            code = cells[j]
+            code = noise_class.cells[j]
             code *= total
             code += hits
             codes.append(code)
         return codes
-
-    @staticmethod
-    def _trial_spans(n_slots: int, B: int):
-        """Per slot of B columns, the plane words it touches and the bits
-        it owns in each. B is a power of two, so no slot straddles a word:
-        a slot of B < 64 columns owns part of one word."""
-        per = max(B // 64, 1)
-        start = np.arange(n_slots, dtype=np.int64)[:, None] * B
-        words = (start >> 6) + np.arange(per, dtype=np.int64)
-        msk = (_FULL >> np.uint64(64 - min(B, 64))) << (start & 63).astype(np.uint64)
-        return words, np.broadcast_to(msk, words.shape)
 
     def _ideal(self, plane: np.ndarray, row: np.ndarray, readout) -> np.ndarray:
         """Each read row's noiseless final bits from the pass's reference
@@ -719,9 +809,9 @@ class PlaneEngine:
         read_rows, care, _ = readout
         return plane[row[read_rows], : care.shape[1]] & care
 
-    def _fidelities(self, plane, row, sign, active: int, readout) -> np.ndarray:
+    def _fidelities(self, plane, row, sign, active: int, readout, cols: int) -> np.ndarray:
         """Fidelities of the `active` trials after the reference block, in
-        plane order."""
+        plane order, each in a slot of `cols` columns."""
         # a branch is bad when any bit it reads differs from its ideal bit;
         # word k of every tile of S words at once, for up to _READ_CHUNK
         # words per step, from the rows whose care covers word k
@@ -739,16 +829,19 @@ class PlaneEngine:
                 d ^= ideal[r, k, None]
                 d &= care[r, k, None]
                 bad[:, k] |= np.bitwise_or.reduce(d, axis=0)
-        return self._overlap_squares(bad, sign[S:], active)
+        return self._overlap_squares(bad, sign[S:], active, cols)
 
-    def _overlap_squares(self, bad: np.ndarray, sign: np.ndarray, active: int) -> np.ndarray:
+    def _overlap_squares(
+        self, bad: np.ndarray, sign: np.ndarray, active: int, cols: int
+    ) -> np.ndarray:
         """Each of `active` trials' squared overlap with the noiseless run,
-        from the words of their spans in turn: `bad` marks the branches
-        that read a wrong bit, `sign` those whose sign flipped."""
+        from the words of their spans in turn, a slot of `cols` columns
+        each whose first B columns are its branches: `bad` marks the
+        branches that read a wrong bit, `sign` those whose sign flipped."""
         B = self.branch_count
-        cols = active * B
-        good = _unpack_bits_lsb(~bad.reshape(-1), cols).reshape(active, B)
-        flipped = _unpack_bits_lsb(sign.reshape(-1), cols).reshape(active, B) & good
+        n = active * cols
+        good = _unpack_bits_lsb(~bad.reshape(-1), n).reshape(active, cols)[:, :B]
+        flipped = _unpack_bits_lsb(sign.reshape(-1), n).reshape(active, cols)[:, :B] & good
         # every weight is 2^-n, so this is the per-branch overlap sum exactly
         net = good.sum(axis=1, dtype=np.int64) - 2 * flipped.sum(axis=1, dtype=np.int64)
         overlap = net * (1.0 / B)

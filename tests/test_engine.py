@@ -22,7 +22,10 @@ from hetqram.engine import (
     _PASS_COLUMNS,
     PlaneEngine,
     _bernoulli_hits,
+    _gate_pass,
     _pack_bits_lsb,
+    _slot_columns,
+    _trial_units,
     _unpack_bits_lsb,
     _word_bits,
 )
@@ -83,7 +86,7 @@ def test_bernoulli_hits_count_is_binomial():
 
 def test_bernoulli_hits_extend_past_the_first_draw():
     """A generator whose gaps are all 1 hits every slot, which forces the
-    extension loop to draw again and again."""
+    extension loop to draw again and again, on both sides of q = 1/3."""
 
     class UnitGaps:
         calls = 0
@@ -92,15 +95,62 @@ def test_bernoulli_hits_extend_past_the_first_draw():
             UnitGaps.calls += 1
             return np.ones(size, dtype=np.int64)
 
-    hits = _bernoulli_hits(UnitGaps(), 1000, 0.01)
-    assert np.array_equal(hits, np.arange(1000))
-    assert UnitGaps.calls > 1
+        def standard_exponential(self, size):
+            UnitGaps.calls += 1
+            return np.full(size, 1e-300)
+
+    for q in (0.01, 0.5):
+        UnitGaps.calls = 0
+        hits = _bernoulli_hits(UnitGaps(), 1000, q)
+        assert np.array_equal(hits, np.arange(1000))
+        assert UnitGaps.calls > 1
+
+
+def _bernoulli_hits_geometric(rng, slots, q):
+    """The reference sampler: gaps drawn by `Generator.geometric(q)`."""
+
+    def gaps(expect):
+        m = int(expect + 5.0 * np.sqrt(expect)) + 16
+        return np.minimum(rng.geometric(q, m), slots + 1)
+
+    hits = np.cumsum(gaps(slots * q)) - 1
+    while hits[-1] < slots:
+        more = np.cumsum(gaps((slots - hits[-1]) * q)) + hits[-1]
+        hits = np.concatenate([hits, more])
+    return hits[: np.searchsorted(hits, slots)]
+
+
+@pytest.mark.parametrize(
+    "q", [1e-20, 1e-16, 1e-7, 1e-3, 0.01, 0.1, 0.2, 0.3, 0.3333, 1 / 3, 0.4, 0.97])
+def test_bernoulli_hits_equal_geometric_reference(q):
+    """The same hits as the sampler on `Generator.geometric`, from the same
+    stream, and the generator left in the same state: q on both sides of
+    1/3 (inversion below, search above), tiny q whose gaps are clipped,
+    slots from 1 to 10^6, and several calls in a row on one stream. At
+    q = 1e-16 over 10^17 slots the gaps pass 2^53, where floats are spaced
+    2 apart, so a second rounding (a multiply by 1 / log1p(-q)) shows."""
+    got_rng, ref_rng = trajectory_rng(3, 1), trajectory_rng(3, 1)
+    for slots in (1, 2, 10, 999, 10**4, 10**6, 10**17):
+        if slots * q > 10**7:
+            continue
+        for _ in range(3):
+            got = _bernoulli_hits(got_rng, slots, q)
+            ref = _bernoulli_hits_geometric(ref_rng, slots, q)
+            assert got.dtype == ref.dtype == np.int64
+            assert np.array_equal(got, ref), (slots, q)
+            assert repr(got_rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+
+def _sampled_codes(engine, rng, n_trials):
+    """One batch's event codes from the engine's sampler, as one array."""
+    return np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + engine._sample_events(rng, n_trials, n_trials, 0))
 
 
 def _events_by_key(engine, rng, n_trials):
     """Sampled events as (key, qubit, trial) arrays, key = layer * 2 + is_z,
     decoded from the engine's event codes."""
-    codes = np.concatenate(engine._sample_events(rng, n_trials, n_trials, 0))
+    codes = _sampled_codes(engine, rng, n_trials)
     assert codes.dtype == np.int64
     cell, trial = np.divmod(codes, n_trials)
     key, qubit = np.divmod(cell, engine.schedule.qubit_count)
@@ -201,6 +251,21 @@ def test_forced_events_match_reference_engine_exactly():
             batch = eng.run_events({layer_idx: events}, 3)
             ref = reference_fidelity(sched, {layer_idx: events})
             assert batch == pytest.approx([ref] * 3, abs=1e-12)
+
+
+def test_run_events_repeated_event_cancels_in_pairs():
+    """An event given twice in one layer cancels, and three times acts
+    once, as two flips of one qubit do: X on a leaf's value bit and Z on
+    the root direction, each against the same event given once."""
+    sched = build_bb_hetero(3, "qutrit", [1, 0, 0, 1, 1, 1, 0, 1])
+    last = len(sched.layers) - 1
+    leaf_value, root = sched.output_mask(5)[-2], _root_direction(sched)
+    for event in (PauliEvent(leaf_value, "X"), PauliEvent(root, "Z")):
+        eng = PlaneEngine(sched, None)
+        once = eng.run_events({last: [event]}, 3)
+        assert np.all(once < 1.0)
+        assert np.all(eng.run_events({last: [event] * 2}, 3) == 1.0)
+        assert eng.run_events({last: [event] * 3}, 3).tobytes() == once.tobytes()
 
 
 def _root_direction(sched):
@@ -447,10 +512,29 @@ def test_word_bits_equals_bit_by_bit_definition(data):
 @pytest.mark.parametrize("B", [1, 2, 8, 32, 64, 128, 1024])
 @pytest.mark.parametrize("n_trials", [1, 7, 63, 64, 65, 130])
 def test_trial_spans_equal_word_by_word_definition(B, n_trials):
-    idx, msk = PlaneEngine._trial_spans(n_trials, B)
-    ref_idx, ref_msk = _trial_spans_loop(n_trials, B)
-    assert np.array_equal(idx, ref_idx) and idx.dtype == ref_idx.dtype
-    assert np.array_equal(msk, ref_msk) and msk.dtype == ref_msk.dtype
+    """Flipping the trial unit of slot t, as a pass of B branches applies
+    an X event, flips exactly the columns of span t in the word-by-word
+    definition, on a plane row and on a (rows, words) plane alike. A slot
+    holds B columns, widened to a byte for B = 2, 4 (whose columns
+    `_pack_span` tiles), or one column in sampled-basis mode (B = 1),
+    where the unit is a byte of 8 slots and the flip the slot's bit."""
+    cols = _slot_columns(B)
+    assert cols == (B if B in (1, 8, 32, 64, 128, 1024) else 8)
+    idx, msk = _trial_spans_loop(n_trials, cols)
+    W = (n_trials * cols + 63) // 64
+    for shape in ((W,), (3, W)):
+        for t in range(n_trials):
+            words = np.zeros(shape, dtype=np.uint64)
+            units, shift = _trial_units(words, cols)
+            unit = t >> shift
+            if len(shape) == 2:  # the slot on row 1
+                unit += units.shape[0] // 3
+            units[unit] ^= (1 << (t & 7)) if shift else ~units.dtype.type(0)
+            expect = np.zeros(W, dtype=np.uint64)
+            expect[idx[t]] = msk[t]
+            row = words if len(shape) == 1 else words[1]
+            assert np.array_equal(row, expect), (B, t)
+            assert np.count_nonzero(words) == np.count_nonzero(expect)
 
 
 @pytest.mark.parametrize("arch,kind", VARIANTS)
@@ -523,22 +607,80 @@ def test_run_codes_single_faults_equal_word_oracle(arch, kind):
     """One `_run_codes` pass in which trial t sees only its own event,
     `cells[t] * total + t`, over every noise location of the engine's
     classes: each trial's fidelity equals the word-by-word oracle run on
-    that one event. The pass runs every location; the oracle checks all of
-    them at n=2 and an even spread of 48 (all layers, X and Z) at n=3, 4."""
-    for n in (2, 3, 4):
+    that one event. n=1..6 cross the trial units (B = 2, 4 widened to a
+    byte, uint8 to uint64). The pass runs every location; the oracle
+    checks all of them at n=1, 2, an even spread of 48 (all layers, X and
+    Z) at n=3, 4 and of 8 at n=5, 6."""
+    for n in range(1, 7):
         sched = build_schedule(arch, n, kind, _database(n))
         eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 0.2), sched.profile))
-        cells = np.sort(np.concatenate([c for _, c in eng._classes]))
+        cells = np.sort(np.concatenate([c.cells for c in eng._classes]))
         total = cells.size
         fids = eng._run_codes(cells * total + np.arange(total), total)
         assert fids.shape == (total,)
-        check = range(total) if n == 2 else np.linspace(0, total - 1, 48).astype(int)
+        spread = {3: 48, 4: 48, 5: 8, 6: 8}.get(n, total)
+        check = np.linspace(0, total - 1, spread).astype(int)
         nq = sched.qubit_count
         for t in check:
             key, qubit = divmod(int(cells[t]), nq)
             event = {key // 2: [PauliEvent(qubit, "XZ"[key % 2])]}
             assert fids[t] == reference_fidelity(sched, event), (arch, kind, n, key, qubit)
         assert np.any(fids < 1.0) and np.any(fids == 1.0)
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_sampled_basis_trials_equal_per_address_oracle(arch, kind):
+    """Each sampled-basis trial's fidelity from one seeded pass equals the
+    word-by-word oracle on the trial's own address and events, decoded
+    from the same stream. Trials share plane bytes eight at a time, and at
+    this rate many share a (layer, qubit) X flip with a neighbour."""
+    for n in (3, 4):
+        sched = build_schedule(arch, n, kind, _database(n), round_trip=n == 3)
+        noise = NoiseModel(SurfaceParams(0.03, 0.2), sched.profile)
+        eng = PlaneEngine(sched, noise, address_mode="basis")
+        n_trials = 150
+        fids = eng.run(trajectory_rng(n, 1), n_trials)
+        rng = trajectory_rng(n, 1)
+        addresses = rng.integers(0, 1 << n, size=n_trials).tolist()
+        key, qubit, trial = _events_by_key(eng, rng, n_trials)
+        events = [{} for _ in range(n_trials)]
+        for k, q, t in sorted(zip(key.tolist(), qubit.tolist(), trial.tolist())):
+            events[t].setdefault(k // 2, []).append(PauliEvent(q, "XZ"[k % 2]))
+        for t in range(n_trials):
+            expect = reference_fidelity(sched, events[t], addresses=[addresses[t]])
+            assert fids[t] == expect, (arch, kind, n, t)
+        assert 0.0 < fids.mean() < 1.0
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+@pytest.mark.parametrize("chunk", [1, 1 << 40], ids=["gate", "group"])
+def test_grouped_layer_kernel_equals_apply_to_word(arch, kind, chunk, monkeypatch):
+    """Every compiled layer, run by `_gate_pass` on a plane of random
+    columns, equals `Gate.apply_to_word` on each column's word, n=1..5.
+    The layer reads each logical qubit at its physical row before the
+    layer and leaves it at the row after it, and a word past the active
+    prefix stays as it was. A chunk of one word runs one gate per step,
+    and a huge one whole polarity groups."""
+    monkeypatch.setattr("hetqram.engine._GATE_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    for n in range(1, 6):
+        sched = build_schedule(arch, n, kind, _database(n))
+        nq = sched.qubit_count
+        layers, maps = PlaneEngine(sched, None)._compile(set(range(len(sched.layers))))
+        before = np.arange(nq)
+        for li, layer in enumerate(sched.layers):
+            bits = rng.integers(0, 2, size=(nq, 64)).astype(bool)
+            plane = rng.integers(0, 2**63, size=(nq, 2), dtype=np.uint64)
+            past = plane[:, 1].copy()
+            plane[before, :1] = _pack_bits_lsb(bits)
+            _gate_pass(layers[li], plane, 1)
+            words = [int("".join("1" if b else "0" for b in col[::-1]), 2) for col in bits.T]
+            for gate in layer.gates:
+                words = [gate.apply_to_word(w) for w in words]
+            after = maps[li]
+            assert np.array_equal(plane[after, :1], _pack_bits_lsb(_word_bits(words, nq))), (n, li)
+            assert np.array_equal(plane[:, 1], past)
+            before = after
 
 
 def _spy_deviation_passes(monkeypatch):
@@ -569,8 +711,7 @@ def test_deviation_kernel_equals_dense_kernel(arch, kind, monkeypatch):
             sched = build_schedule(arch, n, kind, _database(n), round_trip=round_trip)
             for p_prime in (0.01, 0.1):
                 eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, p_prime), sched.profile))
-                codes = np.concatenate(
-                    eng._sample_events(trajectory_rng(n, 0), n_trials, n_trials, 0))
+                codes = _sampled_codes(eng, trajectory_rng(n, 0), n_trials)
                 fids = {}
                 for limit in (0.0, math.inf):
                     monkeypatch.setattr("hetqram.engine._DEVIATION_EVENTS_PER_ROW", limit)
@@ -590,7 +731,7 @@ def test_deviation_single_faults_equal_word_oracle(monkeypatch):
     calls = _spy_deviation_passes(monkeypatch)
     sched = build_schedule("bb-hetero", 7, "qubit", _database(7))
     eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 0.2), sched.profile))
-    cells = np.sort(np.concatenate([c for _, c in eng._classes]))
+    cells = np.sort(np.concatenate([c.cells for c in eng._classes]))
     cells = cells[np.linspace(0, cells.size - 1, 48).astype(int)]
     total = cells.size
     fids = eng._run_codes(cells * total + np.arange(total), total)
@@ -646,6 +787,22 @@ def _noise_classes_loop(sched, noise):
     return list(classes.items())
 
 
+def test_noise_class_cells_built_on_first_hit():
+    """A class builds its cells on the first batch that hits it: after a
+    batch that draws no event, no class has built any, and after a noisy
+    batch exactly the classes it hit have."""
+    sched = build_bb_hetero(3, "qutrit", _database(3))
+    quiet = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 1e-9), sched.profile))
+    assert np.all(quiet.run(trajectory_rng(0, 0), 64) == 1.0)
+    assert all(c._cells is None for c in quiet._classes)
+    eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 0.1), sched.profile))
+    key, qubit, _ = _events_by_key(eng, trajectory_rng(1, 0), 16)
+    hit = set((key * sched.qubit_count + qubit).tolist())
+    built = [c._cells is not None for c in eng._classes]
+    assert any(built) and not all(built)
+    assert built == [bool(hit & set(c.cells.tolist())) for c in eng._classes]
+
+
 @pytest.mark.parametrize("arch,kind", VARIANTS)
 def test_noise_classes_equal_loop_definition(arch, kind):
     """The engine's vectorized class table holds the loop's classes, in the
@@ -656,6 +813,8 @@ def test_noise_classes_equal_loop_definition(arch, kind):
         for channel in ("xz", "x", "z"):
             noise = NoiseModel(SurfaceParams(0.03, 0.3), sched.profile, channel=channel)
             eng = PlaneEngine(sched, noise)
-            got = [(q, cells.tolist()) for q, cells in eng._classes]
-            assert all(cells.dtype == np.int64 for _, cells in eng._classes)
+            assert all(c._cells is None for c in eng._classes)
+            got = [(c.q, c.cells.tolist()) for c in eng._classes]
+            assert all(c.cells.dtype == np.int64 and c.cells.size == c.slots
+                       for c in eng._classes)
             assert got == _noise_classes_loop(sched, noise), (arch, kind, n, channel)

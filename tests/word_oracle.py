@@ -22,10 +22,15 @@ from hetqram.noise import NoiseModel, NoisePlan, PauliEvent, net_flip_probabilit
 _flip_probability = lru_cache(maxsize=None)(net_flip_probability)
 
 
-def reference_fidelity(schedule: Schedule, events_by_layer: dict[int, list[PauliEvent]]) -> float:
-    """Fidelity of one superposition-mode trajectory whose Pauli events
-    land after the layers named by `events_by_layer`, in list order."""
-    addresses = range(1 << schedule.n)
+def reference_fidelity(
+    schedule: Schedule, events_by_layer: dict[int, list[PauliEvent]], addresses=None
+) -> float:
+    """Fidelity of one trajectory whose Pauli events land after the layers
+    named by `events_by_layer`, in list order: in superposition over every
+    address, or over `addresses` with equal weights. A single address is
+    one sampled-basis trial, whose fidelity is 1 or 0."""
+    if addresses is None:
+        addresses = range(1 << schedule.n)
     words = [schedule.initial_word(a) for a in addresses]
     signs = [1] * len(words)
     for li, layer in enumerate(schedule.layers):
@@ -37,7 +42,7 @@ def reference_fidelity(schedule: Schedule, events_by_layer: dict[int, list[Pauli
                 words = [w ^ bit for w in words]
             else:
                 signs = [-s if w & bit else s for s, w in zip(signs, words)]
-    weight = 2.0 ** -schedule.n
+    weight = 1.0 / len(addresses)
     overlap = 0.0
     for a, w, s in zip(addresses, words, signs):
         ideal = schedule.ideal_word(a)

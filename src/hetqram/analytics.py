@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Literal
 
 from .noise import (
@@ -155,76 +154,24 @@ def ft_coherence_time_by_distance(inputs: BoundInputs, d: int) -> int:
     return sum((k + 1) * 2 * k * c + k * s for k in range(2, d + 1))
 
 
-def _power_sums(p: float) -> list[float]:
-    """S_k = sum_{m>=1} m^k p^m for k = 0..5, closed forms."""
-    q = 1.0 - p
-    return [
-        p / q,
-        p / q**2,
-        p * (1 + p) / q**3,
-        p * (1 + 4 * p + p * p) / q**4,
-        p * (1 + 11 * p + 11 * p * p + p**3) / q**5,
-        p * (1 + 26 * p + 66 * p * p + 26 * p**3 + p**4) / q**6,
-    ]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def _ft_pair_polynomial(cost: CycleCost) -> list[Fraction]:
-    """Coefficients of f(m) = (2m-2) I(2m-1) + (2m-1) I(2m) in powers of m.
-
-    I(d) expands the inner time sum as a cubic in d; pairing the two
-    distances that share one effective distance gives a quintic in m whose
-    geometric-weighted sum has a closed form.
-    """
-    c, s = Fraction(cost.c), Fraction(cost.s)
-    # I(d) = 2c (d(d+1)(2d+1)/6 - 1) + (s+2c)(d(d+1)/2 - 1) + s(d-1)
-    def inner_poly(d_poly: list[Fraction]) -> list[Fraction]:
-        d1 = _poly_add(d_poly, [Fraction(1)])
-        d2 = _poly_add(_poly_mul([Fraction(2)], d_poly), [Fraction(1)])
-        a2 = _poly_add(
-            [Fraction(x) * Fraction(1, 6) for x in _poly_mul(_poly_mul(d_poly, d1), d2)],
-            [Fraction(-1)],
-        )
-        a1 = _poly_add(
-            [x * Fraction(1, 2) for x in _poly_mul(d_poly, d1)], [Fraction(-1)]
-        )
-        a0 = _poly_add(d_poly, [Fraction(-1)])
-        out = [Fraction(0)]
-        out = _poly_add(out, [2 * c * x for x in a2])
-        out = _poly_add(out, [(s + 2 * c) * x for x in a1])
-        out = _poly_add(out, [s * x for x in a0])
-        return out
-
-    odd = [Fraction(-1), Fraction(2)]  # d = 2m - 1
-    even = [Fraction(0), Fraction(2)]  # d = 2m
-    term_odd = _poly_mul(_poly_add(odd, [Fraction(-1)]), inner_poly(odd))
-    term_even = _poly_mul(_poly_add(even, [Fraction(-1)]), inner_poly(even))
-    return _poly_add(term_odd, term_even)
-
-
 def ft_k_closed_form(params: SurfaceParams, cost: CycleCost) -> float:
-    """n -> infinity limit of the block-routing K sum, in closed form."""
-    poly = _ft_pair_polynomial(cost)
-    sums = _power_sums(params.p_ratio)
+    """n -> infinity limit of the block-routing K sum, in closed form.
+
+    The distances 2m-1 and 2m share the effective distance m, so the sum
+    is sum_{m>=1} f(m) p^m with f(m) = (2m-2) I(2m-1) + (2m-1) I(2m) and I
+    the inner time sum `_ft_inner_time`, a cubic in d. So f is a quartic in
+    m, and Newton's forward differences f(m) = sum_j C(m-1, j) D^j f(1) with
+    sum_{m>=1} C(m-1, j) p^m = (p/(1-p))^(j+1) give
+    K = sum_{j=0}^{4} D^j f(1) (p/(1-p))^(j+1), exact in integers up to the
+    powers of p/(1-p).
+    """
+    diffs = [(2 * m - 2) * _ft_inner_time(2 * m - 1, cost)
+             + (2 * m - 1) * _ft_inner_time(2 * m, cost) for m in range(1, 6)]
+    x = params.p_ratio / (1.0 - params.p_ratio)
     total = 0.0
-    for k, coef in enumerate(poly):
-        if coef:
-            total += float(coef) * sums[k]
+    for j in range(5):
+        total += diffs[0] * x ** (j + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return total
 
 

@@ -1,19 +1,22 @@
 """Command-line front end: sweeps, bound curves, resource tables, comparisons.
 
-Every flag can also be given in a flat key=value config file (--config);
-explicit flags override file values. Exit codes: 0 success, 2 invalid
-configuration, 3 simulation/resource limit, 4 I/O failure.
+A flat key=value config file (--config) stands for the flags it names: each
+key must be exactly one of that subcommand's flags, and `key = value` is
+parsed as `--key=value` ahead of the explicit flags, so those override it.
+argparse checks every value, from the command line or the file, once; an
+absent flag keeps the library's default. Exit codes: 0 success, 2 invalid
+configuration (one `error:` line), 3 simulation/resource limit, 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 
 from . import analytics
 from .harness import (
     ARCHITECTURES,
-    ComparisonRow,
     ConfigError,
     ExperimentConfig,
     REPORT_FIELDS,
@@ -37,11 +40,33 @@ _COMMON_KEYS = (
     "arch", "routers", "n", "p-prime", "epsilon-prime", "c", "s", "trials", "seed",
     "profile", "address-mode", "database", "round-trip", "batch-size", "out", "format",
 )
-#: keys of flags only some subcommands have
-_COMMAND_KEYS = ("efficient", "mode", "distance")
-_CONFIG_KEYS = set(_COMMON_KEYS) | set(_COMMAND_KEYS)
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
+#: flag dest -> the ExperimentConfig field that takes its parsed value as is
+_CONFIG_FIELDS = {
+    "routers": "router_kind", "profile": "profile", "trials": "trials", "seed": "seed",
+    "address_mode": "address_mode", "database": "database_mode", "batch_size": "batch_size",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises ConfigError for every bad flag or value,
+    and that keeps each flag's action by option string, so a config-file key
+    is checked against exactly the flags of its own subcommand."""
+
+    def __init__(self, *args, parents=(), **kwargs):
+        self.flags: dict[str, argparse.Action] = {}
+        for parent in parents:
+            self.flags.update(parent.flags)
+        super().__init__(*args, parents=parents, **kwargs)
+
+    def add_argument(self, *names, **kwargs):
+        action = super().add_argument(*names, **kwargs)
+        self.flags.update(dict.fromkeys(action.option_strings, action))
+        return action
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _parse_n_range(text: str) -> tuple[int, ...]:
@@ -57,17 +82,11 @@ def _parse_n_range(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad n range {text!r}; use A..B or comma list") from None
 
 
-def _parse_round_trip(text: str | None) -> bool | None:
-    """`on`/`off` to True/False; absent keeps each architecture's own protocol."""
-    if text is None:
-        return None
-    if text not in ("on", "off"):
-        raise ConfigError(f"bad round-trip {text!r}; use on or off")
-    return text == "on"
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_tokens(path: str, command: _Parser) -> list[str]:
+    """The flags a config file stands for: `key = value` becomes
+    `--key=value`, and a switch (`--efficient`) is given or left out by
+    the truth of its value."""
+    tokens = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -77,16 +96,23 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.replace("_", "-")
-            if key not in _CONFIG_KEYS:
+            action = command.flags.get(f"--{key}")
+            if action is None or action.dest in ("help", "config"):
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val
-    return values
+            if action.nargs != 0:
+                tokens.append(f"--{key}={val}")
+                continue
+            if val.lower() not in _BOOLEANS:
+                raise ConfigError(f"{path}:{lineno}: bad {key} {val!r}; use true or false")
+            if _BOOLEANS[val.lower()]:
+                tokens.append(f"--{key}")
+    return tokens
 
 
-def _common_parser() -> argparse.ArgumentParser:
+def _common_parser() -> _Parser:
     """The flags that `sim`, `bounds`, `resources` and `compare` share,
     declared once and handed to each through `parents=`."""
-    p = argparse.ArgumentParser(add_help=False)
+    p = _Parser(add_help=False)
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--arch", help="comma list of " + ",".join(ARCHITECTURES))
     p.add_argument("--routers", choices=("qubit", "qutrit"))
@@ -104,12 +130,13 @@ def _common_parser() -> argparse.ArgumentParser:
                    help="default: each architecture's own protocol")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     return p
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top parser and each subcommand's parser by name."""
+    parser = _Parser(
         prog="hetqram",
         description="Heterogeneously error-corrected QRAM simulator and analytics",
     )
@@ -121,95 +148,54 @@ def _build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--efficient", action="store_true", help="odd-paired distances")
     p_res.add_argument("--distance", type=int, help="uniform tree distance")
     p_cmp = sub.add_parser("compare", parents=common, help="equal-fidelity overhead comparison")
-    p_cmp.add_argument("--mode", choices=("analytic", "simulated", "auto"), default=None)
+    p_cmp.add_argument("--mode", choices=("analytic", "simulated", "auto"), default="analytic")
     p_fit = sub.add_parser("fit", help="scaling exponent from a sweep CSV")
     p_fit.add_argument("--in", dest="input", required=True, help="sweep report (csv or json)")
     p_fit.add_argument("--out")
-    p_fit.add_argument("--format", choices=("csv", "json"))
-    return parser
+    p_fit.add_argument("--format", choices=("csv", "json"), default="csv")
+    return parser, sub.choices
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    """File values first, then explicit flags on top."""
-    merged: dict[str, str] = {}
-    if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
-    for key in _COMMON_KEYS + _COMMAND_KEYS:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None and val is not False:  # an absent --efficient is False
-            merged[key] = str(val)
-    return merged
-
-
-def _number(merged: dict, key: str, default, kind):
-    """merged[key] read as `kind` (int or float), or `default` when absent."""
-    text = merged.get(key)
-    if text is None:
-        return default
+def _config_from(args: argparse.Namespace) -> ExperimentConfig:
+    """The experiment the given flags describe; every flag left out keeps
+    the default of ExperimentConfig, SurfaceParams or CycleCost."""
+    given = {key: val for key, val in vars(args).items() if val is not None}
+    fields = {field: given[key] for key, field in _CONFIG_FIELDS.items() if key in given}
+    if "arch" in given:
+        fields["architectures"] = tuple(a.strip() for a in given["arch"].split(",") if a.strip())
+    if "n" in given:
+        fields["n_values"] = _parse_n_range(given["n"])
+    if "round_trip" in given:
+        fields["round_trip"] = given["round_trip"] == "on"
     try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(f"bad {key} {text!r}; expected {kind.__name__}") from None
-
-
-def _choice(merged: dict, key: str, default: str, choices: tuple[str, ...]) -> str:
-    """merged[key], or `default` when absent; must be one of `choices`."""
-    text = merged.get(key, default)
-    if text not in choices:
-        raise ConfigError(f"bad {key} {text!r}; use {' or '.join(choices)}")
-    return text
-
-
-def _format(merged: dict) -> str:
-    return _choice(merged, "format", "csv", ("csv", "json"))
-
-
-def _config_from(merged: dict) -> ExperimentConfig:
-    archs = tuple(a.strip() for a in merged.get("arch", "bb-hetero").split(",") if a.strip())
-    try:
-        params = SurfaceParams(
-            epsilon_prime=_number(merged, "epsilon-prime", 0.03, float),
-            p_ratio=_number(merged, "p-prime", 0.1, float),
-        )
-        cost = CycleCost(c=_number(merged, "c", 2, int), s=_number(merged, "s", 1, int))
+        fields["params"] = SurfaceParams(**{
+            field: given[key]
+            for key, field in (("epsilon_prime", "epsilon_prime"), ("p_prime", "p_ratio"))
+            if key in given
+        })
+        fields["cost"] = CycleCost(**{key: given[key] for key in ("c", "s") if key in given})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return ExperimentConfig(
-        architectures=archs,
-        router_kind=merged.get("routers", "qutrit"),
-        n_values=_parse_n_range(merged.get("n", "4")),
-        params=params,
-        cost=cost,
-        profile=merged.get("profile"),
-        trials=_number(merged, "trials", 1000, int),
-        seed=_number(merged, "seed", 7, int),
-        address_mode=merged.get("address-mode", "superposition"),
-        database_mode=merged.get("database", "random"),
-        batch_size=_number(merged, "batch-size", 512, int),
-        round_trip=_parse_round_trip(merged.get("round-trip")),
-    )
+    return ExperimentConfig(**fields)
 
 
-def _emit_rows(fields: tuple[str, ...], rows: list[tuple], fmt: str, out: str | None) -> None:
-    text = rows_to_text(fields, rows, fmt)
-    if out:
-        with open(out, "w") as fh:
+def _emit_rows(fields: tuple[str, ...], rows: list[tuple], args: argparse.Namespace) -> None:
+    text = rows_to_text(fields, rows, args.format)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_sim(merged: dict) -> int:
-    config = _config_from(merged)
-    fmt = _format(merged)
-    report = run_sweep(config)
-    _emit_rows(REPORT_FIELDS, [row.astuple() for row in report.rows], fmt, merged.get("out"))
+def _cmd_sim(args: argparse.Namespace) -> int:
+    report = run_sweep(_config_from(args))
+    _emit_rows(REPORT_FIELDS, [row.astuple() for row in report.rows], args)
     return EXIT_OK
 
 
-def _cmd_bounds(merged: dict) -> int:
-    config = _config_from(merged)
-    fmt = _format(merged)
+def _cmd_bounds(args: argparse.Namespace) -> int:
+    config = _config_from(args)
     rows = []
     for arch in config.architectures:
         kind = "qutrit" if arch == "walker" else config.router_kind
@@ -223,66 +209,57 @@ def _cmd_bounds(merged: dict) -> int:
     _emit_rows(
         ("architecture", "router_kind", "n", "p_prime", "bound", "closed_form", "vacuous"),
         rows,
-        fmt,
-        merged.get("out"),
+        args,
     )
     return EXIT_OK
 
 
-def _cmd_resources(merged: dict) -> int:
-    config = _config_from(merged)
-    fmt = _format(merged)
-    efficient = _BOOLEANS.get(merged.get("efficient", "false").lower())
-    if efficient is None:
-        raise ConfigError(f"bad efficient {merged['efficient']!r}; use true or false")
-    distance = _number(merged, "distance", None, int)
-    if distance is not None and distance < 1:
-        raise ConfigError(f"bad distance {distance}; must be >= 1")
+def _cmd_resources(args: argparse.Namespace) -> int:
+    """Hetero rows price the linear or (--efficient) odd-paired packing, so
+    they refuse a uniform profile; uniform rows need a uniform distance,
+    from --distance or the profile."""
+    config = _config_from(args)
     rows = []
     for arch in config.architectures:
         for n in config.n_values:
-            if arch == "ft-hetero":
-                est = analytics.ft_resources(n, efficient=efficient)
-            elif arch == "bb-hetero":
-                est = analytics.bb_resources(n, efficient=efficient)
-            elif arch in ("uniform-bb", "walker"):
-                d = distance if distance is not None else config.profile_for(arch, n).uniform_d
-                est = analytics.uniform_resources(n, d)
+            if arch in ("ft-hetero", "bb-hetero"):
+                if config.profile_for(arch, n).kind == "uniform":
+                    raise ConfigError(f"{arch} has no resource table for a uniform profile; "
+                                      "use linear or odd-paired")
+                table = analytics.ft_resources if arch == "ft-hetero" else analytics.bb_resources
+                est = table(n, efficient=args.efficient)
             else:
-                raise ConfigError(f"no resource model for {arch!r}")
+                d = args.distance
+                if d is None:
+                    d = config.profile_for(arch, n).uniform_d
+                if d is None:
+                    raise ConfigError(f"{arch} resources need a uniform profile or --distance")
+                if d < 1:
+                    raise ConfigError(f"bad distance {d}; must be >= 1")
+                est = analytics.uniform_resources(n, d)
             rows.append(
-                (arch, n, efficient, est.physical_total, est.physical_total / (1 << n))
+                (arch, n, args.efficient, est.physical_total, est.physical_total / (1 << n))
             )
     _emit_rows(
         ("architecture", "n", "efficient", "physical_qubits", "per_entry_overhead"),
         rows,
-        fmt,
-        merged.get("out"),
+        args,
     )
     return EXIT_OK
 
 
-def _cmd_compare(merged: dict) -> int:
-    config = _config_from(merged)
-    fmt = _format(merged)
-    mode = _choice(merged, "mode", "analytic", ("analytic", "simulated", "auto"))
-    arch = config.architectures[0]
-    if arch not in ("ft-hetero", "bb-hetero"):
-        raise ConfigError("compare needs --arch ft-hetero or bb-hetero")
-    rows = []
-    for n in config.n_values:
-        row: ComparisonRow = compare_resources(n, config, architecture=arch, mode=mode)
-        rows.append(
-            (row.n, row.hetero_architecture, row.target_infidelity, row.target_vacuous,
-             row.uniform_distance, row.uniform_physical_qubits,
-             row.hetero_physical_qubits, row.ratio)
-        )
+def _cmd_compare(args: argparse.Namespace) -> int:
+    config = _config_from(args)
+    rows = [
+        astuple(compare_resources(n, config, architecture=arch, mode=args.mode))
+        for arch in config.architectures
+        for n in config.n_values
+    ]
     _emit_rows(
         ("n", "architecture", "target_infidelity", "target_vacuous",
          "uniform_distance", "uniform_physical_qubits", "hetero_physical_qubits", "ratio"),
         rows,
-        fmt,
-        merged.get("out"),
+        args,
     )
     return EXIT_OK
 
@@ -296,33 +273,34 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
     rows = []
     for (arch, kind), points in sorted(groups.items()):
-        slope, r2 = fit_scaling(points)
+        try:
+            slope, r2 = fit_scaling(points)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.input}: {arch} {kind}: {exc}") from None
         rows.append((arch, kind, len(points), slope, r2))
-    _emit_rows(
-        ("architecture", "router_kind", "points", "slope", "r_squared"),
-        rows,
-        getattr(args, "format", None) or "csv",
-        getattr(args, "out", None),
-    )
+    _emit_rows(("architecture", "router_kind", "points", "slope", "r_squared"), rows, args)
     return EXIT_OK
 
 
+_COMMANDS = {"sim": _cmd_sim, "bounds": _cmd_bounds, "resources": _cmd_resources,
+             "compare": _cmd_compare, "fit": _cmd_fit}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        if args.command == "fit":
-            return _cmd_fit(args)
-        merged = _merge(args)
-        if args.command == "sim":
-            return _cmd_sim(merged)
-        if args.command == "bounds":
-            return _cmd_bounds(merged)
-        if args.command == "resources":
-            return _cmd_resources(merged)
-        if args.command == "compare":
-            return _cmd_compare(merged)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's flags go first, so an explicit flag wins (last one wins);
+            # the explicit ones parsed above, so an error here is the file's
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config, commands[args.command])
+            try:
+                args = parser.parse_args(argv[:at] + tokens + argv[at:])
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}: {exc}") from None
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

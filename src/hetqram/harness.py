@@ -307,6 +307,10 @@ class ReportRow:
         return tuple(getattr(self, f) for f in REPORT_FIELDS)
 
 
+#: the type of each REPORT_FIELDS column, for reading a report back
+_ROW_TYPES = (str, str, int, float, int, float, float, float, float, int)
+
+
 @dataclass
 class ExperimentReport:
     rows: list[ReportRow] = field(default_factory=list)
@@ -361,16 +365,17 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
 def fit_scaling(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slope of log(infidelity) vs log(n) and its R^2.
 
-    Nonpositive infidelity points are excluded with a warning.
+    Nonpositive infidelity points are excluded with a warning. Too few
+    points raise ConfigError.
     """
     if len(points) < 4:
-        raise ValueError("need at least 4 points for a scaling fit")
+        raise ConfigError(f"need at least 4 points for a scaling fit, got {len(points)}")
     kept = [(n, y) for n, y in points if y > 0.0]
     dropped = len(points) - len(kept)
     if dropped:
         warnings.warn(f"excluded {dropped} nonpositive infidelity point(s) from fit")
     if len(kept) < 2:
-        raise ValueError("fewer than 2 positive points remain")
+        raise ConfigError("fewer than 2 positive points remain")
     lx = np.log([n for n, _ in kept])
     ly = np.log([y for _, y in kept])
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -415,23 +420,21 @@ def compare_resources(
         raise ConfigError(f"compare models qutrit routers only, not {config.router_kind!r}")
     if config.profile not in (None, "linear"):
         raise ConfigError(f"compare models the linear profile only, not {config.profile!r}")
-    inputs = analytics.BoundInputs(n, config.params, config.cost)
+    profile = DistanceProfile.linear(n)
     simulable = n <= MAX_SUPERPOSITION_N
     use_sim = mode == "simulated" or (mode == "auto" and simulable)
     if use_sim:
         if not simulable:
             raise ResourceLimitError(f"n={n} is beyond the simulation ceiling")
-        profile = DistanceProfile.linear(n)
         schedule = build_schedule(
             architecture, n, config.router_kind, database_for(config, n),
             profile=profile, cost=config.cost, round_trip=config.round_trip,
         )
         target, _ = estimate_infidelity(config, schedule)
         target = max(target, 1e-12)
-    elif architecture == "bb-hetero":
-        target = analytics.bb_infidelity_bound(inputs)[0]
     else:
-        target = analytics.ft_infidelity_bound(inputs)[0]
+        target = bound_pair(architecture, "qutrit", n, config.params, config.cost, profile)[0]
+    inputs = analytics.BoundInputs(n, config.params, config.cost)
     d = analytics.min_uniform_distance(n, target, inputs)
     uniform_q = analytics.uniform_resources(n, d).physical_total
     if architecture == "bb-hetero":
@@ -481,31 +484,30 @@ def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
 
 
 def load_report(path: str) -> ExperimentReport:
-    """Parse a CSV or JSON report emitted by emit_report."""
+    """Parse a CSV or JSON report emitted by emit_report.
+
+    A malformed file or row raises ConfigError naming the file and the row.
+    """
     with open(path) as fh:
         text = fh.read()
-    report = ExperimentReport()
     if text.lstrip().startswith("["):
-        entries = json.loads(text)
-        for e in entries:
-            report.add(ReportRow(**{k: e[k] for k in REPORT_FIELDS}))
-        return report
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != list(REPORT_FIELDS):
-        raise ConfigError(f"unexpected CSV columns: {reader.fieldnames}")
-    for rec in reader:
-        report.add(
-            ReportRow(
-                rec["architecture"],
-                rec["router_kind"],
-                int(rec["n"]),
-                float(rec["p_prime"]),
-                int(rec["trials"]),
-                float(rec["mean_infidelity"]),
-                float(rec["ci95_low"]),
-                float(rec["ci95_high"]),
-                float(rec["analytic_bound"]),
-                int(rec["seed"]),
-            )
-        )
+        try:
+            records = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a JSON report: {exc}") from None
+    else:
+        reader = csv.DictReader(io.StringIO(text))
+        if reader.fieldnames != list(REPORT_FIELDS):
+            raise ConfigError(f"{path}: unexpected CSV columns: {reader.fieldnames}")
+        records = list(reader)
+    report = ExperimentReport()
+    for i, rec in enumerate(records, 1):
+        try:
+            # JSON values go through their text too, so that 4.5 is no int
+            values = [kind(str(rec[f])) for f, kind in zip(REPORT_FIELDS, _ROW_TYPES)]
+            report.add(ReportRow(*values))
+        except KeyError as exc:
+            raise ConfigError(f"{path}: row {i}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: row {i}: {exc}") from None
     return report

@@ -165,6 +165,16 @@ def test_ft_bound_exact_vs_closed_form_within_1pct():
             assert e == pytest.approx(c, rel=0.01)
 
 
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("p", [1e-3, 0.1, 0.5])
+def test_ft_closed_form_is_the_limit_of_the_exact_sum(c, s, p):
+    """At n=200 the exact double sum has converged to double precision:
+    even at p'=0.5 and c=3, s=2 its tail is about 1e-24 of the sum."""
+    exact, closed = ft_infidelity_bound(inputs(200, p=p, c=c, s=s))
+    assert closed == pytest.approx(exact, rel=1e-12, abs=0)
+
+
 def test_ft_bound_converged_by_n40():
     b20 = ft_infidelity_bound(inputs(20))[0]
     b40 = ft_infidelity_bound(inputs(40))[0]

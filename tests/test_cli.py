@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,12 @@ from hetqram import harness
 from hetqram.cli import _COMMON_KEYS, main
 from hetqram.harness import (
     ARCHITECTURES,
+    REPORT_FIELDS,
     ExperimentConfig,
+    compare_resources,
     matching_bound,
     report_to_csv,
+    rows_to_text,
     run_sweep,
 )
 
@@ -161,6 +165,20 @@ def test_compare_command(capsys):
     assert float(row["ratio"]) >= 4.0
 
 
+def test_compare_rows_for_every_architecture(capsys):
+    code, out, _ = run_cli(["compare", "--arch", "ft-hetero,bb-hetero", "--n", "10"], capsys)
+    assert code == 0
+    rows = [astuple(compare_resources(10, ExperimentConfig(), architecture=arch))
+            for arch in ("ft-hetero", "bb-hetero")]
+    assert out == rows_to_text(out.splitlines()[0].split(","), rows, "csv")
+
+
+def test_absent_flags_take_the_library_defaults(capsys):
+    code, out, _ = run_cli(["sim", "--n", "2", "--trials", "20"], capsys)
+    assert code == 0
+    assert out == report_to_csv(run_sweep(ExperimentConfig(n_values=(2,), trials=20)))
+
+
 def test_fit_command(tmp_path, capsys):
     report = tmp_path / "sweep.csv"
     lines = [
@@ -283,6 +301,12 @@ def test_config_file_round_trip_validated(tmp_path, capsys, value):
         assert "round-trip" in err
 
 
+def _report(*rows: str) -> str:
+    """A sweep CSV of uniform-bb qutrit rows, each given from `n` on."""
+    return "".join(line + "\n" for line in (",".join(REPORT_FIELDS),) + tuple(
+        "uniform-bb,qutrit," + row for row in rows))
+
+
 @pytest.mark.parametrize(
     "args,config",
     [
@@ -306,20 +330,43 @@ def test_config_file_round_trip_validated(tmp_path, capsys, value):
         (["resources", "--arch", "uniform-bb"], "distance = abc\n"),
         (["resources", "--arch", "uniform-bb"], "distance = 0\n"),
         (["sim", "--n", "2", "--trials", "10"], "in = nothere.csv\n"),
+        (["sim", "--n", "2", "--trials", "10"], "mode = simulated\n"),
+        (["bounds"], "efficient = yes\n"),
+        (["sim", "--n", "2", "--trials", "10"], "distance = 5\n"),
+        (["sim", "--n", "2", "--trials", "10"], "tri = 5\n"),
+        (["sim", "--n", "2", "--trials", "10"], "config = other.cfg\n"),
+        (["sim", "--routers", "foo"], None),
+        (["sim", "--trials", "abc"], None),
+        ([], None),
+        (["resources", "--arch", "uniform-bb", "--profile", "linear", "--n", "3"], None),
+        (["resources", "--arch", "walker", "--profile", "odd-paired", "--n", "3"], None),
+        (["resources", "--arch", "bb-hetero", "--profile", "uniform:5"], None),
+        (["fit"], _report("4,0.1,100,0.04,0.03,0.05,1.0,7", "5,0.1,100,0.05,0.04,0.06,1.0,7",
+                          "6,0.1,100,0.06,0.05,0.07,1.0,7")),
+        (["fit"], _report("x,0.1,100,0.04,0.03,0.05,1.0,7")),
+        (["fit"], '[{"architecture": "uniform-bb", "router_kind": "qutrit", "n": 4}]\n'),
+        (["fit"], _report("4,0.1,100,0.04,0.05,0.06,1.0,7")),
+        (["compare", "--arch", "bb-hetero,walker"], None),
     ],
     ids=["sim-n20", "sim-uniform0", "sim-uniform-bb-linear", "bounds-uniform-bb-linear",
          "sim-hetero-uniform", "bounds-hetero-uniform",
          "config-trials-abc", "bounds-n0", "config-sim-format-xml", "config-bounds-format-xml",
          "config-mode-fast", "compare-routers-qubit", "compare-simulated-uniform",
          "compare-odd-paired", "config-efficient-maybe", "config-distance-abc",
-         "config-distance-0", "config-in-unknown"],
+         "config-distance-0", "config-in-unknown", "config-sim-mode",
+         "config-bounds-efficient", "config-sim-distance", "config-key-abbreviated",
+         "config-key-config", "sim-routers-foo", "sim-trials-abc", "no-subcommand",
+         "resources-uniform-bb-linear", "resources-walker-odd-paired",
+         "resources-hetero-uniform", "fit-three-rows", "fit-bad-field",
+         "fit-json-missing-key", "fit-ci-outside-mean", "compare-walker"],
 )
 def test_invalid_config_exits_2_without_traceback(tmp_path, args, config):
-    """Run as a subprocess so an uncaught exception would show its traceback."""
+    """Run as a subprocess so an uncaught exception would show its traceback.
+    `config` is the text of the config file, or for `fit` of the report."""
     if config is not None:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
-        args = args + ["--config", str(cfg)]
+        args = args + ["--in" if args == ["fit"] else "--config", str(cfg)]
     proc = run_cli_process(args, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")

@@ -1,6 +1,8 @@
 """CLI subcommands, config-file handling, and exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -454,3 +456,62 @@ def test_sim_golden_csv(capsys):
             parts.append(out)
     golden = Path(__file__).parent / "data" / "sim_golden.csv"
     assert "".join(parts) == golden.read_text()
+
+
+#: depths for the analytic golden: every small tree, then up to the paper's 30 and 40
+_GOLDEN_N = "1,2,3,4,5,6,7,8,9,10,12,16,20,30,40"
+_NOISE = ([], ["--p-prime", "0.01"])
+_COST = ([], ["--c", "3", "--s", "2"])
+
+
+def analytic_outputs() -> dict[str, str]:
+    """stdout of `bounds`, `resources` and `compare --mode analytic` over a
+    fixed grid, keyed by the command line: every architecture and router
+    kind, depths up to 40, two values each of p' and of c/s, and the
+    --efficient, --distance and --profile flags. Regenerate the golden file
+    with `python -c "import json, test_cli as t; print(json.dumps(
+    t.analytic_outputs(), indent=1))"` from `tests/`."""
+    every = ",".join(ARCHITECTURES)
+    hetero = "ft-hetero,bb-hetero"
+    grid = [
+        ["bounds", "--arch", every, "--routers", kind, "--n", _GOLDEN_N, *noise, *cost]
+        for kind in ("qutrit", "qubit") for noise in _NOISE for cost in _COST
+    ] + [
+        ["bounds", "--arch", "ft-hetero,bb-hetero,walker", "--n", _GOLDEN_N,
+         "--profile", "odd-paired"],
+        ["bounds", "--arch", "ft-hetero,bb-hetero,walker", "--routers", "qubit",
+         "--n", _GOLDEN_N, "--profile", "linear", "--p-prime", "0.01"],
+        ["bounds", "--arch", "uniform-bb,walker", "--routers", "qubit", "--n", _GOLDEN_N,
+         "--profile", "uniform:9", "--p-prime", "0.01", "--format", "json"],
+        ["resources", "--arch", every, "--n", _GOLDEN_N],
+        ["resources", "--arch", every, "--routers", "qubit", "--n", _GOLDEN_N,
+         "--distance", "5"],
+        ["resources", "--arch", hetero, "--n", _GOLDEN_N, "--efficient"],
+        ["resources", "--arch", hetero, "--n", _GOLDEN_N, "--profile", "linear"],
+        ["resources", "--arch", "uniform-bb,walker", "--n", _GOLDEN_N,
+         "--profile", "uniform:9"],
+        ["resources", "--arch", "uniform-bb,walker", "--n", _GOLDEN_N,
+         "--profile", "uniform:9", "--distance", "5", "--format", "json"],
+    ] + [
+        ["compare", "--arch", hetero, "--n", _GOLDEN_N, "--mode", "analytic", *noise, *cost]
+        for noise in _NOISE for cost in _COST
+    ] + [
+        ["compare", "--arch", hetero, "--n", _GOLDEN_N, "--profile", "linear",
+         "--epsilon-prime", "0.02", "--format", "json"],
+    ]
+    outputs = {}
+    for args in grid:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(args) == 0, args
+        outputs[" ".join(args)] = out.getvalue()
+    return outputs
+
+
+def test_analytic_golden():
+    """The analytic subcommands' output, byte for byte (see
+    `analytic_outputs`); a change to a bound, a coherence time or a
+    resource table on purpose regenerates tests/data/analytic_golden.json
+    and says why."""
+    golden = json.loads((Path(__file__).parent / "data" / "analytic_golden.json").read_text())
+    assert analytic_outputs() == golden

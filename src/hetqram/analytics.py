@@ -128,34 +128,31 @@ def hetero_bound(inputs: BoundInputs, coherence: Callable[[int], float]) -> floa
 
 
 def ft_coherence_time(inputs: BoundInputs, level: int) -> int:
-    """Cycles a level-j router stays coherent under block routing.
-
-    T_j = sum_{i=j}^{n-1} [(n-i+2) * 2(n-i+1)c + (n-i+1)s]; empty (0) at
-    the leaf level.
-    """
-    n, c, s = inputs.n, inputs.cost.c, inputs.cost.s
+    """Cycles a level-j router stays coherent under block routing: the
+    distance sum `ft_coherence_time_by_distance` at d = n - j + 1, so
+    empty (0) at the leaf level."""
+    n = inputs.n
     if not 0 <= level <= n:
         raise ValueError(f"level {level} outside [0, {n}]")
-    total = 0
-    for i in range(level, n):
-        k = n - i + 1
-        total += (k + 1) * 2 * k * c + k * s
-    return total
-
-
-def _ft_inner_time(d: int, cost: CycleCost) -> int:
-    """sum_{d'=2}^{d} (d'+1)(2 d' c + s): block work while at distance <= d."""
-    return sum((dp + 1) * (2 * dp * cost.c + cost.s) for dp in range(2, d + 1))
+    return ft_coherence_time_by_distance(inputs, n - level + 1)
 
 
 def ft_coherence_time_by_distance(inputs: BoundInputs, d: int) -> int:
-    """ft_coherence_time re-indexed by code distance d = n - level + 1."""
+    """T_d = sum_{k=2}^{d} [(k+1) * 2kc + ks]: block routing's one coherence
+    sum, indexed by code distance d = n - level + 1 (it does not read n)."""
     c, s = inputs.cost.c, inputs.cost.s
     return sum((k + 1) * 2 * k * c + k * s for k in range(2, d + 1))
 
 
-def ft_k_closed_form(params: SurfaceParams, cost: CycleCost) -> float:
-    """n -> infinity limit of the block-routing K sum, in closed form.
+def _ft_inner_time(inputs: BoundInputs, d: int) -> int:
+    """sum_{d'=2}^{d} (d'+1)(2 d' c + s): block work while at distance <= d,
+    which is T_d plus one s per d'."""
+    return ft_coherence_time_by_distance(inputs, d) + (d - 1) * inputs.cost.s
+
+
+def ft_k_closed_form(inputs: BoundInputs) -> float:
+    """n -> infinity limit of the block-routing K sum, in closed form (it
+    does not read `inputs.n`).
 
     The distances 2m-1 and 2m share the effective distance m, so the sum
     is sum_{m>=1} f(m) p^m with f(m) = (2m-2) I(2m-1) + (2m-1) I(2m) and I
@@ -165,9 +162,9 @@ def ft_k_closed_form(params: SurfaceParams, cost: CycleCost) -> float:
     K = sum_{j=0}^{4} D^j f(1) (p/(1-p))^(j+1), exact in integers up to the
     powers of p/(1-p).
     """
-    diffs = [(2 * m - 2) * _ft_inner_time(2 * m - 1, cost)
-             + (2 * m - 1) * _ft_inner_time(2 * m, cost) for m in range(1, 6)]
-    x = params.p_ratio / (1.0 - params.p_ratio)
+    diffs = [(2 * m - 2) * _ft_inner_time(inputs, 2 * m - 1)
+             + (2 * m - 1) * _ft_inner_time(inputs, 2 * m) for m in range(1, 6)]
+    x = inputs.params.p_ratio / (1.0 - inputs.params.p_ratio)
     total = 0.0
     for j in range(5):
         total += diffs[0] * x ** (j + 1)
@@ -184,9 +181,9 @@ def ft_infidelity_bound(inputs: BoundInputs) -> tuple[float, float]:
     p = inputs.params.p_ratio
     total = 0.0
     for d in range(1, inputs.n + 2):
-        total += p ** effective_distance(d) * (d - 1) * _ft_inner_time(d, inputs.cost)
+        total += p ** effective_distance(d) * (d - 1) * _ft_inner_time(inputs, d)
     eps4 = 4.0 * inputs.params.epsilon_prime
-    return eps4 * total, eps4 * ft_k_closed_form(inputs.params, inputs.cost)
+    return eps4 * total, eps4 * ft_k_closed_form(inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +191,16 @@ def ft_infidelity_bound(inputs: BoundInputs) -> tuple[float, float]:
 
 
 def bb_coherence_time(inputs: BoundInputs, level: int) -> int:
-    """T_i = 2nc(1 + 4(n-i)): conservative coherence under pipelined routing."""
-    n, c = inputs.n, inputs.cost.c
+    """Conservative coherence of a level-i router under pipelined routing:
+    `bb_coherence_time_by_distance` at d = n - i + 1, so 2nc(1 + 4(n-i))."""
+    n = inputs.n
     if not 0 <= level <= n:
         raise ValueError(f"level {level} outside [0, {n}]")
-    return 2 * n * c * (1 + 4 * (n - level))
+    return bb_coherence_time_by_distance(inputs, n - level + 1)
 
 
 def bb_coherence_time_by_distance(inputs: BoundInputs, d: int) -> int:
-    """bb_coherence_time re-indexed by distance d = n - level + 1."""
+    """T_d = 2nc(1 + 4(d-1)), indexed by code distance d = n - level + 1."""
     return 2 * inputs.n * inputs.cost.c * (1 + 4 * (d - 1))
 
 
@@ -226,39 +224,26 @@ def bb_infidelity_bound(inputs: BoundInputs) -> tuple[float, float]:
 # resource estimates (3 d^2 physical qubits per logical qubit)
 
 
-def _layer_distances(n: int, efficient: bool) -> list[int]:
+def _tree_resources(
+    n: int, efficient: bool, logical: Callable[[int], int]
+) -> ResourceEstimate:
+    """Per-level rows (level, logical(level), distance) of the linear or
+    (efficient) odd-paired profile, and their 3 d^2 physical packing."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     profile = DistanceProfile.odd_paired(n) if efficient else DistanceProfile.linear(n)
-    return profile.distances()
+    rows = tuple((i, logical(i), profile.distance(i)) for i in range(n + 1))
+    return ResourceEstimate(rows, sum(3 * q * d * d for _, q, d in rows))
 
 
 def ft_resources(n: int, efficient: bool = False) -> ResourceEstimate:
     """Per-level logical counts 2^i (n-i+2) and the 3 d^2 physical packing."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dists = _layer_distances(n, efficient)
-    rows = []
-    total = 0
-    for i in range(n + 1):
-        logical = (1 << i) * (n - i + 2)
-        d = dists[i]
-        rows.append((i, logical, d))
-        total += 3 * logical * d * d
-    return ResourceEstimate(tuple(rows), total)
+    return _tree_resources(n, efficient, lambda i: (1 << i) * (n - i + 2))
 
 
 def bb_resources(n: int, efficient: bool = False) -> ResourceEstimate:
     """Per-level logical counts 3 * 2^i and the 3 d^2 physical packing."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dists = _layer_distances(n, efficient)
-    rows = []
-    total = 0
-    for i in range(n + 1):
-        logical = 3 * (1 << i)
-        d = dists[i]
-        rows.append((i, logical, d))
-        total += 3 * logical * d * d
-    return ResourceEstimate(tuple(rows), total)
+    return _tree_resources(n, efficient, lambda i: 3 * (1 << i))
 
 
 def uniform_resources(n: int, d: int) -> ResourceEstimate:

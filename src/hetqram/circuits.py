@@ -500,7 +500,6 @@ def _append_return_pass(layers: list[Layer]) -> None:
 
 def _tree_schedule(
     architecture: str,
-    router_kind: str,
     n: int,
     reg: _Registry,
     layers: list[Layer],
@@ -517,23 +516,25 @@ def _tree_schedule(
 
     `roots` are the modes of the root slots: the n address slots, then the
     bus. `routers` maps (level, node) to a router mode and `leaves` holds
-    each leaf's mode. Transit modes are (value, presence) and routers
-    (direction, active) under qutrit routers; under qubit routers both are
-    one rail, and the bus carries the marker 1, so its data reads
-    inverted. With round_trip the descent is mirrored after the copy and
-    the output is read back at the root slots; without it, at the routers
-    on the path and the leaf.
+    each leaf's mode. The readout reads only the width of the modes: a
+    mode's first rail carries its value, and every later rail (presence,
+    under qutrit routers) starts at 1 in the address modes and must still
+    be 1 in the modes read for the query to count as delivered. The bus's
+    last rail starts at 1, so a one-rail bus carries the marker 1 and its
+    copied value reads inverted. With round_trip the descent is mirrored
+    after the copy and the output is read back at the root slots; without
+    it, at the routers on the path and the leaf.
     """
-    qutrit = router_kind == "qutrit"
+    bus = roots[n]
     if round_trip:
         _append_return_pass(layers)
 
     def initial_word(address: int) -> int:
-        word = 0
+        word = 1 << bus[-1]
         for k in range(n):
             word |= address_bit(address, k, n) << roots[k][0]
-        for q in [m[1] for m in roots] if qutrit else [roots[n][0]]:
-            word |= 1 << q
+            for q in roots[k][1:]:
+                word |= 1 << q
         return word
 
     def mask(address: int) -> tuple[int, ...]:
@@ -547,23 +548,23 @@ def _tree_schedule(
         if round_trip:
             for k in range(n):
                 addr = (addr << 1) | ((word >> roots[k][0]) & 1)
-            value = (word >> roots[n][0]) & 1
-            delivered = not qutrit or all((word >> m[1]) & 1 for m in roots)
+            read = roots
         else:
             j = 0
             for l in range(n):
                 bit = (word >> routers[l, j][0]) & 1
                 addr = (addr << 1) | bit
                 j = 2 * j + bit
-            value = (word >> leaves[addr][0]) & 1
-            delivered = not qutrit or ((word >> leaves[addr][1]) & 1) == 1
-        if not qutrit:
+            read = [leaves[addr]]
+        value = (word >> read[-1][0]) & 1  # the bus or the leaf
+        if len(bus) == 1:
             value ^= 1  # the copy landed on the bus marker 1
+        delivered = all((word >> q) & 1 for m in read for q in m[1:])
         return addr, value, delivered
 
     return Schedule(
         architecture,
-        router_kind,
+        "qutrit" if len(bus) == 2 else "qubit",
         n,
         tuple(reg.levels),
         tuple(reg.roles),
@@ -693,7 +694,7 @@ def _build_pipelined(
         n, dist, cost, database, ports, rails, routers, _move(bus, rails[0, 0]), _route
     )
     return _tree_schedule(
-        architecture, router_kind, n, reg, layers, profile, cost, database, round_trip,
+        architecture, n, reg, layers, profile, cost, database, round_trip,
         roots=ports + [bus],
         routers=routers,
         leaves=[rails[n, j] for j in range(1 << n)],
@@ -701,6 +702,9 @@ def _build_pipelined(
 
 
 MAX_DEPTH = 16
+
+#: code distance of the uniform-bb tree and the walker when none is given
+DEFAULT_UNIFORM_DISTANCE = 7
 
 
 def _check_n(n: int) -> None:
@@ -723,7 +727,7 @@ def build_uniform_bb(
     n: int,
     router_kind: str,
     database: Sequence[int],
-    distance: int = 7,
+    distance: int = DEFAULT_UNIFORM_DISTANCE,
     cost: CycleCost = CycleCost(),
     round_trip: bool = True,
 ) -> Schedule:
@@ -823,7 +827,7 @@ def build_ft_hetero(
     layers.extend(_seal_phases([copy], phase))
 
     return _tree_schedule(
-        "ft-hetero", router_kind, n, reg, layers, profile, cost, database, round_trip,
+        "ft-hetero", n, reg, layers, profile, cost, database, round_trip,
         roots=slots[0, 0],
         routers=routers,
         leaves=[slots[n, j][0] for j in range(1 << n)],
@@ -870,7 +874,7 @@ def build_walker(
     """
     _check_n(n)
     database = validate_database(database, n)
-    profile = _profile_for(n, profile, DistanceProfile.uniform(n, 7))
+    profile = _profile_for(n, profile, DistanceProfile.uniform(n, DEFAULT_UNIFORM_DISTANCE))
 
     reg, ports, bus, steer, rails = _pipeline_registry(n, 2, role="walker")
     dist = _distance_table(reg.levels, profile)

@@ -19,16 +19,18 @@ from .harness import (
     ARCHITECTURES,
     ConfigError,
     ExperimentConfig,
+    HETERO,
     REPORT_FIELDS,
     ResourceLimitError,
     bound_pair,
     compare_resources,
     fit_scaling,
     load_report,
+    resource_estimate,
     rows_to_text,
     run_sweep,
 )
-from .noise import CycleCost, SurfaceParams
+from .noise import CycleCost, DistanceProfile, SurfaceParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -197,15 +199,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     config = _config_from(args)
     rows = []
-    for arch in config.architectures:
-        kind = "qutrit" if arch == "walker" else config.router_kind
-        for n in config.n_values:
-            profile = config.profile_for(arch, n)
-            exact, closed = bound_pair(arch, kind, n, config.params, config.cost, profile)
-            rows.append(
-                (arch, kind, n, config.params.p_ratio, exact, closed,
-                 analytics.vacuous(exact))
-            )
+    for arch, kind, n, profile in config.points():
+        exact, closed = bound_pair(arch, kind, n, config.params, config.cost, profile)
+        rows.append((arch, kind, n, config.params.p_ratio, exact, closed, analytics.vacuous(exact)))
     _emit_rows(
         ("architecture", "router_kind", "n", "p_prime", "bound", "closed_form", "vacuous"),
         rows,
@@ -215,31 +211,25 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_resources(args: argparse.Namespace) -> int:
-    """Hetero rows price the linear or (--efficient) odd-paired packing, so
-    they refuse a uniform profile; uniform rows need a uniform distance,
-    from --distance or the profile."""
+    """Each row prices its point's profile (`resource_estimate`).
+    --efficient stands for --profile odd-paired on the hetero rows, so it
+    refuses any other explicit profile, and --distance D for uniform:D on
+    the uniform rows. The `efficient` column says whether a row prices the
+    odd-paired packing."""
     config = _config_from(args)
+    if args.efficient and config.profile not in (None, "odd-paired"):
+        raise ConfigError(f"--efficient prices the odd-paired profile, not {config.profile!r}")
+    if args.distance is not None and args.distance < 1:
+        raise ConfigError(f"bad distance {args.distance}; must be >= 1")
     rows = []
-    for arch in config.architectures:
-        for n in config.n_values:
-            if arch in ("ft-hetero", "bb-hetero"):
-                if config.profile_for(arch, n).kind == "uniform":
-                    raise ConfigError(f"{arch} has no resource table for a uniform profile; "
-                                      "use linear or odd-paired")
-                table = analytics.ft_resources if arch == "ft-hetero" else analytics.bb_resources
-                est = table(n, efficient=args.efficient)
-            else:
-                d = args.distance
-                if d is None:
-                    d = config.profile_for(arch, n).uniform_d
-                if d is None:
-                    raise ConfigError(f"{arch} resources need a uniform profile or --distance")
-                if d < 1:
-                    raise ConfigError(f"bad distance {d}; must be >= 1")
-                est = analytics.uniform_resources(n, d)
-            rows.append(
-                (arch, n, args.efficient, est.physical_total, est.physical_total / (1 << n))
-            )
+    for arch, _, n, profile in config.points():
+        if arch in HETERO and args.efficient:
+            profile = DistanceProfile.odd_paired(n)
+        elif arch not in HETERO and args.distance is not None:
+            profile = DistanceProfile.uniform(n, args.distance)
+        est = resource_estimate(arch, profile)
+        rows.append((arch, n, profile.kind == "odd_paired", est.physical_total,
+                     est.physical_total / (1 << n)))
     _emit_rows(
         ("architecture", "n", "efficient", "physical_qubits", "per_entry_overhead"),
         rows,

@@ -332,8 +332,6 @@ class PlaneEngine:
         address_mode: str = "superposition",
     ):
         self.schedule = schedule
-        self.noise = noise
-        self.address_mode = address_mode
 
         if address_mode == "superposition":
             self.addresses = list(range(1 << schedule.n))
@@ -625,8 +623,6 @@ class PlaneEngine:
                 first[trial[bounds[2 * li] : bounds[2 * li + 2]]] = li
         order = np.argsort(first, kind="stable")[: np.count_nonzero(first < n_layers)]
         fids = np.ones(total)
-        if not order.size:
-            return fids
         S = block.shape[1]
         cols = _slot_columns(B)
         ref_slots = S * 64 // cols

@@ -13,13 +13,13 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Sequence, get_args
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence, get_args
 
 import numpy as np
 
 from . import analytics
-from .circuits import MAX_DEPTH, Schedule, build_schedule
+from .circuits import DEFAULT_UNIFORM_DISTANCE, MAX_DEPTH, Schedule, build_schedule
 from .engine import PlaneEngine
 from .noise import (
     Channel,
@@ -31,12 +31,10 @@ from .noise import (
 )
 
 ARCHITECTURES = ("uniform-bb", "ft-hetero", "bb-hetero", "walker")
+HETERO = ("ft-hetero", "bb-hetero")
 
 #: superposition state space doubles per level; past this, use basis sampling
 MAX_SUPERPOSITION_N = 10
-
-#: default uniform code distance for uniform-BB and walker experiments
-DEFAULT_UNIFORM_DISTANCE = 7
 
 _DB_STREAM = 0x6D656D  # database bits
 _POINT_STRIDE = 1 << 20  # batch streams per sweep point
@@ -89,12 +87,23 @@ class ExperimentConfig:
         if self.channel not in get_args(Channel):
             raise ConfigError(f"unknown channel {self.channel!r}")
 
+    def points(self) -> Iterator[tuple[str, str, int, DistanceProfile]]:
+        """Every sweep point `(architecture, router_kind, n, profile)`, in
+        report order: architecture by architecture, then n. The walker
+        always runs qutrit routers, whatever `router_kind` says, and each
+        point takes its profile from `profile_for`."""
+        for arch in self.architectures:
+            kind = "qutrit" if arch == "walker" else self.router_kind
+            for n in self.n_values:
+                yield arch, kind, n, self.profile_for(arch, n)
+
     def profile_for(self, architecture: str, n: int) -> DistanceProfile:
+        """The distance profile `profile` names at depth n; without one,
+        the uniform trees take `DEFAULT_UNIFORM_DISTANCE` and the hetero
+        trees the linear profile."""
         spec = self.profile
         if spec is None:
-            if architecture in ("uniform-bb", "walker"):
-                return DistanceProfile.uniform(n, DEFAULT_UNIFORM_DISTANCE)
-            return DistanceProfile.linear(n)
+            spec = "linear" if architecture in HETERO else f"uniform:{DEFAULT_UNIFORM_DISTANCE}"
         if spec == "linear":
             return DistanceProfile.linear(n)
         if spec == "odd-paired":
@@ -238,7 +247,7 @@ def bound_pair(
         if router_kind == "qubit":
             exact = closed = exact + 4.0 * analytics.uniform_qubit_delta(inputs, d)
         return exact, closed
-    if architecture in ("ft-hetero", "bb-hetero") and profile.kind == "uniform":
+    if architecture in HETERO and profile.kind == "uniform":
         raise ConfigError(f"{architecture} has no bound for a uniform profile; "
                           "use linear or odd-paired")
     if architecture == "ft-hetero":
@@ -265,6 +274,27 @@ def matching_bound(
 ) -> float:
     """The closed-form infidelity bound paired with one simulated point."""
     return bound_pair(architecture, router_kind, n, params, cost, profile)[0]
+
+
+def resource_estimate(architecture: str, profile: DistanceProfile) -> analytics.ResourceEstimate:
+    """The physical-qubit table of one architecture at `profile`.
+
+    The uniform trees price 18 d^2 N at the profile's one distance, so
+    they need a uniform profile. The hetero trees price the linear or the
+    odd-paired packing, whichever the profile is, and have no table for a
+    uniform profile.
+    """
+    if architecture in HETERO:
+        if profile.kind == "uniform":
+            raise ConfigError(f"{architecture} has no resource table for a uniform profile; "
+                              "use linear or odd-paired")
+        table = analytics.ft_resources if architecture == "ft-hetero" else analytics.bb_resources
+        return table(profile.n, efficient=profile.kind == "odd_paired")
+    if architecture not in ARCHITECTURES:
+        raise ConfigError(f"unknown architecture {architecture!r}")
+    if profile.kind != "uniform":
+        raise ConfigError(f"{architecture} resources need a uniform profile or --distance")
+    return analytics.uniform_resources(profile.n, profile.uniform_d)
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +357,15 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
     is reported first and no point runs before a too-deep one stops the
     sweep (exit 3).
     """
-    points = []
-    for arch in config.architectures:
-        kind = "qutrit" if arch == "walker" else config.router_kind
-        for n in config.n_values:
-            if n > MAX_DEPTH:
-                raise ConfigError(f"simulated tree depth must be <= {MAX_DEPTH}, got {n}")
-            profile = config.profile_for(arch, n)
-            bound = matching_bound(arch, kind, n, config.params, config.cost, profile)
-            points.append((arch, kind, n, profile, bound))
-    for _, _, n, _, _ in points:
-        check_superposition_ceiling(n, config.address_mode)
+    deepest = max(config.n_values)
+    if deepest > MAX_DEPTH:
+        raise ConfigError(f"simulated tree depth must be <= {MAX_DEPTH}, got {deepest}")
+    points = [
+        (arch, kind, n, profile,
+         matching_bound(arch, kind, n, config.params, config.cost, profile))
+        for arch, kind, n, profile in config.points()
+    ]
+    check_superposition_ceiling(deepest, config.address_mode)
     report = ExperimentReport()
     for stream, (arch, kind, n, profile, bound) in enumerate(points):
         schedule = build_schedule(
@@ -407,40 +435,36 @@ def compare_resources(
     """Equal-fidelity qubit-overhead comparison against the uniform BB tree.
 
     The heterogeneous target infidelity comes from the closed-form bound
-    (mode="analytic"), or from simulation when the depth is simulable
-    (mode="simulated"/"auto"). The minimum uniform distance reaching that
-    target prices the uniform tree at 18 d^2 N physical qubits; the
-    heterogeneous side uses the odd-paired distance packing. The bounds
-    and the simulated target are those of the qutrit-router tree with the
-    paper's linear profile, so any other router kind or profile is refused.
+    (mode="analytic") or from `run_sweep` of this one point
+    (mode="simulated"; mode="auto" simulates up to n=10 and takes the
+    bound beyond). The minimum uniform distance reaching that target
+    prices the uniform tree, and the heterogeneous side is priced at the
+    odd-paired distance packing, both through `resource_estimate`. The
+    bounds and the simulated target are those of the qutrit-router tree
+    with the paper's linear profile, so any other router kind or profile
+    is refused, as is an unknown mode.
     """
-    if architecture not in ("ft-hetero", "bb-hetero"):
+    if architecture not in HETERO:
         raise ConfigError("comparison target must be ft-hetero or bb-hetero")
     if config.router_kind != "qutrit":
         raise ConfigError(f"compare models qutrit routers only, not {config.router_kind!r}")
     if config.profile not in (None, "linear"):
         raise ConfigError(f"compare models the linear profile only, not {config.profile!r}")
-    profile = DistanceProfile.linear(n)
+    if mode not in ("analytic", "simulated", "auto"):
+        raise ConfigError(f"unknown compare mode {mode!r}; use analytic, simulated or auto")
     simulable = n <= MAX_SUPERPOSITION_N
-    use_sim = mode == "simulated" or (mode == "auto" and simulable)
-    if use_sim:
+    if mode == "simulated" or (mode == "auto" and simulable):
         if not simulable:
             raise ResourceLimitError(f"n={n} is beyond the simulation ceiling")
-        schedule = build_schedule(
-            architecture, n, config.router_kind, database_for(config, n),
-            profile=profile, cost=config.cost, round_trip=config.round_trip,
-        )
-        target, _ = estimate_infidelity(config, schedule)
-        target = max(target, 1e-12)
+        point = replace(config, architectures=(architecture,), n_values=(n,))
+        target = max(run_sweep(point).rows[0].mean_infidelity, 1e-12)
     else:
+        profile = DistanceProfile.linear(n)
         target = bound_pair(architecture, "qutrit", n, config.params, config.cost, profile)[0]
     inputs = analytics.BoundInputs(n, config.params, config.cost)
     d = analytics.min_uniform_distance(n, target, inputs)
-    uniform_q = analytics.uniform_resources(n, d).physical_total
-    if architecture == "bb-hetero":
-        hetero_q = analytics.bb_resources(n, efficient=True).physical_total
-    else:
-        hetero_q = analytics.ft_resources(n, efficient=True).physical_total
+    uniform_q = resource_estimate("uniform-bb", DistanceProfile.uniform(n, d)).physical_total
+    hetero_q = resource_estimate(architecture, DistanceProfile.odd_paired(n)).physical_total
     return ComparisonRow(
         n,
         architecture,

@@ -24,8 +24,6 @@ from .circuits import Gate
 #: branches with |amp|^2 below this are dropped by normalize()
 PRUNE_THRESHOLD = 1e-24
 
-NORM_TOLERANCE = 1e-9
-
 
 def word_from_bits(bits: str | Iterable[int]) -> int:
     """Pack a bit string (or iterable of 0/1) into an integer word."""

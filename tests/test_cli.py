@@ -158,6 +158,20 @@ def test_resources_command(capsys):
     assert code == 0
     row = next(csv.DictReader(out.splitlines()))
     assert float(row["per_entry_overhead"]) == pytest.approx(82, rel=0.05)
+    # a hetero row prices its profile, so --profile odd-paired is --efficient
+    for arch in ("ft-hetero", "bb-hetero"):
+        base = ["resources", "--arch", arch, "--n", "6"]
+        code, efficient, _ = run_cli(base + ["--efficient"], capsys)
+        assert code == 0
+        assert run_cli(base + ["--profile", "odd-paired"], capsys)[:2] == (0, efficient)
+        assert f"{arch},6,True," in efficient
+        assert f"{arch},6,False," in run_cli(base + ["--profile", "linear"], capsys)[1]
+    assert "bb-hetero,6,True,4599," in efficient
+    # uniform rows price one distance whatever --efficient says
+    code, out, _ = run_cli(
+        ["resources", "--arch", "uniform-bb,walker", "--n", "6", "--efficient"], capsys)
+    assert code == 0
+    assert [row["efficient"] for row in csv.DictReader(out.splitlines())] == ["False"] * 2
 
 
 def test_compare_command(capsys):
@@ -349,6 +363,8 @@ def _report(*rows: str) -> str:
         (["fit"], '[{"architecture": "uniform-bb", "router_kind": "qutrit", "n": 4}]\n'),
         (["fit"], _report("4,0.1,100,0.04,0.05,0.06,1.0,7")),
         (["compare", "--arch", "bb-hetero,walker"], None),
+        (["resources", "--arch", "bb-hetero", "--n", "6", "--efficient", "--profile", "linear"],
+         None),
     ],
     ids=["sim-n20", "sim-uniform0", "sim-uniform-bb-linear", "bounds-uniform-bb-linear",
          "sim-hetero-uniform", "bounds-hetero-uniform",
@@ -360,7 +376,8 @@ def _report(*rows: str) -> str:
          "config-key-config", "sim-routers-foo", "sim-trials-abc", "no-subcommand",
          "resources-uniform-bb-linear", "resources-walker-odd-paired",
          "resources-hetero-uniform", "fit-three-rows", "fit-bad-field",
-         "fit-json-missing-key", "fit-ci-outside-mean", "compare-walker"],
+         "fit-json-missing-key", "fit-ci-outside-mean", "compare-walker",
+         "resources-efficient-linear"],
 )
 def test_invalid_config_exits_2_without_traceback(tmp_path, args, config):
     """Run as a subprocess so an uncaught exception would show its traceback.

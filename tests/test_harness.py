@@ -134,6 +134,27 @@ def test_run_sweep_rows_and_bounds():
         assert row.analytic_bound >= 0.0
         if row.architecture == "walker":
             assert row.router_kind == "qutrit"
+    assert [(r.architecture, r.router_kind, r.n) for r in report.rows] == [
+        (arch, kind, n) for arch, kind, n, _ in config.points()]
+
+
+def test_points_keep_report_order_and_the_walker_rule():
+    """Architecture by architecture, then n in the order given; the walker
+    runs qutrit routers under router_kind="qubit", and the profile is
+    `profile_for`'s."""
+    config = ExperimentConfig(
+        architectures=("walker", "bb-hetero", "uniform-bb"), router_kind="qubit",
+        n_values=(3, 2),
+    )
+    points = list(config.points())
+    assert [(arch, kind, n) for arch, kind, n, _ in points] == [
+        ("walker", "qutrit", 3), ("walker", "qutrit", 2), ("bb-hetero", "qubit", 3),
+        ("bb-hetero", "qubit", 2), ("uniform-bb", "qubit", 3), ("uniform-bb", "qubit", 2),
+    ]
+    assert [repr(profile) for *_, profile in points] == [
+        repr(config.profile_for(arch, n)) for arch, _, n, _ in points]
+    assert repr(points[0][3]) == "DistanceProfile.uniform(n=3, d=7)"
+    assert repr(points[2][3]) == "DistanceProfile.linear(n=3)"
 
 
 @pytest.mark.parametrize("kind", ["qutrit", "qubit"])
@@ -209,6 +230,19 @@ def test_compare_resources_simulated_small_n():
         compare_resources(12, config, architecture="bb-hetero", mode="simulated")
     with pytest.raises(ConfigError):
         compare_resources(5, config, architecture="uniform-bb")
+    with pytest.raises(ConfigError, match="bogus"):
+        compare_resources(3, config, architecture="bb-hetero", mode="bogus")
+
+
+def test_compare_resources_auto_simulates_up_to_the_ceiling():
+    """mode="auto" is mode="simulated" up to n=10 and mode="analytic" beyond."""
+    config = ExperimentConfig(n_values=(3,), trials=200, seed=3)
+    for arch in ("ft-hetero", "bb-hetero"):
+        auto = compare_resources(3, config, architecture=arch, mode="auto")
+        assert auto == compare_resources(3, config, architecture=arch, mode="simulated")
+        assert auto != compare_resources(3, config, architecture=arch, mode="analytic")
+        assert compare_resources(11, config, architecture=arch, mode="auto") == (
+            compare_resources(11, config, architecture=arch, mode="analytic"))
 
 
 # -- reports ---------------------------------------------------------------------

@@ -78,14 +78,18 @@ spans are at least two plane words wide (n >= 7), and whose joined trials
 carry at most `_DEVIATION_EVENTS_PER_ROW` events per plane row each, keeps
 only each joined trial's XOR against the reference block, as Stim's frame
 simulator tracks only the deviation from a noiseless reference sample
-(Gidney, Quantum 5, 497 (2021)). A controlled swap then runs only on the
+(Gidney, Quantum 5, 497 (2021)). It stores that XOR only for the (row,
+trial) pairs that have deviated (`_DeviationStore`), so its memory follows
+those pairs and not rows x trials x span; a bucket-brigade fault stays
+inside the subtree below its router (Hann et al., PRX Quantum 2, 020311
+(2021)), so they are few. A controlled swap then runs only on the
 (row, trial) pairs where an operand or a control deviates, and the readout
 compares only the read rows that deviate. It runs the same compiled
 polarity groups as the dense kernel. The dense plane stays for every
 other pass: with one trial per word or less (n <= 6), in sampled-basis
 mode and on heavy passes, its whole-row operations beat the per-pair
-gathers (measured at n=7..9 past about 1/30 events per row). Both kernels
-give the same fidelities bit for bit.
+gathers (measured past about 1/50 events per row at n=7, and past 1/37
+to 1/17 at n=8 and 9). Both kernels give the same fidelities bit for bit.
 
 Swaps are unconditional, so they never reach the plane: each layer
 compiles once to gates on physical plane rows, and the swaps fold into a
@@ -161,9 +165,17 @@ _GATE_CHUNK = 1 << 13
 #: a superposition pass whose trials span two or more plane words runs the
 #: deviation-tracked kernel when its events per joined trial are at most
 #: this many per plane row. Its gathers grow with the deviating pairs, and
-#: those with events per row, not per trial: measured at n=7..9, it beat
-#: the dense kernel up to 1/40 and lost from about 1/30 on
+#: those with events per row, not per trial. Re-measured with the row
+#: store, one pass of 2^16 columns (bb- and ft-hetero descent-only,
+#: uniform-bb round trip, 9 runs each), deviation / dense time: at n=8
+#: and 9, 0.43-0.77 from 1/41 to 1/55 and parity between 1/37 and 1/17;
+#: at n=7, 0.75 at 1/41 (bb), 1.00 at 1/47 (ft) and 0.95-1.06 from 1/197
+#: to 1/62 (uniform). A larger limit would lose at n=7, so it stays
 _DEVIATION_EVENTS_PER_ROW = 1 / 40
+
+#: rows a deviation-tracked pass's store starts with, row 0 the clean
+#: pairs' zeros; it doubles whenever it is full
+_DEVIATION_ROWS = 1 << 10
 
 #: the readout gathers up to about this many plane words (256 KB) at a
 #: time: one step per read row costs far more, a whole gather far more memory
@@ -320,6 +332,54 @@ class _NoiseClass:
             slot = np.arange(ends[-1]) + np.repeat(start - (ends - size), size)
             self._cells = np.repeat(base, size) + pool[slot]
         return self._cells
+
+
+class _DeviationStore:
+    """The deviations of a deviation-tracked pass: each (row, joined trial)
+    pair's XOR against the reference block, stored only for the pairs that
+    have deviated.
+
+    `index` holds one int32 per pair: 0 while the pair has never deviated,
+    else its row of `rows`, a (K, S) uint64 store that doubles when full.
+    Row 0 stays all zero, so a clean pair reads zeros with no branch. A
+    pair takes a row when its deviation first becomes nonzero and keeps it
+    for the rest of the pass, even if the deviation returns to zero.
+    """
+
+    __slots__ = ("index", "rows", "used")
+
+    def __init__(self, pairs: int, span: int):
+        self.index = np.zeros(pairs, dtype=np.int32)
+        self.rows = np.zeros((_DEVIATION_ROWS, span), dtype=np.uint64)
+        self.used = 1  # row 0 is the clean pairs' zeros
+
+    def read(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The store rows of `pairs` and a copy of their deviations."""
+        i = self.index.take(pairs)
+        return i, self.rows.take(i, axis=0)
+
+    def write(self, pairs, i, values, fresh) -> None:
+        """Set the deviations of the distinct `pairs`, whose store rows `read`
+        gave as `i`, to `values`. The pairs where `fresh` is set get a new
+        row first; every other pair of row 0 must be written zeros."""
+        new = np.flatnonzero(fresh)
+        if new.size:
+            start, self.used = self.used, self.used + new.size
+            if self.used > self.rows.shape[0]:
+                self._grow(start)
+            i[new] = np.arange(start, self.used, dtype=np.int32)
+            self.index[pairs[new]] = i[new]
+        self.rows[i] = values
+
+    def _grow(self, live: int) -> None:
+        """Double the store until it holds `used` rows, keeping the first
+        `live`; rows past them are written before they are read."""
+        cap = self.rows.shape[0]
+        while cap < self.used:
+            cap *= 2
+        grown = np.empty((cap, self.rows.shape[1]), dtype=np.uint64)
+        grown[:live] = self.rows[:live]
+        self.rows = grown
 
 
 class PlaneEngine:
@@ -694,9 +754,10 @@ class PlaneEngine:
 
         Each joined trial (one with an event) keeps only its XOR against
         the reference block, whose span of S >= 2 words runs densely. The
-        deviations start at zero, so no trial is copied in, and pages that
-        no deviation touches are never written. A flag per (row, joined
-        trial) marks the pairs that may deviate. Each group of a layer's
+        deviations live in a `_DeviationStore`, which holds a row only for
+        a (row, joined trial) pair that has deviated, so no trial is copied
+        in and the memory follows the deviating pairs. A flag per pair
+        marks the pairs that may deviate. Each group of a layer's
         controlled swaps costs a fixed number of numpy calls: the
         reference's swap, then a gather and a scatter of only the pairs
         where an operand or a control is flagged. An inversion acts on the
@@ -711,7 +772,7 @@ class PlaneEngine:
         S = ref.shape[1]
         T = np.count_nonzero(joined)
         slot = (np.cumsum(joined) - 1)[trial]  # each event's joined trial
-        dev = np.zeros((nq * T, S), dtype=np.uint64)  # row r, trial t at r * T + t
+        dev = _DeviationStore(nq * T, S)  # row r, trial t at pair r * T + t
         dirty = np.zeros(nq * T, dtype=bool)
         flags = dirty.reshape(nq, T)
         sign = np.zeros((T, S), dtype=np.uint64)
@@ -734,18 +795,22 @@ class PlaneEngine:
                     g = hit // T
                     t = hit - g * T
                     fa, fb = a[g] * T + t, b[g] * T + t
-                    da, db = dev.take(fa, axis=0), dev.take(fb, axis=0)
+                    ia, da = dev.read(fa)
+                    ib, db = dev.read(fb)
                     # how each pair's swap mask differs from the reference's
                     dm = da ^ db
                     dm ^= x.take(g, axis=0)
                     for (c, pol), rc in zip(controls, rcs):
-                        vc = dev.take(c[g] * T + t, axis=0) ^ rc.take(g, axis=0)
+                        vc = dev.read(c[g] * T + t)[1]
+                        vc ^= rc.take(g, axis=0)
                         dm &= vc if pol else ~vc
                     dm ^= m.take(g, axis=0)
                     da ^= dm
                     db ^= dm
-                    dev[fa], dev[fb] = da, db
-                    dirty[fa], dirty[fb] = da.any(axis=1), db.any(axis=1)
+                    nza, nzb = da.any(axis=1), db.any(axis=1)
+                    dirty[fa], dirty[fb] = nza, nzb
+                    dev.write(fa, ia, da, nza & (ia == 0))
+                    dev.write(fb, ib, db, nzb & (ib == 0))
                 ra ^= m
                 rb ^= m
                 ref[a], ref[b] = ra, rb
@@ -755,12 +820,13 @@ class PlaneEngine:
             if lo < mid:  # X flips: each trial's whole span
                 rows = self._maps[li].take(cell[lo:mid] - 2 * li * nq)
                 f = rows * T + slot[lo:mid]
-                dev[f] = ~dev[f]
+                i, d = dev.read(f)
+                dev.write(f, i, ~d, i == 0)
                 dirty[f] = True
             if mid < hi:  # Z phases, read from the flipped state
                 rows = self._maps[li].take(cell[mid:hi] - (2 * li + 1) * nq)
                 f = rows * T + slot[mid:hi]
-                np.bitwise_xor.at(sign, slot[mid:hi], dev[f] ^ ref[rows])
+                np.bitwise_xor.at(sign, slot[mid:hi], dev.read(f)[1] ^ ref[rows])
 
         read_rows, care, _ = self._readout
         phys = self._maps[n_layers - 1][read_rows]
@@ -768,7 +834,7 @@ class PlaneEngine:
         r = hit // T
         t = hit - r * T
         bad = np.zeros((T, S), dtype=np.uint64)
-        np.bitwise_or.at(bad, t, dev.take(phys[r] * T + t, axis=0) & care.take(r, axis=0))
+        np.bitwise_or.at(bad, t, dev.read(phys[r] * T + t)[1] & care.take(r, axis=0))
         fids = np.ones(joined.size)
         fids[joined] = self._overlap_squares(bad, sign, T, self.branch_count)
         return fids

@@ -131,6 +131,12 @@ def database_for(config: ExperimentConfig, n: int) -> list[int]:
 # batched estimation
 
 
+def simulation_ceiling(address_mode: str) -> int:
+    """The deepest tree that `address_mode` simulates: `MAX_SUPERPOSITION_N`
+    in superposition mode, `MAX_DEPTH` in sampled-basis mode."""
+    return MAX_SUPERPOSITION_N if address_mode == "superposition" else MAX_DEPTH
+
+
 def check_superposition_ceiling(n: int, address_mode: str) -> None:
     """Raise ResourceLimitError when superposition mode cannot run depth n."""
     if address_mode == "superposition" and n > MAX_SUPERPOSITION_N:
@@ -436,8 +442,9 @@ def compare_resources(
 
     The heterogeneous target infidelity comes from the closed-form bound
     (mode="analytic") or from `run_sweep` of this one point
-    (mode="simulated"; mode="auto" simulates up to n=10 and takes the
-    bound beyond). The minimum uniform distance reaching that target
+    (mode="simulated"; mode="auto" simulates up to the
+    `simulation_ceiling` of the config's address mode and takes the bound
+    beyond). The minimum uniform distance reaching that target
     prices the uniform tree, and the heterogeneous side is priced at the
     odd-paired distance packing, both through `resource_estimate`. The
     bounds and the simulated target are those of the qutrit-router tree
@@ -452,7 +459,7 @@ def compare_resources(
         raise ConfigError(f"compare models the linear profile only, not {config.profile!r}")
     if mode not in ("analytic", "simulated", "auto"):
         raise ConfigError(f"unknown compare mode {mode!r}; use analytic, simulated or auto")
-    simulable = n <= MAX_SUPERPOSITION_N
+    simulable = n <= simulation_ceiling(config.address_mode)
     if mode == "simulated" or (mode == "auto" and simulable):
         if not simulable:
             raise ResourceLimitError(f"n={n} is beyond the simulation ceiling")

@@ -107,6 +107,24 @@ def test_resource_limit_exit_3(capsys):
     assert "basis" in err
 
 
+def test_compare_simulates_to_the_ceiling_of_its_address_mode(capsys):
+    """`compare --mode simulated` runs a point as deep as `sim` can in its
+    address mode: at n=12, past the superposition ceiling, sampled-basis
+    mode gives `sim`'s mean as the target, and superposition exits 3."""
+    point = ["--arch", "bb-hetero", "--n", "12", "--trials", "100", "--seed", "5"]
+    code, out, err = run_cli(["compare", *point, "--mode", "simulated",
+                              "--address-mode", "basis"], capsys)
+    assert code == 0, err
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    code, out, err = run_cli(["sim", *point, "--address-mode", "basis"], capsys)
+    assert code == 0, err
+    (sim,) = list(csv.DictReader(io.StringIO(out)))
+    assert float(row["target_infidelity"]) == max(float(sim["mean_infidelity"]), 1e-12)
+    code, _, err = run_cli(["compare", *point, "--mode", "simulated"], capsys)
+    assert code == 3
+    assert "ceiling" in err
+
+
 def test_sweep_past_ceiling_exits_3_before_simulating(capsys, monkeypatch):
     """A sweep whose last points exceed the superposition ceiling stops
     before its first point is simulated: no engine is ever built."""

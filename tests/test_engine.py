@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,10 @@ from hetqram.circuits import (
     build_walker,
 )
 from hetqram.engine import (
+    _DEVIATION_ROWS,
     _PASS_COLUMNS,
     PlaneEngine,
+    _DeviationStore,
     _bernoulli_hits,
     _gate_pass,
     _pack_bits_lsb,
@@ -696,6 +699,19 @@ def _spy_deviation_passes(monkeypatch):
     return calls
 
 
+def _spy_store_growth(monkeypatch):
+    """Count the times a deviation store doubles."""
+    grows = []
+    grow = _DeviationStore._grow
+
+    def spy(self, live):
+        grows.append(live)
+        return grow(self, live)
+
+    monkeypatch.setattr(_DeviationStore, "_grow", spy)
+    return grows
+
+
 @pytest.mark.parametrize("arch,kind", VARIANTS)
 def test_deviation_kernel_equals_dense_kernel(arch, kind, monkeypatch):
     """The deviation-tracked pass and the dense plane pass give the same
@@ -703,24 +719,57 @@ def test_deviation_kernel_equals_dense_kernel(arch, kind, monkeypatch):
     (trial spans of two and four plane words), both protocols, p'=0.01
     and 0.1. A limit of 0 events per row forces the dense kernel and an
     infinite one the deviation kernel, and a spy checks that the deviation
-    kernel ran on every pass that saw an event."""
+    kernel ran on every pass that saw an event. At p'=0.1 the deviation
+    store starts with its zero row alone, so a second spy checks that
+    every pass with an X event, which makes a pair deviate, grew it."""
     calls = _spy_deviation_passes(monkeypatch)
-    n_trials, noisy = 128, 0
+    grows = _spy_store_growth(monkeypatch)
+    n_trials, noisy, grown = 128, 0, 0
     for n in (7, 8):
         for round_trip in (True, False):
             sched = build_schedule(arch, n, kind, _database(n), round_trip=round_trip)
-            for p_prime in (0.01, 0.1):
+            for p_prime, rows in ((0.01, _DEVIATION_ROWS), (0.1, 1)):
+                monkeypatch.setattr("hetqram.engine._DEVIATION_ROWS", rows)
                 eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, p_prime), sched.profile))
                 codes = _sampled_codes(eng, trajectory_rng(n, 0), n_trials)
+                flips = np.any(codes // (n_trials * sched.qubit_count) % 2 == 0)
                 fids = {}
                 for limit in (0.0, math.inf):
                     monkeypatch.setattr("hetqram.engine._DEVIATION_EVENTS_PER_ROW", limit)
                     calls.clear()
+                    grows.clear()
                     fids[limit] = eng._run_codes(codes.copy(), n_trials)
                     assert len(calls) == (limit > 0 and codes.size > 0)
+                    if calls and p_prime == 0.1:
+                        assert bool(grows) == flips, (n, round_trip)
+                        grown += flips
                 assert fids[0.0].tobytes() == fids[math.inf].tobytes(), (n, round_trip, p_prime)
                 noisy += np.any(fids[0.0] < 1.0)
-    assert noisy >= 4
+    assert noisy >= 4 and grown >= 1
+
+
+def test_deviation_pass_memory_follows_the_deviating_pairs(monkeypatch):
+    """A light deviation-tracked pass stores only the (row, trial) pairs
+    that deviate: one pass of 512 trials of bb-hetero qutrit at n=9,
+    p'=0.01, peaks under tracemalloc below a quarter of a dense uint64
+    deviation array of qubits * joined trials * span words."""
+    calls = _spy_deviation_passes(monkeypatch)
+    n, n_trials = 9, 512
+    sched = build_schedule("bb-hetero", n, "qutrit", _database(n), round_trip=False)
+    eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 0.01), sched.profile))
+    codes = _sampled_codes(eng, trajectory_rng(n, 0), n_trials)
+    joined = np.unique(codes % n_trials).size
+    eng._prepare()
+    tracemalloc.start()
+    try:
+        fids = eng._run_codes(codes, n_trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [n]
+    assert np.any(fids < 1.0)
+    dense = sched.qubit_count * joined * eng._init_span.shape[1] * 8
+    assert peak < dense / 4, (peak, dense)
 
 
 def test_deviation_single_faults_equal_word_oracle(monkeypatch):

@@ -6,13 +6,29 @@ expensive gate in the layer sets the cost: c*d cycles for a controlled
 swap at distance d, s*d for a plain swap or X). Registry qubits carry a
 tree level (root = 0, leaves = n) and a role tag.
 
+Gate tables: a layer holds its gates as one int64 array, one row per gate
+(`GateTable` names the columns and kind codes): the kind, operands a and
+b, two (control, polarity) pairs and the data bit, with -1 wherever a
+gate has fewer operands or controls. The builders write the tables, a
+whole tree level's gates in a few numpy calls from the registry's mode
+arrays (`_move`, `_route`, `_steer_route`, the walker hop, the data
+copy). `_LayerAccum.seal` checks every layer of a schedule and prices it
+from the tables, with one fixed set of numpy calls for all the layers;
+the return pass reuses the descent's tables. `Schedule` range-checks the
+tables and takes each qubit's first layer from them (`first_active_layer`,
+`measured_coherence_cycles`), and `PlaneEngine._compile` (engine.py)
+compiles them. `Layer.gates` is derived from the table on first access,
+for the per-word readers (`run_noiseless`, `Schedule.dump`, the sparse
+branch states and the test oracles); the simulation path never builds a
+`Gate`.
+
 Conventions shared by all architectures:
 
 * Address integers are read big-endian along the tree: the bit routed at
   level l is (address >> (n-1-l)) & 1, and 0 routes to the left child
   (node 2j), 1 to the right (node 2j+1), so the bus lands on leaf index
   == address.
-* A mode is a tuple of qubits, one per rail. A transit mode is (value,
+* A mode is a row of qubits, one per rail. A transit mode is (value,
   presence) and a router (direction, active) under qutrit routers, whose
   wait state |W> is active = 0 and |0>, |1> are active = 1 with that
   direction. Qubit routers drop the second rail: both modes are
@@ -20,7 +36,9 @@ Conventions shared by all architectures:
   delivery is observable. The router kind is only the modes' width:
   parking a payload is `_move(rail, router)`, plain swaps rail by rail,
   and routing it is `_route`, controlled swaps rail by rail, so only
-  routers that really received an address bit leave the wait state.
+  routers that really received an address bit leave the wait state. The
+  registry hands out a level's modes as one (nodes, width) array, so one
+  call moves or routes every node of a level.
 * The bucket brigades and the walker share one sequential-address
   pipeline (`_pipeline_layers`), which owns its timing rule and makes
   each level's routing gates once; the fat tree routes whole blocks.
@@ -40,7 +58,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .noise import CycleCost, DistanceProfile
 
@@ -51,6 +72,29 @@ class GateKind(enum.Enum):
     CCSWAP = "CCSWAP"
     X = "X"
     CLASSICAL_CX = "CLASSICALCX"
+
+
+class GateTable:
+    """The layout of a layer's gate table: an int64 array of one row per
+    gate, whose columns are `KIND`, `A`, `B`, `C0`, `C1`, `P0`, `P1`,
+    `DATA`. A row holds its gate's kind code, its operands a and b, its
+    controls' qubits c0, c1 and polarities p0, p1, and its data bit; an
+    entry the gate does not have (b of an X or data copy, a missing
+    control and its polarity) is -1, and the data bit of every gate but
+    the copy is 0. The kind code indexes `KINDS`; a swap's code is its
+    number of controls.
+    """
+
+    KIND, A, B, C0, C1, P0, P1, DATA = range(8)
+    SWAP, CSWAP, CCSWAP, X, COPY = range(5)
+    KINDS = (GateKind.SWAP, GateKind.CSWAP, GateKind.CCSWAP, GateKind.X, GateKind.CLASSICAL_CX)
+    #: by kind code, which of the qubit columns A, B, C0, C1 the gate has
+    PRESENT = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0]],
+                       dtype=bool)
+
+
+_T = GateTable
+_CODES = {kind: code for code, kind in enumerate(_T.KINDS)}
 
 
 @dataclass(frozen=True)
@@ -142,50 +186,131 @@ class Gate:
         return f"CLASSICALCX(data={self.data_bit},q=q{self.operands[0]})"
 
 
-@dataclass(frozen=True)
+def _gate_rows(kind: int, a, b=-1, c0=-1, c1=-1, p0=-1, p1=-1, data=0) -> np.ndarray:
+    """A gate table of one `kind` row per element of `a`: the operands `a`
+    and `b` are raveled, and every other column is a scalar or a vector
+    with one entry per row."""
+    a = np.ravel(a)
+    table = np.empty((a.size, 8), dtype=np.int64)
+    table[:, _T.KIND] = kind
+    table[:, _T.A] = a
+    table[:, _T.B] = np.ravel(b)
+    table[:, _T.C0] = c0
+    table[:, _T.C1] = c1
+    table[:, _T.P0] = p0
+    table[:, _T.P1] = p1
+    table[:, _T.DATA] = data
+    return table
+
+
+def _gate_table(gates: Iterable[Gate]) -> np.ndarray:
+    """The gate table of `gates`, row by row."""
+    rows = []
+    for g in gates:
+        ops = g.operands + (-1,) * (2 - len(g.operands))
+        (c0, p0), (c1, p1) = g.controls + ((-1, -1),) * (2 - len(g.controls))
+        rows.append((_CODES[g.kind], *ops, c0, c1, p0, p1, g.data_bit))
+    return np.array(rows, dtype=np.int64).reshape(-1, 8)
+
+
+def _table_gates(table: np.ndarray) -> tuple[Gate, ...]:
+    """The `Gate`s of a gate table's rows, in order (unchecked)."""
+    gates = []
+    for code, a, b, c0, c1, p0, p1, data in table.tolist():
+        if code <= _T.CCSWAP:  # a swap with `code` controls
+            gates.append(Gate(_T.KINDS[code], (a, b), ((c0, p0), (c1, p1))[:code]))
+        else:
+            gates.append(Gate(_T.KINDS[code], (a,), data_bit=data))
+    return tuple(gates)
+
+
+@dataclass(frozen=True, eq=False)
 class Layer:
     """Parallel gates plus their timing and noise accounting.
 
-    code_cycles prices the layer for coherence-time bookkeeping (per-gate
-    step cost times code distance, maximized over the layer). noise_rounds
-    is how many error-sampling rounds the layer inflicts: the largest code
-    distance among its gates, with no step-cost factor. phase groups the
-    sub-layers of one parallel routing step (a router's left and right
-    polarity moves are one operation); noise is applied once per phase.
+    `table` holds the gates (`GateTable`); `gates` derives them as `Gate`
+    objects on first access. code_cycles prices the layer for
+    coherence-time bookkeeping (per-gate step cost times code distance,
+    maximized over the layer). noise_rounds is how many error-sampling
+    rounds the layer inflicts: the largest code distance among its gates,
+    with no step-cost factor. phase groups the sub-layers of one parallel
+    routing step (a router's left and right polarity moves are one
+    operation); noise is applied once per phase.
     """
 
-    gates: tuple[Gate, ...]
+    table: np.ndarray
     code_cycles: int
     noise_rounds: int = 1
     phase: int = 0
 
+    @classmethod
+    def of_gates(
+        cls, gates: Iterable[Gate], code_cycles: int, noise_rounds: int = 1, phase: int = 0
+    ) -> "Layer":
+        return cls(_gate_table(gates), code_cycles, noise_rounds, phase)
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        return _table_gates(self.table)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Layer):
+            return NotImplemented
+        return ((self.code_cycles, self.noise_rounds, self.phase)
+                == (other.code_cycles, other.noise_rounds, other.phase)
+                and np.array_equal(self.table, other.table))
+
     def touched(self) -> set[int]:
-        out: set[int] = set()
-        for g in self.gates:
-            out |= g.support()
-        return out
+        qubits = self.table[:, _T.A:_T.C1 + 1][_T.PRESENT[self.table[:, _T.KIND]]]
+        return set(qubits.tolist())
+
+
+def _first_fault(rows: np.ndarray, layer: np.ndarray, qubits: int) -> int | None:
+    """The first layer whose gates break a condition of `Gate._validate`
+    or of `_check_layer_parallel`, or None: `rows` holds the gate tables of the
+    layers in turn, `layer` each row's layer, and `qubits` bounds their
+    qubits.
+
+    A layer passes when every present polarity is 0 or 1 and each qubit
+    appears once among its operands and the qubits of its distinct
+    control sets. All layers are checked by one fixed set of numpy calls:
+    each qubit is offset by its layer times `qubits`, so layers never
+    collide, and a control set is one key of its layer and its sorted
+    pair of 2q + p codes (-3 for a missing control), deduplicated by a
+    sort.
+    """
+    ctl, pol = rows[:, _T.C0:_T.C1 + 1], rows[:, _T.P0:_T.P1 + 1]
+    bad_polarity = np.any((ctl >= 0) & ((pol & ~1) != 0), axis=1)
+    # only controlled swaps have controls; a row with a bad polarity is
+    # already flagged and stays out of the keys, whose codes it would alias
+    swaps = (ctl[:, 0] >= 0) & ~bad_polarity
+    offset = layer * qubits
+    ops = rows[:, _T.A:_T.B + 1]
+    v = 2 * ctl[swaps] + pol[swaps]
+    span = 2 * qubits + 3
+    keys = np.sort((layer[swaps] * span + v.max(axis=1)) * span + v.min(axis=1) + 3)
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # every key is >= 0
+    high, low = np.divmod(keys, span)
+    at, high = np.divmod(high, span)
+    low -= 3
+    flat = np.sort(np.concatenate([
+        (ops + offset[:, None])[ops >= 0],
+        (high >> 1) + at * qubits,
+        ((low >> 1) + at * qubits)[low >= 0],
+    ]))
+    twice = flat[1:][flat[1:] == flat[:-1]] // qubits
+    faulty = np.concatenate([layer[bad_polarity], twice])
+    return int(faulty.min()) if faulty.size else None
 
 
 def _check_layer_parallel(gates: Sequence[Gate]) -> None:
     """Operands pairwise disjoint; control sets disjoint or identical.
 
     Identical control sets mark the bit-moves of one controlled
-    qutrit-mode swap, which execute as a single operation. The passing
-    path builds one flat list of operands and one of the qubits of the
-    distinct control tuples; only a layer that fails it is checked
-    condition by condition, to name its fault.
+    qutrit-mode swap, which execute as a single operation. Raises the
+    first condition that `gates` break, if any, condition by condition;
+    a gate's own faults are `Gate`'s to check.
     """
-    ops = [q for g in gates for q in g.operands]
-    ctrl = [q for controls in {g.controls for g in gates} for q, _ in controls]
-    seen = set(ops)
-    if len(seen) == len(ops) and len(set(ctrl)) == len(ctrl) and seen.isdisjoint(ctrl):
-        return
-    _layer_fault(gates)
-
-
-def _layer_fault(gates: Sequence[Gate]) -> None:
-    """Raise the first condition of `_check_layer_parallel` that `gates`
-    break, if any."""
     seen_ops: set[int] = set()
     all_ctrl: set[int] = set()
     for g in gates:
@@ -209,33 +334,32 @@ def _layer_fault(gates: Sequence[Gate]) -> None:
 
 class _Registry:
     """Qubit levels and roles in allocation order; a qubit's index is its
-    position. A mode is a tuple of qubits, one per rail."""
+    position. A mode is a row of qubits, one per rail."""
 
     def __init__(self):
         self.levels: list[int] = []
         self.roles: list[str] = []
 
-    def _take(self, level: int, roles: tuple[str, ...]) -> range:
+    def _take(self, level: int, roles: tuple[str, ...]) -> np.ndarray:
         """One qubit per role, in order."""
         first = len(self.roles)
         self.roles += roles
         self.levels += [level] * len(roles)
-        return range(first, len(self.roles))
+        return np.arange(first, len(self.roles))
 
-    def mode(self, level: int, *roles: str) -> tuple[int, ...]:
+    def mode(self, level: int, *roles: str) -> np.ndarray:
         """One mode with a rail per role."""
-        return tuple(self._take(level, roles))
+        return self._take(level, roles)
 
-    def modes(self, count: int, level: int, *roles: str) -> list[tuple[int, ...]]:
-        """`count` modes allocated rail by rail: every mode's first rail,
-        then every mode's second."""
-        return list(zip(*[self._take(level, (role,) * count) for role in roles]))
+    def modes(self, count: int, level: int, *roles: str) -> np.ndarray:
+        """`count` modes, a (count, rails) array, allocated rail by rail:
+        every mode's first rail, then every mode's second."""
+        return np.stack([self._take(level, (role,) * count) for role in roles], axis=1)
 
-    def nodes(self, count: int, level: int, *roles: str) -> list[tuple[int, ...]]:
-        """`count` modes, one per tree node, allocated mode by mode."""
-        qubits = self._take(level, roles * count)
-        width = len(roles)
-        return [tuple(qubits[i:i + width]) for i in range(0, len(qubits), width)]
+    def nodes(self, count: int, level: int, *roles: str) -> np.ndarray:
+        """`count` modes, one per tree node, a (count, rails) array
+        allocated mode by mode."""
+        return self._take(level, roles * count).reshape(count, len(roles))
 
 
 def validate_database(bits: Sequence[int], n: int) -> tuple[int, ...]:
@@ -266,15 +390,17 @@ class Schedule:
     _decode_fn: Callable[[int], tuple[int, int, bool]] = field(repr=False, default=None)
 
     def __post_init__(self):
-        gates = [g for layer in self.layers for g in layer.gates]
-        qubits = [q for g in gates for q in g.operands]
-        qubits += [q for g in gates for q, _ in g.controls]
-        if qubits and (min(qubits) < 0 or max(qubits) >= self.qubit_count):
-            # name the first offending qubit, gate by gate
-            for g in gates:
-                for q in g.support():
-                    if not 0 <= q < self.qubit_count:
-                        raise ValueError(f"gate touches unregistered qubit {q}")
+        tables = [layer.table for layer in self.layers]
+        rows = np.concatenate(tables) if tables else np.empty((0, 8), dtype=np.int64)
+        present = _T.PRESENT[rows[:, _T.KIND]]
+        qubits = rows[:, _T.A:_T.C1 + 1][present]
+        if qubits.size and (qubits.min() < 0 or qubits.max() >= self.qubit_count):
+            bad = qubits[(qubits < 0) | (qubits >= self.qubit_count)]
+            raise ValueError(f"gate touches unregistered qubit {bad[0]}")
+        # each qubit's first layer (len(layers) if none touches it)
+        layer = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+        self._first_touch = np.full(self.qubit_count, len(tables))
+        np.minimum.at(self._first_touch, qubits, (present * layer[:, None])[present])
         self._ideal_cache: dict[int, int] = {}
 
     def first_active_layer(self) -> tuple[int, ...]:
@@ -285,18 +411,9 @@ class Schedule:
         only accumulates noise from then on. Untouched non-input qubits
         report len(layers) (never active).
         """
-        first = [len(self.layers)] * self.qubit_count
-        for q in self.input_qubits:
-            first[q] = 0
-        for i, layer in enumerate(self.layers):
-            for g in layer.gates:
-                for q in g.operands:
-                    if i < first[q]:
-                        first[q] = i
-                for q, _ in g.controls:
-                    if i < first[q]:
-                        first[q] = i
-        return tuple(first)
+        first = self._first_touch.copy()
+        first[list(self.input_qubits)] = 0
+        return tuple(first.tolist())
 
     @property
     def qubit_count(self) -> int:
@@ -372,20 +489,9 @@ def measured_coherence_cycles(schedule: Schedule, level: int) -> int:
     """
     if not 0 <= level <= schedule.n:
         raise ValueError(f"level {level} outside [0, {schedule.n}]")
-    watched = {
-        q
-        for q in range(schedule.qubit_count)
-        if schedule.levels[q] == level and schedule.roles[q] in ROUTER_ROLES
-    }
-    if not watched:
-        watched = {q for q in range(schedule.qubit_count) if schedule.levels[q] == level}
-    start = None
-    for i, layer in enumerate(schedule.layers):
-        if layer.touched() & watched:
-            start = i
-            break
-    if start is None:
-        return 0
+    on_level = [q for q, l in enumerate(schedule.levels) if l == level]
+    watched = [q for q in on_level if schedule.roles[q] in ROUTER_ROLES] or on_level
+    start = int(schedule._first_touch[watched].min())
     return sum(layer.code_cycles for layer in schedule.layers[start:])
 
 
@@ -404,54 +510,62 @@ def path_nodes(address: int, n: int) -> list[int]:
 # schedule assembly helpers
 
 
-def _distance_table(levels: Sequence[int], profile: DistanceProfile) -> list[int]:
-    """The profile's code distance at each registry qubit's level."""
-    by_level = profile.distances()
-    return [by_level[level] for level in levels]
+def _distance_table(levels: Sequence[int], profile: DistanceProfile) -> np.ndarray:
+    """The profile's code distance at each registry qubit's level, then a
+    0 that a table's -1 entries read."""
+    return np.append(np.asarray(profile.distances())[np.asarray(levels)], 0)
 
 
 class _LayerAccum:
-    """Collects gates for one layer and prices it when sealed.
+    """Collects a builder's layers as gate tables, then checks and prices
+    all of them at once when sealed.
 
     `distance` is the builder's per-qubit distance table
     (`_distance_table`, made once its registry is complete). Sealing
-    prices each gate once: its distance d is the largest over its operands
-    and controls. The layer's noise_rounds is the largest d, and its
-    code_cycles the largest c*d over controlled swaps and s*d over the
-    other gates.
+    checks every layer (`_first_fault`; the first faulty layer's gates
+    then name its fault) and prices each gate once: its distance d is the
+    largest over its operands and controls. A layer's noise_rounds is its
+    largest d, and its code_cycles the largest c*d over controlled swaps
+    and s*d over the other gates.
     """
 
-    def __init__(self, distance: list[int], cost: CycleCost):
-        self.gates: list[Gate] = []
+    def __init__(self, distance: np.ndarray, cost: CycleCost):
         self._distance = distance
         self._cost = cost
+        self._tables: list[np.ndarray] = []
+        self._phases: list[int] = []
 
-    def add(self, *gates: Gate) -> None:
-        self.gates.extend(gates)
+    def add(self, phase: int, *tables: np.ndarray) -> None:
+        """One layer of `phase` holding the rows of `tables` in turn; no
+        tables, no layer."""
+        if tables:
+            self._tables.append(tables[0] if len(tables) == 1 else np.concatenate(tables))
+            self._phases.append(phase)
 
-    def seal(self, phase: int) -> Layer | None:
-        if not self.gates:
-            return None
-        _check_layer_parallel(self.gates)
-        swaps = [g for g in self.gates if g.controls]  # only controlled swaps have controls
-        plain = [g for g in self.gates if not g.controls]
-        d_c, d_s = self._max_distance(swaps), self._max_distance(plain)
-        cycles = max(self._cost.c * d_c, self._cost.s * d_s)
-        return Layer(tuple(self.gates), cycles, max(d_c, d_s), phase)
-
-    def _max_distance(self, gates: list[Gate]) -> int:
-        qubits = [q for g in gates for q in g.operands]
-        qubits += [q for g in gates for q, _ in g.controls]
-        return max(map(self._distance.__getitem__, qubits), default=0)
-
-
-def _seal_phases(accums: Iterable[_LayerAccum], phase: int) -> list[Layer]:
-    out = []
-    for acc in accums:
-        layer = acc.seal(phase)
-        if layer is not None:
-            out.append(layer)
-    return out
+    def seal(self) -> list[Layer]:
+        tables = self._tables
+        sizes = [len(t) for t in tables]
+        rows = np.concatenate(tables)
+        starts = np.cumsum(sizes) - sizes
+        faulty = _first_fault(rows, np.repeat(np.arange(len(tables)), sizes),
+                              self._distance.size - 1)
+        if faulty is not None:
+            gates = _table_gates(tables[faulty])
+            for g in gates:
+                g._validate()
+            _check_layer_parallel(gates)
+        d = self._distance[rows[:, _T.A:_T.C1 + 1]].max(axis=1)
+        swaps = rows[:, _T.C0] >= 0  # only controlled swaps have controls
+        d_c = np.maximum.reduceat(np.where(swaps, d, 0), starts)
+        d_s = np.maximum.reduceat(np.where(swaps, 0, d), starts)
+        cycles = np.maximum(self._cost.c * d_c, self._cost.s * d_s)
+        for table in tables:  # layers share tables: a level's routes, the return pass
+            table.flags.writeable = False
+        return [
+            Layer(table, c, rounds, phase)
+            for table, c, rounds, phase in zip(
+                tables, cycles.tolist(), np.maximum(d_c, d_s).tolist(), self._phases)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -471,31 +585,37 @@ def _router_width(router_kind: str) -> int:
     return 2 if router_kind == "qutrit" else 1
 
 
-def _move(src: Sequence[int], dst: Sequence[int]) -> list[Gate]:
-    """Plain swaps of two modes, rail by rail."""
-    return [Gate.swap(a, b) for a, b in zip(src, dst)]
+def _move(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Plain swaps of modes, mode by mode and rail by rail."""
+    return _gate_rows(_T.SWAP, src, dst)
 
 
-def _route(
-    router: Sequence[int], src: Sequence[int], dst: Sequence[int], bit: int
-) -> list[Gate]:
-    """Controlled swaps of a transit mode into child `bit` (0 left, 1
-    right), rail by rail, fired by the router's active rail (if any) at 1
-    and its direction at `bit`."""
-    controls = [(q, 1) for q in router[1:]]
-    controls.append((router[0], bit))
-    return [Gate.cswap(controls, a, b) for a, b in zip(src, dst)]
+def _route(router: np.ndarray, src: np.ndarray, dst: np.ndarray, bit: int) -> np.ndarray:
+    """Controlled swaps of each node's transit mode into its child `bit`
+    (0 left, 1 right), rail by rail, fired by the node's router: its
+    active rail (if any) at 1 and its direction at `bit`. Each argument
+    holds one mode per node."""
+    fire = np.repeat(router, src.shape[-1], axis=0)  # each rail's router
+    if router.shape[-1] == 1:
+        return _gate_rows(_T.CSWAP, src, dst, c0=fire[:, 0], p0=bit)
+    return _gate_rows(_T.CCSWAP, src, dst, c0=fire[:, 1], c1=fire[:, 0], p0=1, p1=bit)
 
 
 def _append_return_pass(layers: list[Layer]) -> None:
     """Mirror the descent (every layer but the data copy) after the copy,
-    one phase per layer from the next free phase on."""
-    descent = [l for l in layers if not any(g.kind is GateKind.CLASSICAL_CX for g in l.gates)]
+    one phase per layer from the next free phase on; the mirrored layers
+    share the descent's tables."""
+    descent = [l for l in layers if not np.any(l.table[:, _T.KIND] == _T.COPY)]
     base = layers[-1].phase + 1
     layers.extend(
-        Layer(src.gates, src.code_cycles, src.noise_rounds, base + i)
+        Layer(src.table, src.code_cycles, src.noise_rounds, base + i)
         for i, src in enumerate(reversed(descent))
     )
+
+
+def _data_copy(leaves: np.ndarray, database: Sequence[int]) -> np.ndarray:
+    """The classical copy of each database bit onto its leaf's value rail."""
+    return _gate_rows(_T.COPY, leaves[:, 0], data=np.asarray(database))
 
 
 def _tree_schedule(
@@ -508,14 +628,14 @@ def _tree_schedule(
     database: tuple[int, ...],
     round_trip: bool,
     *,
-    roots: Sequence[tuple[int, ...]],
-    routers: dict[tuple[int, int], tuple[int, ...]],
-    leaves: Sequence[tuple[int, ...]],
+    roots: np.ndarray,
+    routers: Sequence[np.ndarray],
+    leaves: np.ndarray,
 ) -> Schedule:
     """A router tree's Schedule with its input map, output mask and decoder.
 
     `roots` are the modes of the root slots: the n address slots, then the
-    bus. `routers` maps (level, node) to a router mode and `leaves` holds
+    bus. `routers[l]` holds level l's router modes by node and `leaves`
     each leaf's mode. The readout reads only the width of the modes: a
     mode's first rail carries its value, and every later rail (presence,
     under qutrit routers) starts at 1 in the address modes and must still
@@ -525,6 +645,8 @@ def _tree_schedule(
     after the copy and the output is read back at the root slots; without
     it, at the routers on the path and the leaf.
     """
+    roots, leaves = roots.tolist(), leaves.tolist()
+    routers = [level.tolist() for level in routers]
     bus = roots[n]
     if round_trip:
         _append_return_pass(layers)
@@ -540,7 +662,7 @@ def _tree_schedule(
     def mask(address: int) -> tuple[int, ...]:
         if round_trip:
             return tuple(q for m in roots for q in m)
-        path = [routers[key] for key in enumerate(path_nodes(address, n))]
+        path = [routers[l][j] for l, j in enumerate(path_nodes(address, n))]
         return tuple(q for m in path + [leaves[address]] for q in m)
 
     def decode(word: int) -> tuple[int, int, bool]:
@@ -552,7 +674,7 @@ def _tree_schedule(
         else:
             j = 0
             for l in range(n):
-                bit = (word >> routers[l, j][0]) & 1
+                bit = (word >> routers[l][j][0]) & 1
                 addr = (addr << 1) | bit
                 j = 2 * j + bit
             read = [leaves[addr]]
@@ -587,34 +709,34 @@ def _pipeline_registry(n: int, width: int, role: str | None = None):
     """Ports, bus, routers and rails of a pipelined tree of `width`-rail
     modes, in registry order: the n port modes (rail by rail), the bus
     mode, then per (level, node) its router and its transit rail, then
-    the leaf rails. `role` tags every qubit alike; by default ports are
-    "address", routers carry the router roles and the rest is "bus".
+    the leaf rails. `routers[l]` and `rails[l]` hold level l's modes by
+    node. `role` tags every qubit alike; by default ports are "address",
+    routers carry the router roles and the rest is "bus".
     """
     reg = _Registry()
     ports = reg.modes(n, 0, *(role or "address",) * width)
     bus = reg.mode(0, *(role or "bus",) * width)
     router_roles = (role,) * width if role else _ROUTER_ROLES[:width]
     rail_roles = (role or "bus",) * width
-    routers: dict[tuple[int, int], tuple[int, ...]] = {}
-    rails: dict[tuple[int, int], tuple[int, ...]] = {}
+    routers, rails = [], []
     for l in range(n):
-        for j, node in enumerate(reg.nodes(1 << l, l, *router_roles, *rail_roles)):
-            routers[l, j], rails[l, j] = node[:width], node[width:]
-    for j, leaf in enumerate(reg.nodes(1 << n, n, *rail_roles)):
-        rails[n, j] = leaf
+        nodes = reg.nodes(1 << l, l, *router_roles, *rail_roles)
+        routers.append(nodes[:, :width])
+        rails.append(nodes[:, width:])
+    rails.append(reg.nodes(1 << n, n, *rail_roles))
     return reg, ports, bus, routers, rails
 
 
 def _pipeline_layers(
     n: int,
-    dist: list[int],
+    dist: np.ndarray,
     cost: CycleCost,
     database: tuple[int, ...],
-    ports: Sequence[tuple[int, ...]],
-    rails: dict[tuple[int, int], tuple[int, ...]],
-    routers: dict[tuple[int, int], tuple[int, ...]],
-    inject_bus: list[Gate],
-    route: Callable[..., list[Gate]],
+    ports: np.ndarray,
+    rails: Sequence[np.ndarray],
+    routers: Sequence[np.ndarray],
+    inject_bus: np.ndarray,
+    route: Callable[..., np.ndarray],
 ) -> list[Layer]:
     """Sequential-address pipeline: payload k enters two phases after k-1.
 
@@ -624,47 +746,41 @@ def _pipeline_layers(
     address bit. Payloads therefore stay at least two levels apart and
     route layers of distinct payloads merge. The data copy onto the leaf
     value rails runs at phase 3n+2, once the bus reaches the leaves.
-    `route(router, src, dst, bit)` makes one node's routing gates; each
-    level's left and right gates are made once, and every payload that
-    crosses the level shares them.
+    `route(routers, src, dst, bit)` makes a level's routing gates, every
+    node's at once; each level's left and right gates are made once, and
+    every payload that crosses the level shares them.
     """
-    routes: dict[tuple[int, int], list[Gate]] = {}
+    routes: dict[tuple[int, int], np.ndarray] = {}
 
-    def route_gates(level: int, bit: int) -> list[Gate]:
+    def route_gates(level: int, bit: int) -> np.ndarray:
         gates = routes.get((level, bit))
         if gates is None:
-            gates = routes[level, bit] = [
-                g
-                for j in range(1 << level)
-                for g in route(
-                    routers[level, j], rails[level, j], rails[level + 1, 2 * j + bit], bit
-                )
-            ]
+            gates = routes[level, bit] = route(
+                routers[level], rails[level], rails[level + 1][bit::2], bit
+            )
         return gates
 
-    layers: list[Layer] = []
+    layers = _LayerAccum(dist, cost)
     for tau in range(3 * n + 3):
-        sub1 = _LayerAccum(dist, cost)
-        sub2 = _LayerAccum(dist, cost)
+        sub1, sub2 = [], []
         for k in range(n + 1):
             is_bus = k == n
             inject_at = 2 * k + 1 if is_bus else 2 * k
             if tau == inject_at:
-                sub1.add(*(inject_bus if is_bus else _move(ports[k], rails[0, 0])))
+                sub1.append(inject_bus if is_bus else _move(ports[k], rails[0]))
             elif not is_bus and tau == 3 * k + 1:
-                for j in range(1 << k):
-                    sub1.add(*_move(rails[k, j], routers[k, j]))
+                sub1.append(_move(rails[k], routers[k]))
             else:
                 j = tau - inject_at
                 limit = n if is_bus else k
                 if 1 <= j <= limit:
-                    sub1.add(*route_gates(j - 1, 0))
-                    sub2.add(*route_gates(j - 1, 1))
+                    sub1.append(route_gates(j - 1, 0))
+                    sub2.append(route_gates(j - 1, 1))
         if tau == 3 * n + 2:
-            for j in range(1 << n):
-                sub1.add(Gate.classical_cx(database[j], rails[n, j][0]))
-        layers.extend(_seal_phases([sub1, sub2], tau))
-    return layers
+            sub1.append(_data_copy(rails[n], database))
+        layers.add(tau, *sub1)
+        layers.add(tau, *sub2)
+    return layers.seal()
 
 
 # ---------------------------------------------------------------------------
@@ -691,13 +807,13 @@ def _build_pipelined(
     reg, ports, bus, routers, rails = _pipeline_registry(n, _router_width(router_kind))
     dist = _distance_table(reg.levels, profile)
     layers = _pipeline_layers(
-        n, dist, cost, database, ports, rails, routers, _move(bus, rails[0, 0]), _route
+        n, dist, cost, database, ports, rails, routers, _move(bus, rails[0]), _route
     )
     return _tree_schedule(
         architecture, n, reg, layers, profile, cost, database, round_trip,
-        roots=ports + [bus],
+        roots=np.vstack([ports, bus]),
         routers=routers,
-        leaves=[rails[n, j] for j in range(1 << n)],
+        leaves=rails[n],
     )
 
 
@@ -791,51 +907,45 @@ def build_ft_hetero(
     profile = _profile_for(n, profile, DistanceProfile.linear(n))
 
     # a node is its router, then its slots (the address tail, then the
-    # bus), split into modes of `width` rails
+    # bus), split into modes of `width` rails; slots[l] is level l's
+    # (node, slot, rail) array
     reg = _Registry()
     address, bus = ("address",) * width, ("bus",) * width
-    routers: dict[tuple[int, int], tuple[int, ...]] = {}
-    slots: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    routers, slots = [], []
     for l in range(n):
         node_roles = _ROUTER_ROLES[:width] + address * (n - l) + bus
-        for j, node in enumerate(reg.nodes(1 << l, l, *node_roles)):
-            routers[l, j] = node[:width]
-            slots[l, j] = [node[i:i + width] for i in range(width, len(node), width)]
-    for j, leaf in enumerate(reg.nodes(1 << n, n, *bus)):
-        slots[n, j] = [leaf]
+        nodes = reg.nodes(1 << l, l, *node_roles)
+        routers.append(nodes[:, :width])
+        slots.append(nodes[:, width:].reshape(1 << l, n - l + 1, width))
+    slots.append(reg.nodes(1 << n, n, *bus).reshape(1 << n, 1, width))
 
-    dist = _distance_table(reg.levels, profile)
-    layers: list[Layer] = []
+    layers = _LayerAccum(_distance_table(reg.levels, profile), cost)
     phase = 0
     for l in range(n):
-        park = _LayerAccum(dist, cost)
-        for j in range(1 << l):
-            park.add(*_move(slots[l, j][0], routers[l, j]))
-        layers.extend(_seal_phases([park], phase))
+        layers.add(phase, _move(slots[l][:, 0], routers[l]))
         phase += 1
         for s in range(1, n - l + 1):
             for bit in (0, 1):
-                acc = _LayerAccum(dist, cost)
-                for j in range(1 << l):
-                    child = slots[l + 1, 2 * j + bit]
-                    acc.add(*_route(routers[l, j], slots[l, j][s], child[s - 1], bit))
-                layers.extend(_seal_phases([acc], phase))
+                child = slots[l + 1][bit::2, s - 1]
+                layers.add(phase, _route(routers[l], slots[l][:, s], child, bit))
             phase += 1
-    copy = _LayerAccum(dist, cost)
-    for j in range(1 << n):
-        copy.add(Gate.classical_cx(database[j], slots[n, j][0][0]))
-    layers.extend(_seal_phases([copy], phase))
+    layers.add(phase, _data_copy(slots[n][:, 0], database))
 
     return _tree_schedule(
-        "ft-hetero", n, reg, layers, profile, cost, database, round_trip,
-        roots=slots[0, 0],
+        "ft-hetero", n, reg, layers.seal(), profile, cost, database, round_trip,
+        roots=slots[0][0],
         routers=routers,
-        leaves=[slots[n, j][0] for j in range(1 << n)],
+        leaves=slots[n][:, 0],
     )
 
 
 # ---------------------------------------------------------------------------
 # quantum-walker builder
+
+
+def _s_hop(parent_b, parent_r, child_b, child_r) -> np.ndarray:
+    """The gate table of `walker_s_hop`."""
+    return _gate_rows(_T.CCSWAP, parent_b, child_r, c0=child_b, c1=parent_r, p0=0, p1=0)
 
 
 def walker_s_hop(parent_b: int, parent_r: int, child_b: int, child_r: int) -> Gate:
@@ -844,16 +954,14 @@ def walker_s_hop(parent_b: int, parent_r: int, child_b: int, child_r: int) -> Ga
     Swaps |phi, B> <-> |R, phi> (child, parent) and fixes every other
     encoded basis state; it is its own inverse.
     """
-    return Gate.cswap([(child_b, 0), (parent_r, 0)], parent_b, child_r)
+    return _table_gates(_s_hop(parent_b, parent_r, child_b, child_r))[0]
 
 
-def _steer_route(
-    steer: Sequence[int], src: Sequence[int], dst: Sequence[int], bit: int
-) -> list[Gate]:
-    """A walker's hop into child `bit`, rail by rail, fired by the steer
-    cell's B rail (bit 0, left) or R rail (bit 1, right)."""
-    controls = [(steer[bit], 1)]
-    return [Gate.cswap(controls, a, b) for a, b in zip(src, dst)]
+def _steer_route(steer: np.ndarray, src: np.ndarray, dst: np.ndarray, bit: int) -> np.ndarray:
+    """Each node's walker hop into child `bit`, rail by rail, fired by the
+    node's steer cell's B rail (bit 0, left) or R rail (bit 1, right)."""
+    fire = np.repeat(steer[:, bit], src.shape[-1])  # each rail's steer rail
+    return _gate_rows(_T.CSWAP, src, dst, c0=fire, p0=1)
 
 
 def build_walker(
@@ -878,8 +986,10 @@ def build_walker(
 
     reg, ports, bus, steer, rails = _pipeline_registry(n, 2, role="walker")
     dist = _distance_table(reg.levels, profile)
-    hop = [walker_s_hop(*bus, *rails[0, 0])]
+    hop = _s_hop(*bus, *rails[0][0])
     layers = _pipeline_layers(n, dist, cost, database, ports, rails, steer, hop, _steer_route)
+    ports, bus, leaves = ports.tolist(), tuple(bus.tolist()), rails[n].tolist()
+    steer = [level.tolist() for level in steer]
 
     def initial_word(address: int) -> int:
         word = 1 << bus[0]
@@ -888,17 +998,17 @@ def build_walker(
         return word
 
     def mask(address: int) -> tuple[int, ...]:
-        cells = [steer[key] for key in enumerate(path_nodes(address, n))]
-        return tuple(q for cell in cells + [rails[n, address]] for q in cell)
+        cells = [steer[l][j] for l, j in enumerate(path_nodes(address, n))]
+        return tuple(q for cell in cells + [leaves[address]] for q in cell)
 
     def decode(word: int) -> tuple[int, int, bool]:
         addr = 0
         j = 0
         for l in range(n):
-            bit = (word >> steer[l, j][1]) & 1
+            bit = (word >> steer[l][j][1]) & 1
             addr = (addr << 1) | bit
             j = 2 * j + bit
-        b, r = rails[n, addr]
+        b, r = leaves[addr]
         return addr, (word >> b) & 1, ((word >> r) & 1) == 1
 
     return Schedule(

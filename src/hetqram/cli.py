@@ -44,6 +44,8 @@ _COMMON_KEYS = (
 )
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
+#: flag dest -> the SurfaceParams field that takes its parsed value
+_PARAM_FIELDS = {"epsilon_prime": "epsilon_prime", "p_prime": "p_ratio"}
 #: flag dest -> the ExperimentConfig field that takes its parsed value as is
 _CONFIG_FIELDS = {
     "routers": "router_kind", "profile": "profile", "trials": "trials", "seed": "seed",
@@ -171,13 +173,14 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         fields["round_trip"] = given["round_trip"] == "on"
     try:
         fields["params"] = SurfaceParams(**{
-            field: given[key]
-            for key, field in (("epsilon_prime", "epsilon_prime"), ("p_prime", "p_ratio"))
-            if key in given
+            field: given[key] for key, field in _PARAM_FIELDS.items() if key in given
         })
         fields["cost"] = CycleCost(**{key: given[key] for key in ("c", "s") if key in given})
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        message = str(exc)
+        for key, field in _PARAM_FIELDS.items():  # name the flag, not the field
+            message = message.replace(field, "--" + key.replace("_", "-"))
+        raise ConfigError(message) from None
     return ExperimentConfig(**fields)
 
 

@@ -94,9 +94,12 @@ to 1/17 at n=8 and 9). Both kernels give the same fidelities bit for bit.
 Swaps are unconditional, so they never reach the plane: each layer
 compiles once to gates on physical plane rows, and the swaps fold into a
 static logical-to-physical row map, kept at the layers where noise lands
-and at the last layer. `run_events` adds the maps of its own layers. A
-layer compiles straight to its controlled swaps grouped by control
-polarities, as index arrays, plus the rows it inverts; the dense kernel
+and at the last layer. `run_events` adds the maps of its own layers. The
+compile reads the layers' gate tables (`circuits.GateTable`), never
+`Layer.gates`: it sorts all the tables once into each layer's polarity
+groups, plain swaps and inverts, so a layer costs a fixed number of numpy
+calls. A layer compiles straight to its controlled swaps grouped by
+control polarities, as index arrays, plus the rows it inverts; the dense kernel
 (`_gate_pass`) runs each group with a fixed number of numpy calls (one
 gather, the swap mask, one scatter) on chunks of at most `_GATE_CHUNK`
 plane words. The layers, the maps and the superposition block and readout
@@ -138,13 +141,12 @@ independent per-address oracle that the tests compare against.
 from __future__ import annotations
 
 import math
-from array import array
 from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .circuits import GateKind, Schedule
+from .circuits import GateTable, Schedule
 from .noise import NoiseModel, NoisePlan, PauliEvent, net_flip_probability
 
 #: consecutive batches share a plane pass up to this many (trial, branch)
@@ -470,45 +472,52 @@ class PlaneEngine:
 
         A plain swap relabels two rows instead of moving their data. Swaps
         are unconditional, so the relabelling is the same in every pass:
-        it folds into the row map here and never reaches the plane.
+        it folds into the row map here and never reaches the plane. The
+        layers' gate tables are sorted once, all together, into each
+        layer's parts: a one-control swap's polarity (0, 1), a two-control
+        swap's 2 + 2 p0 + p1 (2-5), the plain swaps (6), the inverts (7)
+        and the copies of a 0 (8). Then each layer costs one gather of its
+        qubits' rows, one copy per part and the row swaps.
         """
-        # int64 buffer: each kept map is one copy, not a per-item conversion
-        row = array("q", range(self.schedule.qubit_count))
+        T = GateTable
+        tables = [layer.table for layer in self.schedule.layers]
+        rows = np.concatenate(tables)
+        p0, p1 = rows[:, T.P0], rows[:, T.P1]
+        code = np.choose(rows[:, T.KIND], [6, p0, 2 + 2 * p0 + p1, 7, 8 - rows[:, T.DATA]])
+        ends = np.cumsum([len(t) for t in tables])
+        key = np.repeat(np.arange(ends.size) * 9, np.diff(ends, prepend=0)) + code
+        order = np.argsort(key, kind="stable")  # each part keeps its gates' order
+        key = key[order]
+        qubits = rows[order, T.A:T.C1 + 1]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        # each part's (layer * 9 + code, first row, end row) in sorted order
+        parts = zip(key[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), key.size])
+        none = np.empty(0, dtype=np.int64)
+        row = np.arange(self.schedule.qubit_count)
         layers, maps = [], {}
-        for li, layer in enumerate(self.schedule.layers):
-            # per polarity pattern, each swap's rows: a, b, then its controls'
-            by_pattern: dict[tuple, list] = {}
-            inverts = []
-            for g in layer.gates:
-                controls = g.controls
-                if controls:  # a controlled swap, with one or two controls
-                    a, b = g.operands
-                    if len(controls) == 1:
-                        (c, pol), = controls
-                        key, rows = (pol,), (row[a], row[b], row[c])
-                    else:
-                        (c, pol), (d, pol_d) = controls
-                        key, rows = (pol, pol_d), (row[a], row[b], row[c], row[d])
-                    group = by_pattern.get(key)
-                    if group is None:
-                        by_pattern[key] = [rows]
-                    else:
-                        group.append(rows)
-                elif g.kind is GateKind.SWAP:
-                    a, b = g.operands
-                    row[a], row[b] = row[b], row[a]
-                elif g.kind is GateKind.X:
-                    inverts.append(row[g.operands[0]])
-                elif g.kind is GateKind.CLASSICAL_CX:
-                    if g.data_bit:
-                        inverts.append(row[g.operands[0]])
-                else:
-                    raise AssertionError(g.kind)
-            groups = [(np.array(rows, dtype=np.int64).T.copy(), pols)
-                      for pols, rows in by_pattern.items()]
-            layers.append((groups, np.array(inverts, dtype=np.int64)))
+        lo = 0
+        part = next(parts, None)
+        for li, hi in enumerate(ends.tolist()):
+            # rows before the layer's swaps (no other gate shares their
+            # qubits); a -1 entry reads the last row and is never used
+            phys = row[qubits[lo:hi]]
+            groups, inverts = [], none
+            while part is not None and part[1] < hi:
+                code, s, e = part[0] - 9 * li, part[1] - lo, part[2] - lo
+                if code < 2:
+                    groups.append((phys[s:e, :3].T.copy(), (code,)))
+                elif code < 6:
+                    groups.append((phys[s:e, :4].T.copy(), divmod(code - 2, 2)))
+                elif code == 6:
+                    swapped = qubits[lo + s : lo + e]
+                    row[swapped[:, 0]], row[swapped[:, 1]] = phys[s:e, 1], phys[s:e, 0]
+                elif code == 7:
+                    inverts = phys[s:e, 0].copy()
+                part = next(parts, None)
+            layers.append((groups, inverts))
             if li in keep:
-                maps[li] = np.array(row)
+                maps[li] = row.copy()
+            lo = hi
         return layers, maps
 
     def _prepare(self, layers: Iterable[int] = ()) -> None:

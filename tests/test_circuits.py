@@ -1,20 +1,26 @@
 """Schedule builders: routing correctness, layer structure, coherence envelopes."""
 
+import dataclasses
 import hashlib
 import json
 import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hetqram.analytics import BoundInputs, bb_coherence_time, ft_coherence_time
 from hetqram.circuits import (
     Gate,
     GateKind,
+    GateTable,
     Layer,
     Schedule,
     _check_layer_parallel,
+    _distance_table,
+    _first_fault,
+    _LayerAccum,
     build_bb_hetero,
     build_ft_hetero,
     build_schedule,
@@ -26,6 +32,8 @@ from hetqram.circuits import (
     validate_database,
     walker_s_hop,
 )
+from hetqram.cli import main
+from hetqram.engine import PlaneEngine
 from hetqram.noise import CycleCost, DistanceProfile
 
 ALL_VARIANTS = [
@@ -63,7 +71,7 @@ def test_gate_validation():
 
 def _schedule_with(gates, qubits=4):
     return Schedule("uniform-bb", "qubit", 1, (0,) * qubits, ("bus",) * qubits,
-                    (Layer(tuple(gates), 1),), DistanceProfile.uniform(1, 3), CycleCost(), (0, 1))
+                    (Layer.of_gates(gates, 1),), DistanceProfile.uniform(1, 3), CycleCost(), (0, 1))
 
 
 @pytest.mark.parametrize("make_fault,message", [
@@ -139,6 +147,115 @@ def test_all_built_layers_are_parallel():
         for layer in sched.layers:
             _check_layer_parallel(layer.gates)
             assert layer.code_cycles >= 1
+
+
+_T = GateTable
+
+
+def _mutate(table, row, **columns):
+    """A copy of `table` with the named columns of one row replaced."""
+    table = table.copy()
+    for name, value in columns.items():
+        table[row, getattr(_T, name)] = value
+    return table
+
+
+# each fault on a real layer (rows 0, 1 route one node's rails under one
+# control set, rows 2, 3 the next node's), by a one-row mutation
+TABLE_FAULTS = {
+    "duplicate-operand": (lambda t: _mutate(t, 0, B=t[0, _T.A]), "duplicate operand"),
+    "duplicate-control": (lambda t: _mutate(t, 0, C1=t[0, _T.C0]), "duplicate control qubit"),
+    "control-on-operand": (lambda t: _mutate(t, 0, C0=t[0, _T.A]), "controls overlap operands"),
+    "polarity": (lambda t: _mutate(t, 0, P1=2), "polarity must be 0 or 1"),
+    "shared-operands": (lambda t: _mutate(t, 2, A=t[0, _T.B]), "overlapping operands in layer"),
+    "control-is-operand": (lambda t: _mutate(t, 2, C0=t[0, _T.A]),
+                           "a control qubit is another gate's operand in the same layer"),
+    "control-sets": (lambda t: _mutate(t, 1, P1=1 - t[1, _T.P1]),
+                     "overlapping but non-identical control sets in layer"),
+}
+
+
+def _routing_layer(sched):
+    """Index of the first layer that routes two or more nodes, whose rows
+    0, 1 and 2, 3 are two nodes' rails under their control sets."""
+    li = next(i for i, layer in enumerate(sched.layers)
+              if np.count_nonzero(layer.table[:, _T.KIND] == _T.CCSWAP) >= 4)
+    controls = sched.layers[li].table[:4, _T.C0:]
+    assert (controls[0] == controls[1]).all() and (controls[2] == controls[3]).all()
+    assert (controls[0] != controls[2]).any()
+    return li
+
+
+def _seal(sched, tables):
+    """`_LayerAccum.seal` of `tables`, one layer each, at the schedule's phases."""
+    acc = _LayerAccum(_distance_table(sched.levels, sched.profile), sched.cost)
+    for layer, table in zip(sched.layers, tables):
+        acc.add(layer.phase, table)
+    return acc.seal()
+
+
+@pytest.mark.parametrize("fault", TABLE_FAULTS)
+def test_table_checks_raise_each_fault_message(fault):
+    """Sealing the tables of a real n=3 schedule, one of whose layers has a
+    one-row mutation, raises the message that `Gate._validate` or
+    `_check_layer_parallel` gives that fault; the unmutated tables seal to
+    the built layers."""
+    sched = build_bb_hetero(3, "qutrit", [1, 0, 0, 1, 1, 1, 0, 1])
+    tables = [layer.table for layer in sched.layers]
+    assert _seal(sched, tables) == list(sched.layers)
+    li = _routing_layer(sched)
+    mutate, message = TABLE_FAULTS[fault]
+    tables[li] = mutate(tables[li])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _seal(sched, tables)
+
+
+def test_schedule_rejects_an_unregistered_qubit_in_a_table():
+    """A one-row mutation of a real n=3 layer onto a qubit past the
+    registry raises the range check's message from `Schedule`."""
+    sched = build_bb_hetero(3, "qutrit", [1, 0, 0, 1, 1, 1, 0, 1])
+    li = _routing_layer(sched)
+    layers = list(sched.layers)
+    bad = layers[li]
+    for column, q in (("C1", sched.qubit_count), ("A", -2)):
+        layers[li] = Layer(_mutate(bad.table, 3, **{column: q}), bad.code_cycles,
+                           bad.noise_rounds, bad.phase)
+        with pytest.raises(ValueError, match=re.escape(f"gate touches unregistered qubit {q}")):
+            dataclasses.replace(sched, layers=tuple(layers))
+
+
+def test_first_fault_flags_exactly_what_the_gate_checks_reject():
+    """`_first_fault` flags a layer exactly when its gates fail
+    `Gate._validate` or `_check_layer_parallel`: random one-entry
+    mutations of every n=3 layer of every variant, each checked behind an
+    unmutated layer so that a collision across layers would show."""
+    rng = random.Random(5)
+    qubit_columns = {"A": 0, "B": 1, "C0": 2, "C1": 3}
+    for arch, kind in ALL_VARIANTS:
+        sched = make(arch, kind, 3, [0, 1, 1, 0, 1, 0, 0, 1])
+        nq = sched.qubit_count
+        for before, layer in zip(sched.layers, sched.layers[1:]):
+            qubits = sorted(layer.touched() | before.touched())
+            for _ in range(30):
+                row = rng.randrange(len(layer.table))
+                present = _T.PRESENT[layer.table[row, _T.KIND]]
+                column = rng.choice([c for c, i in qubit_columns.items() if present[i]]
+                                    + ["P0", "P1"] * bool(present[2]))
+                if column == "P1" and not present[3]:
+                    continue
+                value = rng.choice([0, 1, 2, -1]) if column[0] == "P" else rng.choice(qubits)
+                table = _mutate(layer.table, row, **{column: value})
+                try:
+                    gates = Layer(table, 1).gates
+                    for g in gates:
+                        g._validate()
+                    _check_layer_parallel(gates)
+                    expect = None
+                except ValueError:
+                    expect = 1
+                rows = np.concatenate([before.table, table])
+                at = np.repeat([0, 1], [len(before.table), len(table)])
+                assert _first_fault(rows, at, nq) == expect, (arch, kind, row, column, value)
 
 
 def _first_active_layer_sets(sched):
@@ -422,16 +539,24 @@ def schedule_digests() -> dict[str, str]:
     out = {}
     for arch, kind in ALL_VARIANTS:
         for n in range(1, 9):
-            rng = random.Random(n)
-            db = [rng.randint(0, 1) for _ in range(1 << n)]
             for rt in [None] if arch == "walker" else [None, True, False]:
-                sched = build_schedule(arch, n, kind, db, round_trip=rt)
-                pricing = [(l.code_cycles, l.noise_rounds, l.phase) for l in sched.layers]
-                readout = [(sched.initial_word(a), sched.output_mask(a)) for a in range(1 << n)]
-                text = (f"{sched.dump()}{sched.levels}\n{sched.roles}\n{pricing}\n"
-                        f"{sched.input_qubits}\n{readout}\n")
-                out[f"{arch}/{kind}/n={n}/rt={rt}"] = hashlib.sha256(text.encode()).hexdigest()
+                sched = build_schedule(arch, n, kind, _digest_database(n), round_trip=rt)
+                out[f"{arch}/{kind}/n={n}/rt={rt}"] = schedule_digest(sched)
     return out
+
+
+def _digest_database(n):
+    rng = random.Random(n)
+    return [rng.randint(0, 1) for _ in range(1 << n)]
+
+
+def schedule_digest(sched) -> str:
+    """sha256 of one schedule's entry in `schedule_digests`."""
+    pricing = [(l.code_cycles, l.noise_rounds, l.phase) for l in sched.layers]
+    readout = [(sched.initial_word(a), sched.output_mask(a)) for a in range(1 << sched.n)]
+    text = (f"{sched.dump()}{sched.levels}\n{sched.roles}\n{pricing}\n"
+            f"{sched.input_qubits}\n{readout}\n")
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_schedule_digests_golden():
@@ -439,6 +564,40 @@ def test_schedule_digests_golden():
     pricing, is byte-identical to the one the golden file was made from."""
     golden = json.loads((Path(__file__).parent / "data" / "schedule_digest.json").read_text())
     assert schedule_digests() == golden
+
+
+@pytest.mark.parametrize("arch", ["bb-hetero", "ft-hetero", "uniform-bb"])
+def test_sim_point_constructs_no_gate(arch, monkeypatch, tmp_path):
+    """One `sim` point (qutrit, n=8, the architecture's own protocol, on
+    the digest's database) builds its schedule, compiles it and runs its
+    trials without constructing a `Gate`. Reading `Layer.gates` afterwards
+    gives the gates of the golden schedule digest."""
+    built, compiled, made = [], [], []
+
+    def recording_build(*args, **kwargs):
+        built.append(build_schedule(*args, **kwargs))
+        return built[-1]
+
+    compile_layers = PlaneEngine._compile
+    init = Gate.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr("hetqram.harness.database_for", lambda config, n: _digest_database(n))
+    monkeypatch.setattr("hetqram.harness.build_schedule", recording_build)
+    monkeypatch.setattr(PlaneEngine, "_compile",
+                        lambda self, keep: compiled.append(keep) or compile_layers(self, keep))
+    monkeypatch.setattr(Gate, "__init__", counting_init)
+    out = tmp_path / "point.csv"
+    assert main(["sim", "--arch", arch, "--routers", "qutrit", "--n", "8", "--p-prime", "0.1",
+                 "--trials", "128", "--seed", "7", "--out", str(out)]) == 0
+    assert len(built) == 1 and compiled  # the point saw events, so it compiled
+    assert made == []
+    golden = json.loads((Path(__file__).parent / "data" / "schedule_digest.json").read_text())
+    assert schedule_digest(built[0]) == golden[f"{arch}/qutrit/n=8/rt=None"]
+    assert len(made) == sum(len(layer.table) for layer in built[0].layers)
 
 
 def test_build_schedule_dispatch():

@@ -89,6 +89,20 @@ def test_config_file_bad_key(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+@pytest.mark.parametrize("command", ["sim", "bounds"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--p-prime", "1.5", "--p-prime must lie in (0, 1)"),
+    ("--p-prime", "0", "--p-prime must lie in (0, 1)"),
+    ("--epsilon-prime", "-1", "--epsilon-prime must be > 0"),
+])
+def test_surface_param_errors_name_the_flag(capsys, command, flag, value, message):
+    """An out-of-range --p-prime or --epsilon-prime exits 2 with an error
+    that names the flag, not the library field it sets."""
+    code, _, err = run_cli([command, "--n", "2", "--trials", "5", flag, value], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_invalid_arch_exit_2(capsys):
     code, _, _ = run_cli(["sim", "--arch", "nope", "--n", "2"], capsys)
     assert code == 2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from compile_oracle import reference_compile
 from word_oracle import reference_fidelity, sampled_events
 
 from hetqram.circuits import (
@@ -684,6 +685,33 @@ def test_grouped_layer_kernel_equals_apply_to_word(arch, kind, chunk, monkeypatc
             assert np.array_equal(plane[after, :1], _pack_bits_lsb(_word_bits(words, nq))), (n, li)
             assert np.array_equal(plane[:, 1], past)
             before = after
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_compile_equals_reference_compile(arch, kind):
+    """The table compile equals the gate-by-gate reference compile
+    (`tests/compile_oracle.py`) for n=1..6 under both protocols: the same
+    row maps after every kept layer, the same inverts, and the same set
+    of controlled-swap rows for each polarity pattern."""
+    for n in range(1, 7):
+        for round_trip in [None] if arch == "walker" else [True, False]:
+            sched = build_schedule(arch, n, kind, _database(n), round_trip=round_trip)
+            keep = set(range(0, len(sched.layers), 3)) | {len(sched.layers) - 1}
+            layers, maps = PlaneEngine(sched, None)._compile(keep)
+            want_layers, want_maps = reference_compile(sched, keep)
+            assert maps.keys() == want_maps.keys()
+            for li in keep:
+                assert np.array_equal(maps[li], want_maps[li]), (n, round_trip, li)
+            for li, ((groups, inverts), (want_groups, want_inverts)) in enumerate(
+                    zip(layers, want_layers, strict=True)):
+                assert inverts.dtype == np.int64
+                assert inverts.tolist() == want_inverts, (n, round_trip, li)
+                got = {}
+                for rows, pols in groups:
+                    assert rows.dtype == np.int64 and rows.shape[0] == 2 + len(pols)
+                    got.setdefault(tuple(pols), set()).update(map(tuple, rows.T.tolist()))
+                want = {pols: set(rows) for pols, rows in want_groups.items()}
+                assert got == want, (n, round_trip, li)
 
 
 def _spy_deviation_passes(monkeypatch):

@@ -157,10 +157,10 @@ def _plan_schedule():
     """q0 (level 0, input), q1 (level 1), q2 (level 2), q3 (level 1, never
     touched); phases 0, 0, 1, 2 with noise_rounds 5, 3, 2, 1."""
     layers = (
-        Layer((Gate.swap(0, 1),), code_cycles=5, noise_rounds=5, phase=0),
-        Layer((Gate.x(1),), code_cycles=3, noise_rounds=3, phase=0),
-        Layer((Gate.swap(1, 2),), code_cycles=2, noise_rounds=2, phase=1),
-        Layer((Gate.x(0),), code_cycles=1, noise_rounds=1, phase=2),
+        Layer.of_gates((Gate.swap(0, 1),), code_cycles=5, noise_rounds=5, phase=0),
+        Layer.of_gates((Gate.x(1),), code_cycles=3, noise_rounds=3, phase=0),
+        Layer.of_gates((Gate.swap(1, 2),), code_cycles=2, noise_rounds=2, phase=1),
+        Layer.of_gates((Gate.x(0),), code_cycles=1, noise_rounds=1, phase=2),
     )
     return Schedule(
         "bare", "qutrit", 2, (0, 1, 2, 1), ("address", "bus", "bus", "bus"), layers,

@@ -22,6 +22,17 @@ for the per-word readers (`run_noiseless`, `Schedule.dump`, the sparse
 branch states and the test oracles); the simulation path never builds a
 `Gate`.
 
+Address map: where an address enters a tree and where its answer is
+read is schedule data. The builders (`_tree_schedule`, `build_walker`)
+fill three `Schedule` fields from their mode arrays: `address_rails`,
+the qubit that address bit k sets when it is 0 or 1 (-1 for none);
+`set_qubits`, set in every initial word; and `readout_tables`, whose
+tables of 2^l modes are indexed by the address's top l bits, the rows
+in turn making its output mask. `PlaneEngine._span` reads the map for
+all its columns at once (`set_cells`, `output_masks`), the per-word
+readers one address at a time (`initial_word`, `output_mask`). Only
+`decode`, which just the per-word checks call, stays a builder closure.
+
 Conventions shared by all architectures:
 
 * Address integers are read big-endian along the tree: the bit routed at
@@ -373,7 +384,8 @@ def validate_database(bits: Sequence[int], n: int) -> tuple[int, ...]:
 
 @dataclass
 class Schedule:
-    """A built query circuit: registry, layers, and decode/readout helpers."""
+    """A built query circuit: registry, layers, address map (see the
+    module docstring) and decoder."""
 
     architecture: str
     router_kind: str
@@ -385,8 +397,9 @@ class Schedule:
     cost: CycleCost
     database: tuple[int, ...]
     input_qubits: tuple[int, ...] = ()
-    _initial_word_fn: Callable[[int], int] = field(repr=False, default=None)
-    _mask_fn: Callable[[int], tuple[int, ...]] = field(repr=False, default=None)
+    address_rails: np.ndarray | None = field(repr=False, compare=False, default=None)
+    set_qubits: np.ndarray | None = field(repr=False, compare=False, default=None)
+    readout_tables: tuple[np.ndarray, ...] = field(repr=False, compare=False, default=())
     _decode_fn: Callable[[int], tuple[int, int, bool]] = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -427,22 +440,54 @@ class Schedule:
     def total_cycles(self) -> int:
         return sum(layer.code_cycles for layer in self.layers)
 
-    # -- initial states ---------------------------------------------------
+    # -- the address map, for arrays of addresses --------------------------
+
+    def set_cells(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(qubit, column) of every qubit that column c's initial word sets,
+        column c holding addresses[c]: the set qubits of every column, then
+        the rail that each address bit picks."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        bits = (addresses >> np.arange(self.n - 1, -1, -1)[:, None]) & 1  # (n, C)
+        qubits = np.vstack([np.repeat(self.set_qubits[:, None], addresses.size, axis=1),
+                            np.take_along_axis(self.address_rails, bits, axis=1)])
+        row, column = np.nonzero(qubits >= 0)
+        return qubits[row, column], column
+
+    def output_masks(self, addresses: np.ndarray) -> np.ndarray:
+        """(C, m) array whose row c is `output_mask(addresses[c])`."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        return np.concatenate([table[addresses >> (self.n - len(table).bit_length() + 1)]
+                               for table in self.readout_tables], axis=1)
+
+    # -- the address map, one address at a time -----------------------------
+
+    @cached_property
+    def _address_lists(self) -> tuple[int, list, list]:
+        """The address map as Python values: the word of the set qubits,
+        `address_rails` and each readout table with its address shift."""
+        return (sum(1 << q for q in self.set_qubits.tolist()),
+                self.address_rails.tolist(),
+                [(table.tolist(), self.n - len(table).bit_length() + 1)
+                 for table in self.readout_tables])
 
     def initial_word(self, address: int) -> int:
+        """The basis word that enters the tree for one address."""
         if not 0 <= address < (1 << self.n):
             raise ValueError(f"address {address} outside [0, 2^{self.n})")
-        if self._initial_word_fn is None:
+        if self.address_rails is None:
             raise ValueError("schedule has no architecture input map")
-        return self._initial_word_fn(address)
-
-    # -- readout ----------------------------------------------------------
+        word, rails, _ = self._address_lists
+        for k, rail in enumerate(rails):
+            q = rail[(address >> (self.n - 1 - k)) & 1]
+            if q >= 0:
+                word |= 1 << q
+        return word
 
     def output_mask(self, address: int) -> tuple[int, ...]:
         """Qubits that carry the query output for one address branch."""
-        if self._mask_fn is None:
+        if not self.readout_tables:
             raise ValueError("schedule has no output mask")
-        return self._mask_fn(address)
+        return tuple(q for rows, shift in self._address_lists[2] for q in rows[address >> shift])
 
     def decode(self, word: int) -> tuple[int, int, bool]:
         """(address, data bit, delivered) read from a final basis word."""
@@ -493,17 +538,6 @@ def measured_coherence_cycles(schedule: Schedule, level: int) -> int:
     watched = [q for q in on_level if schedule.roles[q] in ROUTER_ROLES] or on_level
     start = int(schedule._first_touch[watched].min())
     return sum(layer.code_cycles for layer in schedule.layers[start:])
-
-
-def address_bit(address: int, level: int, n: int) -> int:
-    """The address bit consumed by routers at `level` (big-endian path)."""
-    return (address >> (n - 1 - level)) & 1
-
-
-def path_nodes(address: int, n: int) -> list[int]:
-    """Node index within each level along the routing path of `address`:
-    at level l, the address's top l bits."""
-    return [address >> (n - l) for l in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +666,7 @@ def _tree_schedule(
     routers: Sequence[np.ndarray],
     leaves: np.ndarray,
 ) -> Schedule:
-    """A router tree's Schedule with its input map, output mask and decoder.
+    """A router tree's Schedule with its address map and decoder.
 
     `roots` are the modes of the root slots: the n address slots, then the
     bus. `routers[l]` holds level l's router modes by node and `leaves`
@@ -641,29 +675,20 @@ def _tree_schedule(
     under qutrit routers) starts at 1 in the address modes and must still
     be 1 in the modes read for the query to count as delivered. The bus's
     last rail starts at 1, so a one-rail bus carries the marker 1 and its
-    copied value reads inverted. With round_trip the descent is mirrored
+    copied value reads inverted, so address bit k sets only its value
+    rail (when 1) and every initial word sets the address modes' later
+    rails and the bus's last. With round_trip the descent is mirrored
     after the copy and the output is read back at the root slots; without
     it, at the routers on the path and the leaf.
     """
+    if round_trip:
+        _append_return_pass(layers)
+    address_rails = np.stack([np.full(n, -1), roots[:n, 0]], axis=1)
+    set_qubits = np.append(roots[:n, 1:].ravel(), roots[n, -1])
+    readout_tables = (roots.reshape(1, -1),) if round_trip else (*routers, leaves)
     roots, leaves = roots.tolist(), leaves.tolist()
     routers = [level.tolist() for level in routers]
     bus = roots[n]
-    if round_trip:
-        _append_return_pass(layers)
-
-    def initial_word(address: int) -> int:
-        word = 1 << bus[-1]
-        for k in range(n):
-            word |= address_bit(address, k, n) << roots[k][0]
-            for q in roots[k][1:]:
-                word |= 1 << q
-        return word
-
-    def mask(address: int) -> tuple[int, ...]:
-        if round_trip:
-            return tuple(q for m in roots for q in m)
-        path = [routers[l][j] for l, j in enumerate(path_nodes(address, n))]
-        return tuple(q for m in path + [leaves[address]] for q in m)
 
     def decode(word: int) -> tuple[int, int, bool]:
         addr = 0
@@ -695,8 +720,9 @@ def _tree_schedule(
         cost,
         database,
         input_qubits=tuple(q for rail in zip(*roots) for q in rail),
-        _initial_word_fn=initial_word,
-        _mask_fn=mask,
+        address_rails=address_rails,
+        set_qubits=set_qubits,
+        readout_tables=readout_tables,
         _decode_fn=decode,
     )
 
@@ -988,27 +1014,16 @@ def build_walker(
     dist = _distance_table(reg.levels, profile)
     hop = _s_hop(*bus, *rails[0][0])
     layers = _pipeline_layers(n, dist, cost, database, ports, rails, steer, hop, _steer_route)
-    ports, bus, leaves = ports.tolist(), tuple(bus.tolist()), rails[n].tolist()
-    steer = [level.tolist() for level in steer]
-
-    def initial_word(address: int) -> int:
-        word = 1 << bus[0]
-        for k in range(n):
-            word |= 1 << ports[k][address_bit(address, k, n)]
-        return word
-
-    def mask(address: int) -> tuple[int, ...]:
-        cells = [steer[l][j] for l, j in enumerate(path_nodes(address, n))]
-        return tuple(q for cell in cells + [leaves[address]] for q in cell)
+    steer_cells, leaf_cells = [level.tolist() for level in steer], rails[n].tolist()
 
     def decode(word: int) -> tuple[int, int, bool]:
         addr = 0
         j = 0
         for l in range(n):
-            bit = (word >> steer[l][j][1]) & 1
+            bit = (word >> steer_cells[l][j][1]) & 1
             addr = (addr << 1) | bit
             j = 2 * j + bit
-        b, r = leaves[addr]
+        b, r = leaf_cells[addr]
         return addr, (word >> b) & 1, ((word >> r) & 1) == 1
 
     return Schedule(
@@ -1021,9 +1036,10 @@ def build_walker(
         profile,
         cost,
         database,
-        input_qubits=tuple(q for rail in zip(*ports) for q in rail) + bus,
-        _initial_word_fn=initial_word,
-        _mask_fn=mask,
+        input_qubits=tuple(ports.T.ravel().tolist() + bus.tolist()),
+        address_rails=ports,
+        set_qubits=bus[:1],
+        readout_tables=(*steer, rails[n]),
         _decode_fn=decode,
     )
 

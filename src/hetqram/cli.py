@@ -194,7 +194,11 @@ def _emit_rows(fields: tuple[str, ...], rows: list[tuple], args: argparse.Namesp
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    report = run_sweep(_config_from(args))
+    config = _config_from(args)
+    if config.address_mode == "basis":
+        print("note: sampled-basis mode leaves phase (Z) errors uncounted: "
+              "with one address per trial they are global", file=sys.stderr)
+    report = run_sweep(config)
     _emit_rows(REPORT_FIELDS, [row.astuple() for row in report.rows], args)
     return EXIT_OK
 

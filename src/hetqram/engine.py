@@ -128,8 +128,10 @@ what a compiled gate does to a plane) runs through every layer next to
 the trials. Both address modes read out through `_fidelities`, with the
 `_span` of the block's column addresses: the 2^n addresses, compiled
 once, or in sampled-basis mode the pass's trial addresses, one column
-each, where B = 1 makes the squared overlap exactly the good bit. Each
-address's initial word and output mask are decoded once per engine.
+each, where B = 1 makes the squared overlap exactly the good bit.
+`_span` reads the schedule's address map (`circuits.Schedule`) for all
+its columns at once, so a span costs a fixed number of numpy calls
+whatever its width, and packs only the (row, column) bits that are set.
 The ideal bits are read off the block at each column's output mask under
 the `care` patterns, and every trial's span is compared with them as whole
 plane words, word by word of the span and only on the rows whose `care`
@@ -141,7 +143,6 @@ independent per-address oracle that the tests compare against.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -199,18 +200,15 @@ def _unpack_bits_lsb(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(raw, count=count, bitorder="little")
 
 
-def _word_bits(words: list[int], nq: int) -> np.ndarray:
-    """(nq, len(words)) boolean matrix whose column b holds the bits of words[b]."""
-    nbytes = (nq + 7) // 8
-    raw = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words), np.uint8)
-    bits = np.unpackbits(raw.reshape(len(words), nbytes), axis=1, count=nq, bitorder="little")
-    return np.ascontiguousarray(bits.T).view(bool)
-
-
-def _pack_span(bits: np.ndarray) -> np.ndarray:
-    """Pack (rows, C) column bits like one span of C columns: C/64 words,
-    or for C < 64 one word holding the C columns 64/C times."""
-    return _pack_bits_lsb(np.tile(bits, max(64 // bits.shape[1], 1)))
+def _pack_span(rows: np.ndarray, cols: np.ndarray, height: int, C: int) -> np.ndarray:
+    """Pack the bits at the distinct (row, column) pairs `rows`, `cols` of
+    a (height, C) bit matrix like one span of C columns: C/64 words, or
+    for C < 64 one word holding the C columns 64/C times."""
+    span = np.zeros((height, (C + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(span, (rows, cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
+    if C < 64:
+        span *= np.uint64(sum(1 << (k * C) for k in range(64 // C)))
+    return span
 
 
 def _slot_columns(B: int) -> int:
@@ -395,22 +393,16 @@ class PlaneEngine:
     ):
         self.schedule = schedule
 
-        if address_mode == "superposition":
-            self.addresses = list(range(1 << schedule.n))
-        elif address_mode == "basis":
-            # sampled-basis mode: one fresh address per trial; phase
-            # errors become global and are undercounted in this mode
-            self.addresses = []
-        else:
+        if address_mode not in ("superposition", "basis"):
             raise ValueError(f"unknown address mode {address_mode!r}")
-        self.sampled_basis = not self.addresses
-        self.branch_count = max(len(self.addresses), 1)
+        # sampled-basis mode: one fresh address per trial; phase errors
+        # become global and are undercounted in this mode
+        self.sampled_basis = address_mode == "basis"
+        self.branch_count = 1 if self.sampled_basis else 1 << schedule.n
 
         self._noise_layers = self._compile_noise(noise)
         # built by `_prepare` on the first pass that has an event
         self._layers = self._maps = self._init_span = self._readout = None
-        # per address seen: its initial word's set qubits and its output mask
-        self._columns: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def _compile_noise(self, noise: NoiseModel | None) -> set[int]:
         """Pool the plan's (noise step, live group, X or Z) segments by their
@@ -529,7 +521,7 @@ class PlaneEngine:
             self._layers, self._maps = self._compile(keep)
             if not self.sampled_basis:
                 # one trial's span of B columns, and its readout
-                self._init_span, self._readout = self._span(self.addresses)
+                self._init_span, self._readout = self._span(np.arange(self.branch_count))
         elif not keep <= self._maps.keys():
             self._maps.update(self._compile(keep - self._maps.keys())[1])
 
@@ -537,49 +529,23 @@ class PlaneEngine:
         """The noiseless block and the readout of a span of columns, column
         c holding addresses[c]: `(block, (read_rows, care, word_rows))`.
 
-        The block holds each column's initial word, packed by `_pack_span`.
-        For each distinct output-mask qubit (`read_rows`), `care` marks the
-        columns whose mask holds it, packed the same way: every trial's
-        span of a pass plane, and its reference block, line up with that
-        pattern. `word_rows` lists, for each word of the span, the read
-        rows whose `care` is nonzero there: a leaf's row covers one branch,
-        so one word, and a router's the branches below it. Each address's
-        initial word and output mask are decoded once per engine, so a
-        sampled-basis pass pays per trial only for lookups."""
-        nq = self.schedule.qubit_count
-        known = self._columns
-        addresses = [int(a) for a in addresses]
-        new = list(dict.fromkeys(a for a in addresses if a not in known))
-        step = max((1 << 24) // nq, 1)  # bounds the (nq, step) bit matrix
-        for lo in range(0, len(new), step):
-            chunk = new[lo : lo + step]
-            words = [self.schedule.initial_word(a) for a in chunk]
-            set_bits = np.flatnonzero(_word_bits(words, nq))
-            qubit = set_bits // len(chunk)
-            col = set_bits - qubit * len(chunk)
-            order = np.argsort(col, kind="stable")
-            ends = np.searchsorted(col[order], np.arange(1, len(chunk) + 1)).tolist()
-            qubit = qubit[order].tolist()
-            for a, start, end in zip(chunk, [0] + ends, ends):
-                known[a] = tuple(qubit[start:end]), self.schedule.output_mask(a)
-        cols = [known[a] for a in addresses]
-        C = len(cols)
-
-        def cells(part: int) -> tuple[np.ndarray, np.ndarray]:
-            """(qubit, column) of every qubit listed in `part` of a column."""
-            lists = [c[part] for c in cols]
-            count = np.fromiter(map(len, lists), dtype=np.int64, count=C)
-            qubits = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=count.sum())
-            return qubits, np.repeat(np.arange(C), count)
-
-        bits = np.zeros((nq, C), dtype=bool)
-        bits[cells(0)] = True
-        qubit, col = cells(1)
-        read_rows, slot = np.unique(qubit, return_inverse=True)
-        care = np.zeros((read_rows.size, C), dtype=bool)
-        care[slot, col] = True
-        care = _pack_span(care)
-        return _pack_span(bits), (read_rows, care, [np.flatnonzero(words) for words in care.T])
+        The block holds each column's initial word, packed by `_pack_span`
+        from the schedule's set (qubit, column) pairs. For each distinct
+        output-mask qubit (`read_rows`), `care` marks the columns whose mask
+        holds it, packed the same way: every trial's span of a pass plane,
+        and its reference block, line up with that pattern. `word_rows`
+        lists, for each word of the span, the read rows whose `care` is
+        nonzero there: a leaf's row covers one branch, so one word, and a
+        router's the branches below it. Both read the schedule's address
+        map for all the columns at once (`Schedule.set_cells`,
+        `Schedule.output_masks`)."""
+        sched = self.schedule
+        C = len(addresses)
+        block = _pack_span(*sched.set_cells(addresses), sched.qubit_count, C)
+        masks = sched.output_masks(addresses)
+        read_rows, slot = np.unique(masks.reshape(-1), return_inverse=True)
+        care = _pack_span(slot, np.repeat(np.arange(C), masks.shape[1]), read_rows.size, C)
+        return block, (read_rows, care, [np.flatnonzero(words) for words in care.T])
 
     # -- execution -------------------------------------------------------
 

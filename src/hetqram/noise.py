@@ -146,11 +146,14 @@ def net_flip_probability(p_round: float | np.ndarray, cycles: int) -> float | np
     That is (1 - (1 - 2p)^k) / 2, computed as -expm1(k log1p(-2p)) / 2,
     which keeps full relative precision for tiny p where the plain form
     cancels to 0. A rate above 1/2 (a single-kind channel) is mirrored:
-    (1 - 2p)^k = (-1)^k (1 - 2(1 - p))^k. Accepts an array of rates; a
-    scalar rate gives a float.
+    (1 - 2p)^k = (-1)^k (1 - 2(1 - p))^k. A rate of exactly 1/2 takes
+    log1p(-1) = -inf, so q = 1/2, without a divide-by-zero warning.
+    Accepts an array of rates; a scalar rate gives a float.
     """
     p = np.asarray(p_round, dtype=float)
-    q = -0.5 * np.expm1(cycles * np.log1p(-2.0 * np.minimum(p, 1.0 - p)))
+    with np.errstate(divide="ignore"):
+        log_fair = np.log1p(-2.0 * np.minimum(p, 1.0 - p))
+    q = -0.5 * np.expm1(cycles * log_fair)
     if cycles % 2:
         q = np.where(p > 0.5, 1.0 - q, q)
     return float(q) if q.ndim == 0 else q
@@ -228,19 +231,22 @@ class NoisePlan:
         rounds: dict[int, int] = {}
         for layer in layers:
             rounds[layer.phase] = max(rounds.get(layer.phase, 0), layer.noise_rounds)
-        first_active = schedule.first_active_layer()
-        members: dict[tuple[int, int], list[int]] = {}
-        for q, level in enumerate(schedule.levels):
-            members.setdefault((level, first_active[q]), []).append(q)
+        # the qubits by (level, first active layer), each group's in qubit
+        # order (lexsort is stable), cut where the pair changes
+        first_active = np.array(schedule.first_active_layer(), dtype=np.int64)
+        levels = np.array(schedule.levels, dtype=np.int64)
+        order = np.lexsort((first_active, levels))
+        key = levels[order] * (len(layers) + 1) + first_active[order]
+        cuts = np.flatnonzero(np.diff(key, prepend=-1))
+        heads = order[cuts]
         groups = []
-        for (level, start), qubits in sorted(members.items()):
+        for level, start, lo, hi in zip(levels[heads].tolist(), first_active[heads].tolist(),
+                                        cuts.tolist(), [*cuts[1:].tolist(), order.size]):
             rate = noise.rate_for_level(level)
             if rate <= 0.0:
                 continue
             px, pz = _channel_probs(rate, noise.channel)
-            groups.append(
-                NoiseGroup(level, start, rate, px, pz, np.array(qubits, dtype=np.int64))
-            )
+            groups.append(NoiseGroup(level, start, rate, px, pz, order[lo:hi]))
         self.groups = tuple(groups)
         self.steps = tuple(
             NoiseStep(li, rounds[layer.phase], tuple(g for g in groups if g.first_active <= li))

@@ -27,7 +27,6 @@ from hetqram.circuits import (
     build_uniform_bb,
     build_walker,
     measured_coherence_cycles,
-    path_nodes,
     run_noiseless,
     validate_database,
     walker_s_hop,
@@ -393,8 +392,8 @@ def test_off_path_routers_stay_waiting():
     word = run_noiseless(sched, sched.initial_word(addr))
     on_path = set()
     j = 0
-    for l, node in enumerate(path_nodes(addr, 3)):
-        on_path.add((l, node))
+    for l in range(3):
+        on_path.add((l, addr >> (3 - l)))
     for q in range(sched.qubit_count):
         if sched.roles[q] == "router_active" and ((word >> q) & 1):
             lvl = sched.levels[q]
@@ -559,6 +558,26 @@ def schedule_digest(sched) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@pytest.mark.parametrize("arch,kind", ALL_VARIANTS)
+def test_address_map_arrays_equal_per_address_reads(arch, kind):
+    """`Schedule.set_cells` and `Schedule.output_masks` of an address array
+    (every address, then random ones with repeats) equal the per-address
+    `initial_word` and `output_mask` column by column, each set qubit
+    listed once, for n=1..6 under both protocols."""
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        for rt in [None] if arch == "walker" else [True, False]:
+            sched = build_schedule(arch, n, kind, [0] * (1 << n), round_trip=rt)
+            addresses = np.concatenate([np.arange(1 << n), rng.integers(0, 1 << n, 50)])
+            words = [0] * addresses.size
+            for q, c in zip(*(part.tolist() for part in sched.set_cells(addresses))):
+                assert not (words[c] >> q) & 1, (n, rt, c, q)
+                words[c] |= 1 << q
+            assert words == [sched.initial_word(a) for a in addresses.tolist()], (n, rt)
+            masks = [tuple(m) for m in sched.output_masks(addresses).tolist()]
+            assert masks == [sched.output_mask(a) for a in addresses.tolist()], (n, rt)
+
+
 def test_schedule_digests_golden():
     """Every built schedule, its gates, registry levels and per-layer
     pricing, is byte-identical to the one the golden file was made from."""
@@ -598,6 +617,36 @@ def test_sim_point_constructs_no_gate(arch, monkeypatch, tmp_path):
     golden = json.loads((Path(__file__).parent / "data" / "schedule_digest.json").read_text())
     assert schedule_digest(built[0]) == golden[f"{arch}/qutrit/n=8/rt=None"]
     assert len(made) == sum(len(layer.table) for layer in built[0].layers)
+
+
+@pytest.mark.parametrize("arch,n,mode", [
+    ("bb-hetero", 8, "superposition"),
+    ("ft-hetero", 8, "superposition"),
+    ("uniform-bb", 8, "superposition"),
+    ("bb-hetero", 11, "basis"),
+])
+def test_sim_point_reads_the_address_map_whole(arch, n, mode, monkeypatch, tmp_path):
+    """One `sim` point (qutrit, p'=0.1, 128 trials) sets up and reads out
+    its plane from the schedule's address map arrays, for all its columns
+    at once: it compiles, and never calls the per-address
+    `Schedule.initial_word` or `Schedule.output_mask`."""
+    compiled, called = [], []
+    compile_layers = PlaneEngine._compile
+
+    def spy(name):
+        method = getattr(Schedule, name)
+        return lambda self, address: called.append(name) or method(self, address)
+
+    monkeypatch.setattr(PlaneEngine, "_compile",
+                        lambda self, keep: compiled.append(keep) or compile_layers(self, keep))
+    for name in ("initial_word", "output_mask"):
+        monkeypatch.setattr(Schedule, name, spy(name))
+    out = tmp_path / "point.csv"
+    assert main(["sim", "--arch", arch, "--routers", "qutrit", "--n", str(n), "--p-prime", "0.1",
+                 "--trials", "128", "--seed", "7", "--address-mode", mode,
+                 "--out", str(out)]) == 0
+    assert compiled  # the point saw events, so it compiled
+    assert called == []
 
 
 def test_build_schedule_dispatch():

@@ -56,6 +56,22 @@ def test_sim_stdout_csv(capsys):
     assert 0.0 <= float(rows[0]["mean_infidelity"]) <= 1.0
 
 
+def test_sim_basis_mode_notes_uncounted_phase_errors(capsys):
+    """`sim --address-mode basis` prints one `note:` line on stderr, that
+    phase (Z) errors are global in sampled-basis mode and go uncounted;
+    stdout holds only the report and the exit code stays 0. Superposition
+    mode prints no note."""
+    point = ["sim", "--arch", "bb-hetero", "--n", "3", "--trials", "50", "--seed", "4"]
+    code, out, err = run_cli([*point, "--address-mode", "basis"], capsys)
+    assert code == 0
+    (note,) = err.splitlines()
+    assert note.startswith("note: ") and "phase (Z)" in note and "uncounted" in note
+    assert len(list(csv.DictReader(out.splitlines()))) == 1
+    code, out, err = run_cli(point, capsys)
+    assert code == 0 and err == ""
+    assert len(list(csv.DictReader(out.splitlines()))) == 1
+
+
 def test_sim_json_to_file(tmp_path, capsys):
     path = str(tmp_path / "out.json")
     code, _, _ = run_cli(

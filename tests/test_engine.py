@@ -28,10 +28,10 @@ from hetqram.engine import (
     _bernoulli_hits,
     _gate_pass,
     _pack_bits_lsb,
+    _pack_span,
     _slot_columns,
     _trial_units,
     _unpack_bits_lsb,
-    _word_bits,
 )
 from hetqram.harness import infidelity_stats, run_fidelities
 from hetqram.noise import (
@@ -465,14 +465,6 @@ def _pack_bits_loop(bits):
     return words
 
 
-def _word_bits_loop(words, nq):
-    bits = np.zeros((nq, len(words)), dtype=bool)
-    for b, w in enumerate(words):
-        for q in range(nq):
-            bits[q, b] = (w >> q) & 1
-    return bits
-
-
 def _trial_spans_loop(n_trials, B):
     """Word-by-word definition of the per-trial spans; B is a power of two,
     so a trial touches max(B // 64, 1) words."""
@@ -502,15 +494,18 @@ def test_pack_bits_lsb_equals_bit_by_bit_definition(bits):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_word_bits_equals_bit_by_bit_definition(data):
-    nq = data.draw(st.integers(1, 150), label="nq")
-    word = st.integers(0, (1 << nq) - 1)
-    high = word.map(lambda w: w | (1 << (nq - 1)))  # top qubit set
-    words = data.draw(st.lists(word | high, max_size=70), label="words")
-    bits = _word_bits(words, nq)
-    assert bits.dtype == bool and bits.shape == (nq, len(words))
-    assert np.array_equal(bits, _word_bits_loop(words, nq))
+@given(hnp.arrays(bool, st.tuples(st.integers(0, 5), st.integers(1, 200))))
+@example(np.ones((2, 64), dtype=bool))
+@example(np.ones((1, 3), dtype=bool))
+def test_pack_span_equals_tiled_dense_packing(bits):
+    """`_pack_span` of the set (row, column) pairs of a (rows, C) bit
+    matrix equals the matrix's dense packing, tiled like one span of C
+    columns: C/64 words, or for C < 64 the C columns 64/C times in one word."""
+    height, C = bits.shape
+    rows, cols = np.nonzero(bits)
+    span = _pack_span(rows, cols, height, C)
+    assert span.dtype == np.uint64
+    assert np.array_equal(span, _pack_bits_loop(np.tile(bits, (1, max(64 // C, 1)))))
 
 
 @pytest.mark.parametrize("B", [1, 2, 8, 32, 64, 128, 1024])
@@ -682,7 +677,8 @@ def test_grouped_layer_kernel_equals_apply_to_word(arch, kind, chunk, monkeypatc
             for gate in layer.gates:
                 words = [gate.apply_to_word(w) for w in words]
             after = maps[li]
-            assert np.array_equal(plane[after, :1], _pack_bits_lsb(_word_bits(words, nq))), (n, li)
+            expect = _pack_bits_lsb([[(w >> q) & 1 for w in words] for q in range(nq)])
+            assert np.array_equal(plane[after, :1], expect), (n, li)
             assert np.array_equal(plane[:, 1], past)
             before = after
 

@@ -108,13 +108,16 @@ def test_odd_paired_rates_match_linear_everywhere():
 
 @pytest.mark.parametrize(
     "p,k",
-    [(0.3, 5), (0.4, 3), (0.1, 1), (1.5e-10, 7), (1.5e-6, 14), (1.5e-19, 14), (0.7, 3), (1.0, 4)],
+    [(0.3, 5), (0.4, 3), (0.1, 1), (1.5e-10, 7), (1.5e-6, 14), (1.5e-19, 14), (0.7, 3), (1.0, 4),
+     (0.5, 1), (0.5, 4)],
 )
+@pytest.mark.filterwarnings("error")
 def test_net_flip_probability_is_odd_binomial_parity(p, k):
     """The chance of an odd number of hits in k Bernoulli(p) rounds, against
-    the exact sum of the odd binomial terms. Tiny p (eps' p'^4 at p' below
-    1e-4, over a distance-7 phase) must keep its relative precision, not
-    cancel to 0; a single-kind channel can put p above 1/2."""
+    the exact sum of the odd binomial terms, with no warning. Tiny p (eps'
+    p'^4 at p' below 1e-4, over a distance-7 phase) must keep its relative
+    precision, not cancel to 0; a single-kind channel can put p above 1/2,
+    and a clamped rate of 1 splits into X and Z rates of exactly 1/2."""
     pf = Fraction(p)
     exact = sum(math.comb(k, j) * pf**j * (1 - pf) ** (k - j) for j in range(1, k + 1, 2))
     got = net_flip_probability(p, k)

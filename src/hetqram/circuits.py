@@ -15,12 +15,12 @@ arrays (`_move`, `_route`, `_steer_route`, the walker hop, the data
 copy). `_LayerAccum.seal` checks every layer of a schedule and prices it
 from the tables, with one fixed set of numpy calls for all the layers;
 the return pass reuses the descent's tables. `Schedule` range-checks the
-tables and takes each qubit's first layer from them (`first_active_layer`,
-`measured_coherence_cycles`), and `PlaneEngine._compile` (engine.py)
-compiles them. `Layer.gates` is derived from the table on first access,
-for the per-word readers (`run_noiseless`, `Schedule.dump`, the sparse
-branch states and the test oracles); the simulation path never builds a
-`Gate`.
+tables and takes each qubit's first and last layer from them
+(`first_active_layer`, `measured_coherence_cycles`, `unread_from`), and
+`PlaneEngine._compile` (engine.py) compiles them. `Layer.gates` is
+derived from the table on first access, for the per-word readers
+(`run_noiseless`, `Schedule.dump`, the sparse branch states and the test
+oracles); the simulation path never builds a `Gate`.
 
 Address map: where an address enters a tree and where its answer is
 read is schedule data. The builders (`_tree_schedule`, `build_walker`)
@@ -31,7 +31,8 @@ tables of 2^l modes are indexed by the address's top l bits, the rows
 in turn making its output mask. `PlaneEngine._span` reads the map for
 all its columns at once (`set_cells`, `output_masks`), the per-word
 readers one address at a time (`initial_word`, `output_mask`). Only
-`decode`, which just the per-word checks call, stays a builder closure.
+`decode`, which just the per-word checks call, stays a builder closure,
+and it turns the modes it reads into Python lists on its first call.
 
 Conventions shared by all architectures:
 
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -410,10 +411,14 @@ class Schedule:
         if qubits.size and (qubits.min() < 0 or qubits.max() >= self.qubit_count):
             bad = qubits[(qubits < 0) | (qubits >= self.qubit_count)]
             raise ValueError(f"gate touches unregistered qubit {bad[0]}")
-        # each qubit's first layer (len(layers) if none touches it)
+        # each qubit's first and last layer (len(layers) and -1 if none
+        # touches it)
         layer = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+        layer = (present * layer[:, None])[present]
         self._first_touch = np.full(self.qubit_count, len(tables))
-        np.minimum.at(self._first_touch, qubits, (present * layer[:, None])[present])
+        np.minimum.at(self._first_touch, qubits, layer)
+        self._last_touch = np.full(self.qubit_count, -1)
+        np.maximum.at(self._last_touch, qubits, layer)
         self._ideal_cache: dict[int, int] = {}
 
     def first_active_layer(self) -> tuple[int, ...]:
@@ -427,6 +432,16 @@ class Schedule:
         first = self._first_touch.copy()
         first[list(self.input_qubits)] = 0
         return tuple(first.tolist())
+
+    def unread_from(self) -> np.ndarray:
+        """Each qubit's layer after whose gates nothing reads it any more:
+        the layer of the last gate that touches it (any kind: a swap's
+        operand or control, an X, a data copy), -1 if none does, or
+        len(layers) for a qubit that a readout table holds."""
+        last = self._last_touch.copy()
+        if self.readout_tables:
+            last[np.concatenate([t.ravel() for t in self.readout_tables])] = len(self.layers)
+        return last
 
     @property
     def qubit_count(self) -> int:
@@ -686,32 +701,36 @@ def _tree_schedule(
     address_rails = np.stack([np.full(n, -1), roots[:n, 0]], axis=1)
     set_qubits = np.append(roots[:n, 1:].ravel(), roots[n, -1])
     readout_tables = (roots.reshape(1, -1),) if round_trip else (*routers, leaves)
-    roots, leaves = roots.tolist(), leaves.tolist()
-    routers = [level.tolist() for level in routers]
-    bus = roots[n]
+    width = roots.shape[1]
+
+    @cache
+    def modes() -> tuple[list, list, list]:
+        # the modes as Python lists, made on the first decode
+        return roots.tolist(), [level.tolist() for level in routers], leaves.tolist()
 
     def decode(word: int) -> tuple[int, int, bool]:
+        root_modes, router_modes, leaf_modes = modes()
         addr = 0
         if round_trip:
             for k in range(n):
-                addr = (addr << 1) | ((word >> roots[k][0]) & 1)
-            read = roots
+                addr = (addr << 1) | ((word >> root_modes[k][0]) & 1)
+            read = root_modes
         else:
             j = 0
             for l in range(n):
-                bit = (word >> routers[l][j][0]) & 1
+                bit = (word >> router_modes[l][j][0]) & 1
                 addr = (addr << 1) | bit
                 j = 2 * j + bit
-            read = [leaves[addr]]
+            read = [leaf_modes[addr]]
         value = (word >> read[-1][0]) & 1  # the bus or the leaf
-        if len(bus) == 1:
+        if width == 1:
             value ^= 1  # the copy landed on the bus marker 1
         delivered = all((word >> q) & 1 for m in read for q in m[1:])
         return addr, value, delivered
 
     return Schedule(
         architecture,
-        "qutrit" if len(bus) == 2 else "qubit",
+        "qutrit" if width == 2 else "qubit",
         n,
         tuple(reg.levels),
         tuple(reg.roles),
@@ -719,7 +738,7 @@ def _tree_schedule(
         profile,
         cost,
         database,
-        input_qubits=tuple(q for rail in zip(*roots) for q in rail),
+        input_qubits=tuple(roots.T.ravel().tolist()),
         address_rails=address_rails,
         set_qubits=set_qubits,
         readout_tables=readout_tables,
@@ -1014,9 +1033,14 @@ def build_walker(
     dist = _distance_table(reg.levels, profile)
     hop = _s_hop(*bus, *rails[0][0])
     layers = _pipeline_layers(n, dist, cost, database, ports, rails, steer, hop, _steer_route)
-    steer_cells, leaf_cells = [level.tolist() for level in steer], rails[n].tolist()
+
+    @cache
+    def cells() -> tuple[list, list]:
+        # the steer and leaf cells as Python lists, made on the first decode
+        return [level.tolist() for level in steer], rails[n].tolist()
 
     def decode(word: int) -> tuple[int, int, bool]:
+        steer_cells, leaf_cells = cells()
         addr = 0
         j = 0
         for l in range(n):

@@ -29,6 +29,7 @@ from .harness import (
     resource_estimate,
     rows_to_text,
     run_sweep,
+    simulation_ceiling,
 )
 from .noise import CycleCost, DistanceProfile, SurfaceParams
 
@@ -246,12 +247,20 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    """`--mode auto` prices the points past the simulation ceiling of the
+    address mode from the closed-form bound, as `compare_resources` does,
+    and names them in one `note:` line on stderr."""
     config = _config_from(args)
     rows = [
         astuple(compare_resources(n, config, architecture=arch, mode=args.mode))
         for arch in config.architectures
         for n in config.n_values
     ]
+    ceiling = simulation_ceiling(config.address_mode)
+    bounded = ",".join(str(n) for n in config.n_values if n > ceiling)
+    if args.mode == "auto" and bounded:
+        print(f"note: --mode auto prices n={bounded} from the closed-form bound, "
+              f"past the {config.address_mode} simulation ceiling n={ceiling}", file=sys.stderr)
     _emit_rows(
         ("n", "architecture", "target_infidelity", "target_vacuous",
          "uniform_distance", "uniform_physical_qubits", "hetero_physical_qubits", "ratio"),

@@ -37,6 +37,22 @@ number of hits. For q < 1/3 the gaps come from the inversion that numpy's
 exponentials E, with the logarithm taken once per class rather than once
 per draw: the same gaps from the same stream at about half the cost.
 
+Events that only add a global phase: the sampler drops them right after
+the draw, so no pass sorts, decodes or applies them, while every draw and
+so every fidelity stays the same. An X flip that lands after the layer of
+its qubit's last gate (a swap's operand or control, an X, a data copy), on
+a qubit that no readout table holds (`Schedule.unread_from`), is read by
+no gate and by no readout. It flips that qubit in every branch of its
+trial, so a later Z phase there flips the sign of the branches where the
+qubit is 0 instead of those where it is 1: the two differ by a sign on
+the whole trial, which the squared overlap (sum_b w_b s_b g_b)^2 ignores
+bit for bit. In sampled-basis mode every Z phase goes too: with one branch
+per trial (B = 1) each phase is global. This is the locality behind
+bucket-brigade noise resilience (Hann et al., PRX Quantum 2, 020311
+(2021)): the lower levels of a heterogeneous tree idle for most of a
+query, and most of their X events land on such qubits. `_run_codes` and
+`run_events` still apply whatever events they are given.
+
 Passes: a batch is the unit of randomness (one generator stream each),
 not of work. Consecutive batches share one plane pass until it would span
 more than 2^16 (trial, branch) columns, 8 KB per plane row: a narrow batch
@@ -306,32 +322,48 @@ def _bernoulli_hits(rng: np.random.Generator, slots: int, q: float) -> np.ndarra
 
 class _NoiseClass:
     """One flip-probability class of an engine's noise plan: its net flip
-    probability `q`, its `slots` per trial, and their event `cells`.
+    probability `q`, its `slots` per trial, their event `cells` and the
+    `keep` mask of the slots whose events can change a fidelity.
 
     The class holds its segments, one per (noise step, live group, X or Z):
     each one's `base` cell `(layer * 2 + is_z) * qubits`, and its group's
-    `start` and `size` in `pool`, the qubits of every group in turn. Slot k
-    of a segment is qubit k of its group. The cells are built on the first
+    `start` and `size` in `pool`, which holds every group's qubits for X
+    and then again for Z. Slot k of a segment is qubit k of its group. An
+    event is kept while its cell is below the `threshold` of its pool
+    entry, the first cell of that qubit and kind from which an event only
+    adds a global phase. The cells and the mask are built on the first
     batch that hits the class, so a class no batch hits never builds them.
     """
 
-    __slots__ = ("q", "slots", "_segments", "_cells")
+    __slots__ = ("q", "slots", "_segments", "_cells", "_keep")
 
-    def __init__(self, q: float, base, start, size, pool: np.ndarray):
+    def __init__(self, q: float, base, start, size, pool: np.ndarray, threshold: np.ndarray):
         self.q = q
         self.slots = int(size.sum())
-        self._segments = base, start, size, pool
-        self._cells = None
+        self._segments = base, start, size, pool, threshold
+        self._cells = self._keep = None
 
     @property
     def cells(self) -> np.ndarray:
         """Each slot's event cell, `(layer * 2 + is_z) * qubits + qubit`."""
         if self._cells is None:
-            base, start, size, pool = self._segments
-            ends = np.cumsum(size)
-            slot = np.arange(ends[-1]) + np.repeat(start - (ends - size), size)
-            self._cells = np.repeat(base, size) + pool[slot]
+            self._build()
         return self._cells
+
+    @property
+    def keep(self) -> np.ndarray | None:
+        """Which slots' events can change a fidelity, or None for all."""
+        if self._cells is None:
+            self._build()
+        return self._keep
+
+    def _build(self) -> None:
+        base, start, size, pool, threshold = self._segments
+        ends = np.cumsum(size)
+        slot = np.arange(ends[-1]) + np.repeat(start - (ends - size), size)
+        self._cells = np.repeat(base, size) + pool[slot]
+        keep = self._cells < threshold[slot]
+        self._keep = None if keep.all() else keep
 
 
 class _DeviationStore:
@@ -423,6 +455,17 @@ class PlaneEngine:
         size = np.array([g.qubits.size for g in groups], dtype=np.int64)
         start = np.cumsum(size) - size
         pool = np.concatenate([g.qubits for g in groups])
+        # the first layer from which an X, then a Z, on each qubit only adds
+        # a global phase: past its last reader for an X, at once for a Z in
+        # sampled-basis mode, never for a Z in superposition
+        z_horizon = 0 if self.sampled_basis else len(self.schedule.layers)
+        horizon = np.concatenate([self.schedule.unread_from(), np.full(nq, z_horizon)])
+        # the classes' pool holds every group's qubits for X, then again for
+        # Z, each entry with the first cell of its qubit and kind from that
+        # horizon on (cell = layer * 2 * qubits + where)
+        where = np.concatenate([pool, pool + nq])
+        threshold = horizon[where] * (2 * nq) + where
+        z_start, pool = pool.size, np.tile(pool, 2)
         layer = np.array([step.layer for step in plan.steps], dtype=np.int64)
         # q of each distinct (rate, rounds), one scalar call each
         p_vals, p_idx = np.unique([(g.px, g.pz) for g in groups], return_inverse=True)
@@ -445,10 +488,11 @@ class PlaneEngine:
         g = group_i[seg_order]
         base = (layer[step_i[seg_order]] * 2 + is_z[seg_order]) * nq
         split = np.flatnonzero(np.diff(rank[seg_order])) + 1
+        start = start[g] + is_z[seg_order] * z_start
         self._classes = [
-            _NoiseClass(q, *segments, pool)
+            _NoiseClass(q, *segments, pool, threshold)
             for q, *segments in zip(values[by_first].tolist(), np.split(base, split),
-                                    np.split(start[g], split), np.split(size[g], split))
+                                    np.split(start, split), np.split(size[g], split))
         ]
         return set(layer[step_i].tolist())
 
@@ -824,6 +868,9 @@ class PlaneEngine:
 
         The batch's trials are trials `offset..` of a pass of `total`.
         Slot `j * n_trials + t` is slot j of the class's cells in trial t.
+        Hits on the slots that the class's `keep` clears are dropped after
+        the draw, which stays the same: their events only add a global
+        phase (see the module docstring).
         """
         codes = []
         for noise_class in self._classes:
@@ -831,6 +878,10 @@ class PlaneEngine:
             if not hits.size:
                 continue
             j = hits // n_trials
+            keep = noise_class.keep
+            if keep is not None:  # drop the events that only add a global phase
+                keep = keep[j]
+                j, hits = j[keep], hits[keep]
             hits -= j * n_trials  # the trial
             hits += offset
             code = noise_class.cells[j]

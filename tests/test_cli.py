@@ -155,6 +155,32 @@ def test_compare_simulates_to_the_ceiling_of_its_address_mode(capsys):
     assert "ceiling" in err
 
 
+def test_compare_auto_notes_the_points_priced_from_the_bound(capsys):
+    """`compare --mode auto` takes the closed-form bound as the target of
+    every point past the simulation ceiling of its address mode, and says
+    so in one `note:` line on stderr that names those n. stdout and the
+    exit code stay those of the rows alone: past the ceiling they equal
+    `--mode analytic`'s. No point past the ceiling, or another mode,
+    prints no note."""
+    base = ["compare", "--arch", "bb-hetero", "--trials", "50", "--seed", "3"]
+    code, out, err = run_cli([*base, "--n", "3,11,12", "--mode", "auto"], capsys)
+    assert code == 0
+    (note,) = err.splitlines()
+    assert note.startswith("note: ") and "n=11,12 " in note and "bound" in note
+    assert "superposition" in note and "n=10" in note
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["n"] for row in rows] == ["3", "11", "12"]
+    code, analytic, err = run_cli([*base, "--n", "11,12", "--mode", "analytic"], capsys)
+    assert code == 0 and err == ""
+    assert list(csv.DictReader(io.StringIO(analytic))) == rows[1:]
+    for mode in ("auto", "simulated", "analytic"):
+        code, _, err = run_cli([*base, "--n", "3", "--mode", mode], capsys)
+        assert code == 0 and err == "", mode
+    code, _, err = run_cli([*base, "--n", "12", "--mode", "auto", "--address-mode", "basis"],
+                           capsys)
+    assert code == 0 and err == ""
+
+
 def test_sweep_past_ceiling_exits_3_before_simulating(capsys, monkeypatch):
     """A sweep whose last points exceed the superposition ceiling stops
     before its first point is simulated: no engine is ever built."""

@@ -161,21 +161,48 @@ def _events_by_key(engine, rng, n_trials):
     return key, qubit, trial
 
 
+def _global_phase_events(sched, basis=False):
+    """Loop definition of the events that only add a global phase, as a
+    test `dead(key, qubit)` of key `layer * 2 + is_z`: every Z in
+    sampled-basis mode, and an X that lands after the layer of its qubit's
+    last gate on a qubit that no address's output mask reads."""
+    last = {}
+    for li, layer in enumerate(sched.layers):
+        for gate in layer.gates:
+            for q in gate.support():
+                last[q] = li
+    read = set().union(*(sched.output_mask(a) for a in range(1 << sched.n)))
+
+    def dead(key, qubit):
+        if key % 2:
+            return basis
+        return qubit not in read and key // 2 >= last.get(qubit, -1)
+
+    return dead
+
+
 def test_flip_probability_one_hits_every_live_slot():
     """With a flat rate of 1 on channel x, a phase with an odd number of
     rounds flips every live qubit in every trial (q = 1), and one with an
-    even number flips none (q = 0)."""
+    even number flips none (q = 0). The sampler keeps exactly the flips
+    that can change a fidelity: those on qubits that a later gate or the
+    readout reads."""
     sched = build_bb_hetero(2, "qutrit", [1, 0, 0, 1])
     noise = NoiseModel(PARAMS, sched.profile, channel="x", mode="aggregate", flat_rate=1.0)
     eng = PlaneEngine(sched, noise)
     n_trials = 37
     key, qubit, trial = _events_by_key(eng, trajectory_rng(0, 0), n_trials)
-    expect = set()
+    dead = _global_phase_events(sched)
+    expect, dropped = set(), 0
     for step in NoisePlan(sched, noise).steps:
         if step.rounds % 2:
             for g in step.groups:
-                expect |= {(step.layer * 2, q, t) for q in g.qubits for t in range(n_trials)}
-    assert expect
+                for q in g.qubits.tolist():
+                    if dead(step.layer * 2, q):
+                        dropped += 1
+                    else:
+                        expect |= {(step.layer * 2, q, t) for t in range(n_trials)}
+    assert expect and dropped
     got = list(zip(key.tolist(), qubit.tolist(), trial.tolist()))
     assert len(got) == len(set(got))
     assert set(got) == expect
@@ -185,8 +212,9 @@ def test_flip_probability_one_hits_every_live_slot():
 def test_sampled_event_frequencies_match_noise_plan(channel):
     """On a mixed-level schedule, each (layer, qubit, X/Z) event's frequency
     over many trials equals the plan's net flip probability within 4 sigma,
-    no (layer, qubit, kind, trial) is drawn twice, and no event lands on a
-    qubit before its first active layer."""
+    or exactly 0 for an event that only adds a global phase; no (layer,
+    qubit, kind, trial) is drawn twice, and no event lands on a qubit
+    before its first active layer."""
     sched = build_bb_hetero(2, "qutrit", [1, 0, 0, 1])
     noise = NoiseModel(SurfaceParams(0.3, 0.3), sched.profile, channel=channel,
                        mode="aggregate")
@@ -198,7 +226,12 @@ def test_sampled_event_frequencies_match_noise_plan(channel):
         for g in step.groups:
             expect[step.layer * 2, g.qubits] = net_flip_probability(g.px, step.rounds)
             expect[step.layer * 2 + 1, g.qubits] = net_flip_probability(g.pz, step.rounds)
-    assert np.count_nonzero(expect) > 10
+    dead = _global_phase_events(sched)
+    live = np.count_nonzero(expect)
+    for k, q in np.argwhere(expect > 0).tolist():
+        if dead(k, q):
+            expect[k, q] = 0.0
+    assert np.count_nonzero(expect) > 10 and (channel == "z" or np.count_nonzero(expect) < live)
     cell = key * nq + qubit
     assert np.unique(cell * n_trials + trial).size == cell.size
     freq = np.bincount(cell, minlength=expect.size).reshape(expect.shape) / n_trials
@@ -861,19 +894,24 @@ def _noise_classes_loop(sched, noise):
 
 
 def test_noise_class_cells_built_on_first_hit():
-    """A class builds its cells on the first batch that hits it: after a
-    batch that draws no event, no class has built any, and after a noisy
-    batch exactly the classes it hit have."""
+    """A class builds its cells and keep mask on the first batch that hits
+    it: after a batch that draws no event, no class has built any, and
+    after a noisy batch exactly the classes it drew a hit in have, the
+    same draws replayed from the same seed. Every kept event is a cell of
+    a built class."""
     sched = build_bb_hetero(3, "qutrit", _database(3))
     quiet = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 1e-9), sched.profile))
     assert np.all(quiet.run(trajectory_rng(0, 0), 64) == 1.0)
-    assert all(c._cells is None for c in quiet._classes)
+    assert all(c._cells is None and c._keep is None for c in quiet._classes)
     eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 0.1), sched.profile))
     key, qubit, _ = _events_by_key(eng, trajectory_rng(1, 0), 16)
     hit = set((key * sched.qubit_count + qubit).tolist())
     built = [c._cells is not None for c in eng._classes]
     assert any(built) and not all(built)
-    assert built == [bool(hit & set(c.cells.tolist())) for c in eng._classes]
+    rng = trajectory_rng(1, 0)
+    assert built == [_bernoulli_hits(rng, c.slots * 16, c.q).size > 0 for c in eng._classes]
+    assert hit and hit <= set().union(*(c.cells.tolist() for c, b in zip(eng._classes, built)
+                                        if b))
 
 
 @pytest.mark.parametrize("arch,kind", VARIANTS)
@@ -891,3 +929,103 @@ def test_noise_classes_equal_loop_definition(arch, kind):
             assert all(c.cells.dtype == np.int64 and c.cells.size == c.slots
                        for c in eng._classes)
             assert got == _noise_classes_loop(sched, noise), (arch, kind, n, channel)
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_noise_class_keep_equals_loop_definition(arch, kind):
+    """Each class's keep mask clears exactly the slots whose events only add
+    a global phase by the loop definition: X flips past their qubit's last
+    gate on qubits the readout does not read, and in sampled-basis mode
+    every Z phase. It is None when it would keep every slot."""
+    for n in (1, 3, 4):
+        for rt in (True, False):
+            sched = build_schedule(arch, n, kind, _database(n), round_trip=rt)
+            noise = NoiseModel(PARAMS, sched.profile)
+            nq = sched.qubit_count
+            for mode in ("superposition", "basis"):
+                dead = _global_phase_events(sched, basis=mode == "basis")
+                for c in PlaneEngine(sched, noise, address_mode=mode)._classes:
+                    expect = np.array([not dead(*divmod(cell, nq)) for cell in c.cells.tolist()])
+                    if expect.all():
+                        assert c.keep is None, (arch, kind, n, rt, mode)
+                    else:
+                        assert c.keep.tolist() == expect.tolist(), (arch, kind, n, rt, mode)
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_dropped_x_events_change_no_fidelity(arch, kind):
+    """The X flips the sampler drops only add a global phase: at n=1..4,
+    both protocols, random event sets mix live events with X flips on the
+    cells the engine's keep masks clear, some followed by a Z phase on the
+    same qubit at the same or a later layer, and `run_events` gives the
+    same fidelity bit for bit with and without those X flips."""
+    rng = np.random.default_rng(19)
+    cases = phased = lossy = 0
+    for n in range(1, 5):
+        for rt in (True, False):
+            sched = build_schedule(arch, n, kind, _database(n), round_trip=rt)
+            eng = PlaneEngine(sched, NoiseModel(PARAMS, sched.profile))
+            nq, n_layers = sched.qubit_count, len(sched.layers)
+            cells = np.concatenate([c.cells for c in eng._classes])
+            keep = np.concatenate([np.ones(c.slots, dtype=bool) if c.keep is None else c.keep
+                                   for c in eng._classes])
+            dropped, live = cells[~keep], cells[keep]
+            assert dropped.size and np.all(dropped // nq % 2 == 0)
+            for _ in range(40):
+                events, flips = {}, {}
+                for cell in rng.choice(live, rng.integers(1, 4)).tolist():
+                    key, q = divmod(cell, nq)
+                    events.setdefault(key // 2, []).append(PauliEvent(q, "XZ"[key % 2]))
+                for cell in rng.choice(dropped, rng.integers(1, 4)).tolist():
+                    li, q = divmod(cell, 2 * nq)
+                    flips.setdefault(li, []).append(PauliEvent(q, "X"))
+                    if rng.random() < 0.5:
+                        events.setdefault(int(rng.integers(li, n_layers)), []).append(
+                            PauliEvent(q, "Z"))
+                        phased += 1
+                both = {li: events.get(li, []) + flips.get(li, [])
+                        for li in events.keys() | flips.keys()}
+                got, expect = eng.run_events(both, 1), eng.run_events(events, 1)
+                assert got.tobytes() == expect.tobytes(), (arch, kind, n, rt, events, flips)
+                cases += 1
+                lossy += expect[0] < 1.0
+    assert cases == 320 and phased > 100 and lossy > 50, (phased, lossy)
+
+
+def _spy_codes(monkeypatch):
+    """Record each `_run_codes` pass's schedule, mode and a copy of its
+    codes and trial count, then run it."""
+    passes = []
+    real = PlaneEngine._run_codes
+
+    def spy(self, codes, total, trial_addresses=None):
+        passes.append((self.schedule, self.sampled_basis, codes.copy(), total))
+        return real(self, codes, total, trial_addresses)
+
+    monkeypatch.setattr(PlaneEngine, "_run_codes", spy)
+    return passes
+
+
+@pytest.mark.parametrize("point", [
+    ["--arch", "ft-hetero", "--n", "5", "--round-trip", "on", "--trials", "512"],
+    ["--arch", "bb-hetero", "--n", "11", "--address-mode", "basis", "--trials", "256"],
+], ids=["superposition", "basis"])
+def test_sim_passes_hold_no_global_phase_event(point, monkeypatch, tmp_path):
+    """No pass of a `sim` point is given an event that only adds a global
+    phase: no X flip on a qubit past its last gate that the readout does
+    not read (`Schedule.unread_from`), and in sampled-basis mode no Z
+    phase at all."""
+    from hetqram.cli import main
+
+    passes = _spy_codes(monkeypatch)
+    argv = ["sim", *point, "--routers", "qutrit", "--p-prime", "0.1", "--seed", "7",
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert passes
+    for sched, basis, codes, total in passes:
+        assert basis == ("basis" in point) and codes.size
+        nq = sched.qubit_count
+        layer, where = np.divmod(codes // total, 2 * nq)
+        is_z, qubit = where >= nq, where % nq
+        assert not np.any(~is_z & (layer >= sched.unread_from()[qubit]))
+        assert is_z.any() != basis

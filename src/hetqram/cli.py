@@ -59,11 +59,9 @@ class _Parser(argparse.ArgumentParser):
     and that keeps each flag's action by option string, so a config-file key
     is checked against exactly the flags of its own subcommand."""
 
-    def __init__(self, *args, parents=(), **kwargs):
+    def __init__(self, *args, **kwargs):
         self.flags: dict[str, argparse.Action] = {}
-        for parent in parents:
-            self.flags.update(parent.flags)
-        super().__init__(*args, parents=parents, **kwargs)
+        super().__init__(*args, **kwargs)
 
     def add_argument(self, *names, **kwargs):
         action = super().add_argument(*names, **kwargs)
@@ -114,10 +112,9 @@ def _config_tokens(path: str, command: _Parser) -> list[str]:
     return tokens
 
 
-def _common_parser() -> _Parser:
+def _common_flags(p: _Parser) -> None:
     """The flags that `sim`, `bounds`, `resources` and `compare` share,
-    declared once and handed to each through `parents=`."""
-    p = _Parser(add_help=False)
+    declared once."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--arch", help="comma list of " + ",".join(ARCHITECTURES))
     p.add_argument("--routers", choices=("qubit", "qutrit"))
@@ -136,29 +133,23 @@ def _common_parser() -> _Parser:
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    return p
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top parser and each subcommand's parser by name."""
-    parser = _Parser(
-        prog="hetqram",
-        description="Heterogeneously error-corrected QRAM simulator and analytics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = [_common_parser()]
-    sub.add_parser("sim", parents=common, help="Monte Carlo infidelity sweep")
-    sub.add_parser("bounds", parents=common, help="closed-form bound curves")
-    p_res = sub.add_parser("resources", parents=common, help="physical qubit overhead tables")
-    p_res.add_argument("--efficient", action="store_true", help="odd-paired distances")
-    p_res.add_argument("--distance", type=int, help="uniform tree distance")
-    p_cmp = sub.add_parser("compare", parents=common, help="equal-fidelity overhead comparison")
-    p_cmp.add_argument("--mode", choices=("analytic", "simulated", "auto"), default="analytic")
-    p_fit = sub.add_parser("fit", help="scaling exponent from a sweep CSV")
-    p_fit.add_argument("--in", dest="input", required=True, help="sweep report (csv or json)")
-    p_fit.add_argument("--out")
-    p_fit.add_argument("--format", choices=("csv", "json"), default="csv")
-    return parser, sub.choices
+def _resources_flags(p: _Parser) -> None:
+    _common_flags(p)
+    p.add_argument("--efficient", action="store_true", help="odd-paired distances")
+    p.add_argument("--distance", type=int, help="uniform tree distance")
+
+
+def _compare_flags(p: _Parser) -> None:
+    _common_flags(p)
+    p.add_argument("--mode", choices=("analytic", "simulated", "auto"), default="analytic")
+
+
+def _fit_flags(p: _Parser) -> None:
+    p.add_argument("--in", dest="input", required=True, help="sweep report (csv or json)")
+    p.add_argument("--out")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
@@ -288,25 +279,52 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {"sim": _cmd_sim, "bounds": _cmd_bounds, "resources": _cmd_resources,
-             "compare": _cmd_compare, "fit": _cmd_fit}
+#: each subcommand's runner, help line and flags
+_COMMANDS = {
+    "sim": (_cmd_sim, "Monte Carlo infidelity sweep", _common_flags),
+    "bounds": (_cmd_bounds, "closed-form bound curves", _common_flags),
+    "resources": (_cmd_resources, "physical qubit overhead tables", _resources_flags),
+    "compare": (_cmd_compare, "equal-fidelity overhead comparison", _compare_flags),
+    "fit": (_cmd_fit, "scaling exponent from a sweep CSV", _fit_flags),
+}
+
+
+def _build_parser(command: str | None) -> tuple[_Parser, _Parser | None]:
+    """The top parser, which names every subcommand with its help line, and
+    the parser of `command`, the only one given its flags: a call runs one
+    subcommand, and declaring every flag of all five would double the
+    parse cost. None if `command` names no subcommand."""
+    parser = _Parser(
+        prog="hetqram",
+        description="Heterogeneously error-corrected QRAM simulator and analytics",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = None
+    for name, (_, text, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == command:
+            add_flags(p)
+            chosen = p
+    return parser, chosen
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
+    # the top parser takes no flag but --help, so the first other word
+    # names the subcommand
+    parser, command = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # the file's flags go first, so an explicit flag wins (last one wins);
             # the explicit ones parsed above, so an error here is the file's
             at = argv.index(args.command) + 1
-            tokens = _config_tokens(args.config, commands[args.command])
+            tokens = _config_tokens(args.config, command)
             try:
                 args = parser.parse_args(argv[:at] + tokens + argv[at:])
             except ConfigError as exc:
                 raise ConfigError(f"{args.config}: {exc}") from None
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,32 +26,38 @@ a scalar cost several times more). The test hook `run_events` codes the
 same given events on every trial; the sampler draws them.
 
 Noise sampling: every (noise step, live group, X or Z) segment of the plan
-is pooled, once at construction, by its net flip probability q, into one
-class per q; a class builds its table of event cells on the first batch
-that hits it. A batch draws all its noise up front, one Bernoulli(q)
-process per class over the class's (slot, trial) pairs, by summing
-geometric gaps between hits (the rare-error sampling of Stim, Gidney,
-Quantum 5, 497 (2021)): exact iid flips at a cost proportional to the
-number of hits. For q < 1/3 the gaps come from the inversion that numpy's
+is cut down to its live cells and pooled, once at construction, by its net
+flip probability q, into one class per q; a class builds its table of
+event cells on the first batch that hits it. A batch draws all its noise
+up front, one Bernoulli(q) process per class over the class's (slot,
+trial) pairs, by summing geometric gaps between hits (the rare-error
+sampling of Stim, Gidney, Quantum 5, 497 (2021)): exact iid flips at a
+cost proportional to the number of hits, every one of them an event of
+the pass. For q < 1/3 the gaps come from the inversion that numpy's
 `Generator.geometric` itself uses, ceil(E / -log1p(-q)) of standard
 exponentials E, with the logarithm taken once per class rather than once
 per draw: the same gaps from the same stream at about half the cost.
 
-Events that only add a global phase: the sampler drops them right after
-the draw, so no pass sorts, decodes or applies them, while every draw and
-so every fidelity stays the same. An X flip that lands after the layer of
-its qubit's last gate (a swap's operand or control, an X, a data copy), on
-a qubit that no readout table holds (`Schedule.unread_from`), is read by
+Events that only add a global phase: their cells are dead, and the
+classes leave them out, so they are never drawn, sorted, decoded or
+applied. An X flip that lands after the layer of its qubit's last gate (a
+swap's operand or control, an X, a data copy), on a qubit that no readout
+table holds (`Schedule.unread_from`, the qubit's X horizon), is read by
 no gate and by no readout. It flips that qubit in every branch of its
 trial, so a later Z phase there flips the sign of the branches where the
 qubit is 0 instead of those where it is 1: the two differ by a sign on
 the whole trial, which the squared overlap (sum_b w_b s_b g_b)^2 ignores
-bit for bit. In sampled-basis mode every Z phase goes too: with one branch
-per trial (B = 1) each phase is global. This is the locality behind
-bucket-brigade noise resilience (Hann et al., PRX Quantum 2, 020311
-(2021)): the lower levels of a heterogeneous tree idle for most of a
-query, and most of their X events land on such qubits. `_run_codes` and
-`run_events` still apply whatever events they are given.
+bit for bit. In sampled-basis mode every Z phase is dead too: with one
+branch per trial (B = 1) each phase is global. This is the locality
+behind bucket-brigade noise resilience (Hann et al., PRX Quantum 2,
+020311 (2021)): the lower levels of a heterogeneous tree idle for most of
+a query, and most of their X events land on such qubits. Each group's
+qubits are pooled by descending X horizon, so a segment's live X cells
+are a prefix of its group. Leaving the dead cells out moves the other
+cells' slots, so the draws differ from a sampler that draws every cell,
+but each live cell still flips iid with its own q, and the fidelity
+distribution is the same. `_run_codes` and `run_events` still apply
+whatever events they are given.
 
 Passes: a batch is the unit of randomness (one generator stream each),
 not of work. Consecutive batches share one plane pass until it would span
@@ -109,12 +115,12 @@ to 1/17 at n=8 and 9). Both kernels give the same fidelities bit for bit.
 
 Swaps are unconditional, so they never reach the plane: each layer
 compiles once to gates on physical plane rows, and the swaps fold into a
-static logical-to-physical row map, kept at the layers where noise lands
-and at the last layer. `run_events` adds the maps of its own layers. The
-compile reads the layers' gate tables (`circuits.GateTable`), never
-`Layer.gates`: it sorts all the tables once into each layer's polarity
-groups, plain swaps and inverts, so a layer costs a fixed number of numpy
-calls. A layer compiles straight to its controlled swaps grouped by
+static logical-to-physical row map (int32), kept at the layers where live
+noise lands and at the last layer. `run_events` adds the maps of its own
+layers. The compile reads the layers' gate tables (`circuits.GateTable`),
+never `Layer.gates`: it sorts all the tables once into each layer's
+polarity groups, plain swaps and inverts, so a layer costs a fixed number
+of numpy calls. A layer compiles straight to its controlled swaps grouped by
 control polarities, as index arrays, plus the rows it inverts; the dense kernel
 (`_gate_pass`) runs each group with a fixed number of numpy calls (one
 gather, the swap mask, one scatter) on chunks of at most `_GATE_CHUNK`
@@ -322,48 +328,36 @@ def _bernoulli_hits(rng: np.random.Generator, slots: int, q: float) -> np.ndarra
 
 class _NoiseClass:
     """One flip-probability class of an engine's noise plan: its net flip
-    probability `q`, its `slots` per trial, their event `cells` and the
-    `keep` mask of the slots whose events can change a fidelity.
+    probability `q`, its `slots` per trial and their event `cells`, each a
+    live cell, where an event can change a fidelity.
 
-    The class holds its segments, one per (noise step, live group, X or Z):
-    each one's `base` cell `(layer * 2 + is_z) * qubits`, and its group's
-    `start` and `size` in `pool`, which holds every group's qubits for X
-    and then again for Z. Slot k of a segment is qubit k of its group. An
-    event is kept while its cell is below the `threshold` of its pool
-    entry, the first cell of that qubit and kind from which an event only
-    adds a global phase. The cells and the mask are built on the first
-    batch that hits the class, so a class no batch hits never builds them.
+    The class holds its segments, one per nonempty (noise step, live group,
+    X or Z): each one's `base` cell `(layer * 2 + is_z) * qubits`, and its
+    group's `start` and its own `size` in `pool`, which holds each group's
+    qubits by descending X horizon. Slot k of a segment is the group's
+    qubit k there: an X segment is the prefix of the group's qubits that a
+    later gate or the readout still reads, a Z segment the whole group.
+    The cells are built on the first batch that hits the class, so a class
+    no batch hits never builds them.
     """
 
-    __slots__ = ("q", "slots", "_segments", "_cells", "_keep")
+    __slots__ = ("q", "slots", "_segments", "_cells")
 
-    def __init__(self, q: float, base, start, size, pool: np.ndarray, threshold: np.ndarray):
+    def __init__(self, q: float, base, start, size, pool: np.ndarray):
         self.q = q
         self.slots = int(size.sum())
-        self._segments = base, start, size, pool, threshold
-        self._cells = self._keep = None
+        self._segments = base, start, size, pool
+        self._cells = None
 
     @property
     def cells(self) -> np.ndarray:
         """Each slot's event cell, `(layer * 2 + is_z) * qubits + qubit`."""
         if self._cells is None:
-            self._build()
+            base, start, size, pool = self._segments
+            ends = np.cumsum(size)
+            slot = np.arange(ends[-1]) + np.repeat(start - (ends - size), size)
+            self._cells = np.repeat(base, size) + pool[slot]
         return self._cells
-
-    @property
-    def keep(self) -> np.ndarray | None:
-        """Which slots' events can change a fidelity, or None for all."""
-        if self._cells is None:
-            self._build()
-        return self._keep
-
-    def _build(self) -> None:
-        base, start, size, pool, threshold = self._segments
-        ends = np.cumsum(size)
-        slot = np.arange(ends[-1]) + np.repeat(start - (ends - size), size)
-        self._cells = np.repeat(base, size) + pool[slot]
-        keep = self._cells < threshold[slot]
-        self._keep = None if keep.all() else keep
 
 
 class _DeviationStore:
@@ -437,12 +431,21 @@ class PlaneEngine:
         self._layers = self._maps = self._init_span = self._readout = None
 
     def _compile_noise(self, noise: NoiseModel | None) -> set[int]:
-        """Pool the plan's (noise step, live group, X or Z) segments by their
-        net flip probability q; returns the layers where events can land.
+        """Pool the plan's live cells by their net flip probability q;
+        returns the layers where live events land.
 
-        One `_NoiseClass` per q, in order of first appearance, whose slots
-        of one trial run segment after segment in (step, group, X before Z)
-        order and each group's qubits in order. Both orders fix the draws.
+        A cell is dead when its event only adds a global phase (see the
+        module docstring): an X flip after the layer that its qubit's X
+        horizon (`Schedule.unread_from`) names or a later one, and in
+        sampled-basis mode every Z phase. The pool holds each group's
+        qubits by descending X horizon, ties in group order, so the live X
+        slots of a (noise step, group) segment are a prefix of the group,
+        whose length one `searchsorted` gives for the whole step x group
+        grid. Z segments stay whole in superposition mode and go in
+        sampled-basis mode; empty segments go too. One `_NoiseClass` per
+        q, in order of first appearance, whose slots of one trial run
+        segment after segment in (step, group, X before Z) order. Both
+        orders fix the draws.
         """
         self._classes = []
         if noise is None:
@@ -451,32 +454,35 @@ class PlaneEngine:
         groups = plan.groups
         if not groups:
             return set()
-        nq = self.schedule.qubit_count
+        nq, n_layers = self.schedule.qubit_count, len(self.schedule.layers)
         size = np.array([g.qubits.size for g in groups], dtype=np.int64)
         start = np.cumsum(size) - size
-        pool = np.concatenate([g.qubits for g in groups])
-        # the first layer from which an X, then a Z, on each qubit only adds
-        # a global phase: past its last reader for an X, at once for a Z in
-        # sampled-basis mode, never for a Z in superposition
-        z_horizon = 0 if self.sampled_basis else len(self.schedule.layers)
-        horizon = np.concatenate([self.schedule.unread_from(), np.full(nq, z_horizon)])
-        # the classes' pool holds every group's qubits for X, then again for
-        # Z, each entry with the first cell of its qubit and kind from that
-        # horizon on (cell = layer * 2 * qubits + where)
-        where = np.concatenate([pool, pool + nq])
-        threshold = horizon[where] * (2 * nq) + where
-        z_start, pool = pool.size, np.tile(pool, 2)
-        layer = np.array([step.layer for step in plan.steps], dtype=np.int64)
-        # q of each distinct (rate, rounds), one scalar call each
+        # sort key: group * stride + n_layers - horizon, with the horizon in
+        # [-1, n_layers], so the groups' keys never overlap
+        stride = n_layers + 2
+        head = np.arange(size.size) * stride + n_layers
+        qubits = np.concatenate([g.qubits for g in groups])
+        key = np.repeat(head, size) - self.schedule.unread_from()[qubits]
+        order = np.argsort(key, kind="stable")
+        pool, key = qubits[order], key[order]
+        layer = plan.step_layers
+        # (step, group, is_z) slots: X on the qubits whose horizon is past
+        # the step's layer, Z on the whole group or, in sampled-basis mode,
+        # on none
+        x_size = np.searchsorted(key, head - layer[:, None]) - start
+        z_size = np.broadcast_to(0 if self.sampled_basis else size, x_size.shape)
+        seg_size = np.stack([x_size, z_size], axis=-1)
+        # q of each distinct (rate, rounds): one array call per rounds value
         p_vals, p_idx = np.unique([(g.px, g.pz) for g in groups], return_inverse=True)
-        r_vals, r_idx = np.unique([step.rounds for step in plan.steps], return_inverse=True)
-        flip = np.array([[net_flip_probability(float(p), int(r)) for r in r_vals] for p in p_vals])
+        r_vals, r_idx = np.unique(plan.step_rounds, return_inverse=True)
+        flip = np.stack([net_flip_probability(p_vals, r) for r in r_vals.tolist()], axis=1)
         q = flip[p_idx.reshape(1, -1, 2), r_idx.reshape(-1, 1, 1)]  # (step, group, is_z)
         live = np.array([g.first_active for g in groups]) <= layer[:, None]
-        step_i, group_i, is_z = np.nonzero(live[:, :, None] & (q > 0.0))
-        q = q[step_i, group_i, is_z]
-        if not q.size:
+        step_i, group_i, is_z = np.nonzero(live[:, :, None] & (q > 0.0) & (seg_size > 0))
+        if not step_i.size:
             return set()
+        q = q[step_i, group_i, is_z]
+        seg_size = seg_size[step_i, group_i, is_z]
         values, first, cls = np.unique(q, return_index=True, return_inverse=True)
         # classes in order of first appearance, and the segments class by
         # class, each class's in plan order (a stable sort)
@@ -485,20 +491,20 @@ class PlaneEngine:
         rank[by_first] = np.arange(by_first.size)
         rank = rank[cls.reshape(-1)]
         seg_order = np.argsort(rank, kind="stable")
-        g = group_i[seg_order]
         base = (layer[step_i[seg_order]] * 2 + is_z[seg_order]) * nq
-        split = np.flatnonzero(np.diff(rank[seg_order])) + 1
-        start = start[g] + is_z[seg_order] * z_start
+        start, seg_size = start[group_i[seg_order]], seg_size[seg_order]
+        # plain slices: np.split costs far more per call
+        cut = [0, *(np.flatnonzero(np.diff(rank[seg_order])) + 1).tolist(), seg_order.size]
         self._classes = [
-            _NoiseClass(q, *segments, pool, threshold)
-            for q, *segments in zip(values[by_first].tolist(), np.split(base, split),
-                                    np.split(start, split), np.split(size[g], split))
+            _NoiseClass(q, base[lo:hi], start[lo:hi], seg_size[lo:hi], pool)
+            for q, lo, hi in zip(values[by_first].tolist(), cut, cut[1:])
         ]
         return set(layer[step_i].tolist())
 
     def _compile(self, keep: set[int]) -> tuple[list[tuple], dict[int, np.ndarray]]:
         """Each layer's gates on physical plane rows, and the logical-to-
-        physical row map after each layer in `keep`.
+        physical row map after each layer in `keep`, as int32: its users
+        widen it wherever they multiply it by a unit or trial count.
 
         A layer compiles to `(groups, inverts)`: its controlled swaps
         grouped by their control polarities, and the rows it inverts. A
@@ -552,7 +558,7 @@ class PlaneEngine:
                 part = next(parts, None)
             layers.append((groups, inverts))
             if li in keep:
-                maps[li] = row.copy()
+                maps[li] = row.astype(np.int32)
             lo = hi
         return layers, maps
 
@@ -737,7 +743,7 @@ class PlaneEngine:
                 step += 1
             if bounds[2 * li] == bounds[2 * li + 2]:
                 continue
-            row_units = maps[li] * U  # each logical qubit's first unit
+            row_units = maps[li] * np.int64(U)  # each logical qubit's first unit
             # X flips of this layer, then Z phases read from the flipped plane
             for is_z in (0, 1):
                 lo, hi = bounds[2 * li + is_z], bounds[2 * li + is_z + 1]
@@ -838,13 +844,13 @@ class PlaneEngine:
             lo, mid, hi = bounds[2 * li : 2 * li + 3]
             if lo < mid:  # X flips: each trial's whole span
                 rows = self._maps[li].take(cell[lo:mid] - 2 * li * nq)
-                f = rows * T + slot[lo:mid]
+                f = rows * np.int64(T) + slot[lo:mid]
                 i, d = dev.read(f)
                 dev.write(f, i, ~d, i == 0)
                 dirty[f] = True
             if mid < hi:  # Z phases, read from the flipped state
                 rows = self._maps[li].take(cell[mid:hi] - (2 * li + 1) * nq)
-                f = rows * T + slot[mid:hi]
+                f = rows * np.int64(T) + slot[mid:hi]
                 np.bitwise_xor.at(sign, slot[mid:hi], dev.read(f)[1] ^ ref[rows])
 
         read_rows, care, _ = self._readout
@@ -853,7 +859,7 @@ class PlaneEngine:
         r = hit // T
         t = hit - r * T
         bad = np.zeros((T, S), dtype=np.uint64)
-        np.bitwise_or.at(bad, t, dev.read(phys[r] * T + t)[1] & care.take(r, axis=0))
+        np.bitwise_or.at(bad, t, dev.read(phys[r] * np.int64(T) + t)[1] & care.take(r, axis=0))
         fids = np.ones(joined.size)
         fids[joined] = self._overlap_squares(bad, sign, T, self.branch_count)
         return fids
@@ -868,9 +874,7 @@ class PlaneEngine:
 
         The batch's trials are trials `offset..` of a pass of `total`.
         Slot `j * n_trials + t` is slot j of the class's cells in trial t.
-        Hits on the slots that the class's `keep` clears are dropped after
-        the draw, which stays the same: their events only add a global
-        phase (see the module docstring).
+        Every class cell is live, so every hit is an event of the pass.
         """
         codes = []
         for noise_class in self._classes:
@@ -878,10 +882,6 @@ class PlaneEngine:
             if not hits.size:
                 continue
             j = hits // n_trials
-            keep = noise_class.keep
-            if keep is not None:  # drop the events that only add a global phase
-                keep = keep[j]
-                j, hits = j[keep], hits[keep]
             hits -= j * n_trials  # the trial
             hits += offset
             code = noise_class.cells[j]

@@ -16,6 +16,7 @@ the odd-parity probability of its rounds; `NoisePlan` says where.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Literal
 
 import numpy as np
@@ -223,14 +224,13 @@ class NoisePlan:
     that touches it; input qubits live from layer 0. Each level's rate is
     split into X and Z by the channel; levels without a positive rate are
     skipped. `groups` lists every group, ordered by (level, first active
-    layer); each step holds its live groups in that order.
+    layer); `step_layers` and `step_rounds` give each step's layer and
+    rounds as int64 arrays, and `steps` the steps themselves, each holding
+    its live groups in group order (built on first read).
     """
 
     def __init__(self, schedule: "Schedule", noise: NoiseModel):
         layers = schedule.layers
-        rounds: dict[int, int] = {}
-        for layer in layers:
-            rounds[layer.phase] = max(rounds.get(layer.phase, 0), layer.noise_rounds)
         # the qubits by (level, first active layer), each group's in qubit
         # order (lexsort is stable), cut where the pair changes
         first_active = np.array(schedule.first_active_layer(), dtype=np.int64)
@@ -248,10 +248,21 @@ class NoisePlan:
             px, pz = _channel_probs(rate, noise.channel)
             groups.append(NoiseGroup(level, start, rate, px, pz, order[lo:hi]))
         self.groups = tuple(groups)
-        self.steps = tuple(
-            NoiseStep(li, rounds[layer.phase], tuple(g for g in groups if g.first_active <= li))
-            for li, layer in enumerate(layers)
-            if li + 1 == len(layers) or layers[li + 1].phase != layer.phase
+        # a step after each phase's last layer, with the largest
+        # noise_rounds of any layer of that phase
+        phase = np.array([layer.phase for layer in layers], dtype=np.int64)
+        noise_rounds = np.array([layer.noise_rounds for layer in layers], dtype=np.int64)
+        phases, which = np.unique(phase, return_inverse=True)
+        rounds = np.zeros(phases.size, dtype=np.int64)
+        np.maximum.at(rounds, which, noise_rounds)
+        self.step_layers = np.flatnonzero(np.append(phase[1:] != phase[:-1], len(layers) > 0))
+        self.step_rounds = rounds[which[self.step_layers]]
+
+    @cached_property
+    def steps(self) -> tuple[NoiseStep, ...]:
+        return tuple(
+            NoiseStep(li, r, tuple(g for g in self.groups if g.first_active <= li))
+            for li, r in zip(self.step_layers.tolist(), self.step_rounds.tolist())
         )
 
 

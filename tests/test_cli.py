@@ -343,6 +343,54 @@ def test_subcommand_help_lists_every_common_flag(command, capsys):
     assert not missing, (command, missing)
 
 
+#: each subcommand's help line and the flags only it takes
+_SUBCOMMANDS = {
+    "sim": ("Monte Carlo infidelity sweep", ()),
+    "bounds": ("closed-form bound curves", ()),
+    "resources": ("physical qubit overhead tables", ("--efficient", "--distance")),
+    "compare": ("equal-fidelity overhead comparison", ("--mode",)),
+    "fit": ("scaling exponent from a sweep CSV", ("--in", "--out", "--format")),
+}
+
+
+def _help(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_top_help_names_every_subcommand(capsys):
+    """`hetqram --help` names all five subcommands with their help lines,
+    though a call declares the flags of only the one it runs."""
+    out = " ".join(_help(["--help"], capsys).split())
+    for name, (text, _) in _SUBCOMMANDS.items():
+        assert name in out and text in out, name
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_subcommand_help_lists_its_own_flags(command, capsys):
+    """`hetqram <cmd> --help` lists the flags only that subcommand takes,
+    and none that only another one takes."""
+    out = _help([command, "--help"], capsys)
+    own = _SUBCOMMANDS[command][1]
+    assert all(flag in out for flag in own), command
+    others = {flag for name, (_, flags) in _SUBCOMMANDS.items() if name != command
+              for flag in flags} - set(own) - {"--out", "--format"}
+    assert not [flag for flag in others if flag in out.split()], command
+
+
+@pytest.mark.parametrize("argv", [["nope"], ["nope", "--n", "3"], ["--n", "3", "sim"]])
+def test_unknown_subcommand_exits_2(argv, capsys):
+    """A word that names no subcommand, or a flag before the subcommand,
+    exits 2 with one `error:` line naming the problem."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "nope":
+        assert "invalid choice: 'nope'" in err and "sim" in err
+
+
 def _sim_csv(capsys, *extra):
     code, out, _ = run_cli(
         ["sim", "--arch", "ft-hetero,bb-hetero,uniform-bb", "--routers", "qubit",
@@ -529,24 +577,30 @@ def test_bounds_rows_equal_matching_bound(capsys, kind):
         assert row["router_kind"] == ("qutrit" if arch == "walker" else kind)
 
 
-def test_sim_golden_csv(capsys):
-    """`hetqram sim` output, byte for byte, for every architecture, router kind
-    and --round-trip setting (absent, on, off) at a fixed seed. A change that
-    alters the RNG draw order on purpose regenerates tests/data/sim_golden.csv
-    and says why."""
+def sim_golden_text() -> str:
+    """`hetqram sim` output for every architecture and router kind and each
+    --round-trip setting (absent, on, off) at a fixed seed, concatenated:
+    the contents of tests/data/sim_golden.csv, which
+    `tests/regen_goldens.py` rewrites."""
     parts = []
     for kind in ("qutrit", "qubit"):
         for round_trip in ([], ["--round-trip", "on"], ["--round-trip", "off"]):
-            code, out, _ = run_cli(
-                ["sim", "--arch", ",".join(ARCHITECTURES), "--routers", kind,
-                 "--n", "2..4", "--p-prime", "0.2", "--trials", "500", "--seed", "11",
-                 *round_trip],
-                capsys,
-            )
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["sim", "--arch", ",".join(ARCHITECTURES), "--routers", kind,
+                             "--n", "2..4", "--p-prime", "0.2", "--trials", "500",
+                             "--seed", "11", *round_trip])
             assert code == 0
-            parts.append(out)
+            parts.append(out.getvalue())
+    return "".join(parts)
+
+
+def test_sim_golden_csv():
+    """`sim_golden_text` equals the golden file byte for byte. A change
+    that alters the RNG draw order on purpose regenerates
+    tests/data/sim_golden.csv with `tests/regen_goldens.py` and says why."""
     golden = Path(__file__).parent / "data" / "sim_golden.csv"
-    assert "".join(parts) == golden.read_text()
+    assert sim_golden_text() == golden.read_text()
 
 
 #: depths for the analytic golden: every small tree, then up to the paper's 30 and 40

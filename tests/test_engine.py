@@ -161,22 +161,33 @@ def _events_by_key(engine, rng, n_trials):
     return key, qubit, trial
 
 
-def _global_phase_events(sched, basis=False):
-    """Loop definition of the events that only add a global phase, as a
-    test `dead(key, qubit)` of key `layer * 2 + is_z`: every Z in
-    sampled-basis mode, and an X that lands after the layer of its qubit's
-    last gate on a qubit that no address's output mask reads."""
+def _x_horizons(sched):
+    """Loop definition of each qubit's X horizon: the layer of its last
+    gate (-1 for none), or len(layers) for a qubit that some address's
+    output mask reads. An X flip after that layer or a later one only adds
+    a global phase."""
     last = {}
     for li, layer in enumerate(sched.layers):
         for gate in layer.gates:
             for q in gate.support():
                 last[q] = li
-    read = set().union(*(sched.output_mask(a) for a in range(1 << sched.n)))
+    for a in range(1 << sched.n):
+        for q in sched.output_mask(a):
+            last[q] = len(sched.layers)
+    return [last.get(q, -1) for q in range(sched.qubit_count)]
+
+
+def _global_phase_events(sched, basis=False):
+    """Loop definition of the events that only add a global phase, as a
+    test `dead(key, qubit)` of key `layer * 2 + is_z`: every Z in
+    sampled-basis mode, and an X that lands after the layer of its qubit's
+    last gate on a qubit that no address's output mask reads."""
+    horizon = _x_horizons(sched)
 
     def dead(key, qubit):
         if key % 2:
             return basis
-        return qubit not in read and key // 2 >= last.get(qubit, -1)
+        return key // 2 >= horizon[qubit]
 
     return dead
 
@@ -853,15 +864,11 @@ def test_deviation_single_faults_equal_word_oracle(monkeypatch):
     assert np.any(fids < 1.0) and np.any(fids == 1.0)
 
 
-def test_sampled_basis_fidelities_unchanged():
+def basis_golden_fidelities() -> dict[str, str]:
     """Basis-mode fidelities at a fixed seed for every architecture and
-    router kind, n=3..6, both protocols, as packed hex bit strings. The
-    data were written by the engine that draws each batch's noise once per
-    flip-probability class by geometric gaps; a change to the readout or
-    the reference must reproduce them bit for bit, on the same addresses
-    and noise. A change that alters the RNG draw order on purpose
-    regenerates tests/data/basis_golden.json and says why."""
-    golden = json.loads((Path(__file__).parent / "data" / "basis_golden.json").read_text())
+    router kind, n=3..6, both protocols, 300 trials each, as packed hex bit
+    strings keyed `arch/kind/n=N/rt=on|off`: the contents of
+    tests/data/basis_golden.json, which `tests/regen_goldens.py` rewrites."""
     got = {}
     for arch, kind in VARIANTS:
         for n in range(3, 7):
@@ -873,36 +880,53 @@ def test_sampled_basis_fidelities_unchanged():
                 assert set(np.unique(fids)) <= {0.0, 1.0}
                 key = f"{arch}/{kind}/n={n}/rt={'on' if rt else 'off'}"
                 got[key] = np.packbits(fids == 1.0).tobytes().hex()
-    assert got == golden
+    return got
 
 
-def _noise_classes_loop(sched, noise):
+def test_sampled_basis_fidelities_unchanged():
+    """Basis-mode fidelities (`basis_golden_fidelities`) equal the golden
+    file bit for bit. The data were written by the engine that draws each
+    batch's noise once per flip-probability class by geometric gaps over
+    the live cells only; a change to the readout or the reference must
+    reproduce them on the same addresses and noise. A change that alters
+    the RNG draw order on purpose regenerates tests/data/basis_golden.json
+    with `tests/regen_goldens.py` and says why."""
+    golden = json.loads((Path(__file__).parent / "data" / "basis_golden.json").read_text())
+    assert basis_golden_fidelities() == golden
+
+
+def _noise_classes_loop(sched, noise, basis=False):
     """Loop definition of the engine's noise classes: per distinct net flip
     probability q, in order of first appearance over (step, live group,
-    X before Z), the event cell (layer * 2 + is_z) * qubits + qubit of each
-    slot, group qubit by group qubit."""
+    X before Z), the live event cells (layer * 2 + is_z) * qubits + qubit,
+    in the engine's slot order: each group's qubits by descending X
+    horizon, ties in group order, and only those whose events can change a
+    fidelity (`_global_phase_events`)."""
     nq = sched.qubit_count
+    horizon = _x_horizons(sched)
+    dead = _global_phase_events(sched, basis)
     classes: dict[float, list[int]] = {}
     for step in NoisePlan(sched, noise).steps:
         for g in step.groups:
+            qubits = sorted(g.qubits.tolist(), key=lambda b: -horizon[b])
             for is_z, p in ((0, g.px), (1, g.pz)):
                 q = net_flip_probability(p, step.rounds)
-                if q > 0.0:
-                    cells = classes.setdefault(q, [])
-                    cells.extend((step.layer * 2 + is_z) * nq + int(b) for b in g.qubits)
+                key = step.layer * 2 + is_z
+                cells = [key * nq + b for b in qubits if not dead(key, b)]
+                if q > 0.0 and cells:
+                    classes.setdefault(q, []).extend(cells)
     return list(classes.items())
 
 
 def test_noise_class_cells_built_on_first_hit():
-    """A class builds its cells and keep mask on the first batch that hits
-    it: after a batch that draws no event, no class has built any, and
-    after a noisy batch exactly the classes it drew a hit in have, the
-    same draws replayed from the same seed. Every kept event is a cell of
-    a built class."""
+    """A class builds its cells on the first batch that hits it: after a
+    batch that draws no event, no class has built any, and after a noisy
+    batch exactly the classes it drew a hit in have, the same draws
+    replayed from the same seed. Every event is a cell of a built class."""
     sched = build_bb_hetero(3, "qutrit", _database(3))
     quiet = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 1e-9), sched.profile))
     assert np.all(quiet.run(trajectory_rng(0, 0), 64) == 1.0)
-    assert all(c._cells is None and c._keep is None for c in quiet._classes)
+    assert all(c._cells is None for c in quiet._classes)
     eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, 0.1), sched.profile))
     key, qubit, _ = _events_by_key(eng, trajectory_rng(1, 0), 16)
     hit = set((key * sched.qubit_count + qubit).tolist())
@@ -917,26 +941,41 @@ def test_noise_class_cells_built_on_first_hit():
 @pytest.mark.parametrize("arch,kind", VARIANTS)
 def test_noise_classes_equal_loop_definition(arch, kind):
     """The engine's vectorized class table holds the loop's classes, in the
-    same order and with the same cells in the same order: both orders fix
-    which slot each geometric draw lands on."""
+    same order and with the same live cells in the same order, in both
+    address modes: both orders fix which slot each geometric draw lands
+    on."""
     for n in (1, 3, 5):
         sched = build_schedule(arch, n, kind, _database(n), round_trip=n != 3)
         for channel in ("xz", "x", "z"):
             noise = NoiseModel(SurfaceParams(0.03, 0.3), sched.profile, channel=channel)
-            eng = PlaneEngine(sched, noise)
-            assert all(c._cells is None for c in eng._classes)
-            got = [(c.q, c.cells.tolist()) for c in eng._classes]
-            assert all(c.cells.dtype == np.int64 and c.cells.size == c.slots
-                       for c in eng._classes)
-            assert got == _noise_classes_loop(sched, noise), (arch, kind, n, channel)
+            for basis in (False, True):
+                eng = PlaneEngine(sched, noise, address_mode="basis" if basis else "superposition")
+                assert all(c._cells is None for c in eng._classes)
+                got = [(c.q, c.cells.tolist()) for c in eng._classes]
+                assert all(c.cells.dtype == np.int64 and c.cells.size == c.slots
+                           for c in eng._classes)
+                want = _noise_classes_loop(sched, noise, basis)
+                assert got == want, (arch, kind, n, channel, basis)
+
+
+def _plan_cells(sched, noise):
+    """Every (cell, q) of the plan's noise locations with a positive q,
+    cell = (layer * 2 + is_z) * qubits + qubit, dead or live."""
+    nq = sched.qubit_count
+    return [((step.layer * 2 + is_z) * nq + b, q)
+            for step in NoisePlan(sched, noise).steps for g in step.groups
+            for is_z, q in ((0, net_flip_probability(g.px, step.rounds)),
+                            (1, net_flip_probability(g.pz, step.rounds)))
+            if q > 0.0 for b in g.qubits.tolist()]
 
 
 @pytest.mark.parametrize("arch,kind", VARIANTS)
-def test_noise_class_keep_equals_loop_definition(arch, kind):
-    """Each class's keep mask clears exactly the slots whose events only add
-    a global phase by the loop definition: X flips past their qubit's last
-    gate on qubits the readout does not read, and in sampled-basis mode
-    every Z phase. It is None when it would keep every slot."""
+def test_noise_class_cells_are_the_live_cells(arch, kind):
+    """The classes' cells are the plan's live cells, each once and with its
+    own q: every location except the X flips past their qubit's last gate
+    on qubits the readout does not read, and in sampled-basis mode except
+    every Z phase. The engine keeps row maps after exactly the layers of
+    those cells."""
     for n in (1, 3, 4):
         for rt in (True, False):
             sched = build_schedule(arch, n, kind, _database(n), round_trip=rt)
@@ -944,33 +983,37 @@ def test_noise_class_keep_equals_loop_definition(arch, kind):
             nq = sched.qubit_count
             for mode in ("superposition", "basis"):
                 dead = _global_phase_events(sched, basis=mode == "basis")
-                for c in PlaneEngine(sched, noise, address_mode=mode)._classes:
-                    expect = np.array([not dead(*divmod(cell, nq)) for cell in c.cells.tolist()])
-                    if expect.all():
-                        assert c.keep is None, (arch, kind, n, rt, mode)
-                    else:
-                        assert c.keep.tolist() == expect.tolist(), (arch, kind, n, rt, mode)
+                want = sorted((cell, q) for cell, q in _plan_cells(sched, noise)
+                              if not dead(*divmod(cell, nq)))
+                eng = PlaneEngine(sched, noise, address_mode=mode)
+                got = sorted((cell, c.q) for c in eng._classes for cell in c.cells.tolist())
+                assert got == want, (arch, kind, n, rt, mode)
+                assert eng._noise_layers == {cell // (2 * nq) for cell, _ in want}
 
 
 @pytest.mark.parametrize("arch,kind", VARIANTS)
 def test_dropped_x_events_change_no_fidelity(arch, kind):
-    """The X flips the sampler drops only add a global phase: at n=1..4,
-    both protocols, random event sets mix live events with X flips on the
-    cells the engine's keep masks clear, some followed by a Z phase on the
-    same qubit at the same or a later layer, and `run_events` gives the
-    same fidelity bit for bit with and without those X flips."""
+    """The X flips the sampler leaves out, exactly the dead cells of the
+    loop definition (`_global_phase_events`), only add a global phase: at
+    n=1..4, both protocols, random event sets mix live events with X flips
+    on those cells, some followed by a Z phase on the same qubit at the
+    same or a later layer, and `run_events` gives the same fidelity bit for
+    bit with and without those X flips."""
     rng = np.random.default_rng(19)
     cases = phased = lossy = 0
     for n in range(1, 5):
         for rt in (True, False):
             sched = build_schedule(arch, n, kind, _database(n), round_trip=rt)
-            eng = PlaneEngine(sched, NoiseModel(PARAMS, sched.profile))
+            noise = NoiseModel(PARAMS, sched.profile)
+            eng = PlaneEngine(sched, noise)
             nq, n_layers = sched.qubit_count, len(sched.layers)
-            cells = np.concatenate([c.cells for c in eng._classes])
-            keep = np.concatenate([np.ones(c.slots, dtype=bool) if c.keep is None else c.keep
-                                   for c in eng._classes])
-            dropped, live = cells[~keep], cells[keep]
+            dead = _global_phase_events(sched)
+            plan = [cell for cell, _ in _plan_cells(sched, noise)]
+            dropped = np.array([cell for cell in plan if dead(*divmod(cell, nq))])
+            live = np.concatenate([c.cells for c in eng._classes])
             assert dropped.size and np.all(dropped // nq % 2 == 0)
+            # the sampler leaves out exactly these cells
+            assert sorted([*live.tolist(), *dropped.tolist()]) == sorted(plan)
             for _ in range(40):
                 events, flips = {}, {}
                 for cell in rng.choice(live, rng.integers(1, 4)).tolist():
@@ -1029,3 +1072,40 @@ def test_sim_passes_hold_no_global_phase_event(point, monkeypatch, tmp_path):
         is_z, qubit = where >= nq, where % nq
         assert not np.any(~is_z & (layer >= sched.unread_from()[qubit]))
         assert is_z.any() != basis
+
+
+@pytest.mark.parametrize("point", [
+    ["--arch", "ft-hetero", "--n", "6", "--round-trip", "on", "--trials", "2048",
+     "--batch-size", "512"],
+    ["--arch", "bb-hetero", "--n", "9", "--address-mode", "basis", "--trials", "300",
+     "--batch-size", "128"],
+], ids=["superposition", "basis"])
+def test_sim_passes_spend_every_draw(point, monkeypatch, tmp_path):
+    """Every hit the sampler draws is an event of its pass: per `_run_codes`
+    pass of a `sim` point, the hits `_bernoulli_hits` returned since the
+    previous pass equal the codes the pass receives, so no draw is
+    discarded."""
+    from hetqram.cli import main
+
+    drawn, passes = [0], []
+    bernoulli = _bernoulli_hits
+
+    def spy_hits(rng, slots, q):
+        hits = bernoulli(rng, slots, q)
+        drawn[0] += hits.size
+        return hits
+
+    run = PlaneEngine._run_codes
+
+    def spy_run(self, codes, total, trial_addresses=None):
+        passes.append((drawn[0], codes.size))
+        drawn[0] = 0
+        return run(self, codes, total, trial_addresses)
+
+    monkeypatch.setattr("hetqram.engine._bernoulli_hits", spy_hits)
+    monkeypatch.setattr(PlaneEngine, "_run_codes", spy_run)
+    argv = ["sim", *point, "--routers", "qutrit", "--p-prime", "0.1", "--seed", "7",
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert len(passes) > 1 and all(codes for _, codes in passes)
+    assert [hits for hits, _ in passes] == [codes for _, codes in passes]

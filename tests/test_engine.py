@@ -195,7 +195,7 @@ def _global_phase_events(sched, basis=False):
 def test_flip_probability_one_hits_every_live_slot():
     """With a flat rate of 1 on channel x, a phase with an odd number of
     rounds flips every live qubit in every trial (q = 1), and one with an
-    even number flips none (q = 0). The sampler keeps exactly the flips
+    even number flips none (q = 0). The sampler draws exactly the flips
     that can change a fidelity: those on qubits that a later gate or the
     readout reads."""
     sched = build_bb_hetero(2, "qutrit", [1, 0, 0, 1])

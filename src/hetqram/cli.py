@@ -185,12 +185,27 @@ def _emit_rows(fields: tuple[str, ...], rows: list[tuple], args: argparse.Namesp
         sys.stdout.write(text)
 
 
+def _note_uncounted_phases() -> None:
+    """Say on stderr that the simulated points leave phase errors out."""
+    print("note: sampled-basis mode leaves phase (Z) errors uncounted: "
+          "with one address per trial they are global", file=sys.stderr)
+
+
 def _cmd_sim(args: argparse.Namespace) -> int:
+    """A row whose trials all came back noiseless gets a `note:` line with
+    the one-sided 95% bound 3/trials on its mean infidelity: the chance of
+    no loss in N trials is at most (1 - mean)^N <= exp(-mean N), since a
+    trial's infidelity lies in [0, 1]."""
     config = _config_from(args)
     if config.address_mode == "basis":
-        print("note: sampled-basis mode leaves phase (Z) errors uncounted: "
-              "with one address per trial they are global", file=sys.stderr)
+        _note_uncounted_phases()
     report = run_sweep(config)
+    for row in report.rows:
+        if row.ci95_high == 0.0:
+            print(f"note: {row.architecture} {row.router_kind} n={row.n} "
+                  f"p'={row.p_prime!r}: all {row.trials} trials were noiseless; "
+                  f"mean infidelity < 3/trials = {3 / row.trials:.3g} "
+                  "(one-sided 95%)", file=sys.stderr)
     _emit_rows(REPORT_FIELDS, [row.astuple() for row in report.rows], args)
     return EXIT_OK
 
@@ -240,7 +255,8 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     """`--mode auto` prices the points past the simulation ceiling of the
     address mode from the closed-form bound, as `compare_resources` does,
-    and names them in one `note:` line on stderr."""
+    and names them in one `note:` line on stderr. A point simulated in
+    sampled-basis mode gets `sim`'s note on the phases it leaves out."""
     config = _config_from(args)
     rows = [
         astuple(compare_resources(n, config, architecture=arch, mode=args.mode))
@@ -249,6 +265,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ]
     ceiling = simulation_ceiling(config.address_mode)
     bounded = ",".join(str(n) for n in config.n_values if n > ceiling)
+    simulated = args.mode == "simulated" or (
+        args.mode == "auto" and min(config.n_values) <= ceiling)
+    if config.address_mode == "basis" and simulated:
+        _note_uncounted_phases()
     if args.mode == "auto" and bounded:
         print(f"note: --mode auto prices n={bounded} from the closed-form bound, "
               f"past the {config.address_mode} simulation ceiling n={ceiling}", file=sys.stderr)

@@ -75,8 +75,9 @@ unit per slot (uint{B} for 8 <= B <= 64, B/64 words beyond; spans of 2 or
 4 branches widen to a byte, as `_pack_span` tiles them). A layer's X flips
 are then one invert of distinct units, and its Z phases one unit gather
 and one `xor.at` into the sign units. In sampled-basis mode a unit is the
-byte of 8 one-column trials: flips that share a byte are OR-combined
-first, and phases masked to each trial's bit.
+byte of 8 one-column trials, whose slots follow join order, not trial
+order: a layer's flips go in with one `xor.at` of each trial's bit, and
+its phases flip a whole byte of signs, which no trial reads (B = 1).
 
 A pass simulates only the trials that leave the noiseless path. A trial's
 columns equal the noiseless run until its first error event, whose layer
@@ -89,9 +90,11 @@ reference block. The active width grows in at most `_JOIN_STEPS` steps,
 each of which copies the block into the newly joined slots, so a trial may
 join a few layers early; that is exact, since until its first event it is
 a copy of the reference. A trial that sees no event is never simulated:
-its fidelity is exactly 1. Sampled-basis mode runs the same pass with a
-reference block of one noiseless column per trial and every trial joined
-at layer 0.
+its fidelity is exactly 1. Word k of the trial area starts as word k % S
+of the block of S words. Sampled-basis mode runs the same pass: its block
+holds one noiseless column per joined trial, at the trials' own addresses
+in join order, so the trial area is one tile of the block and each
+trial's column starts as its own.
 
 Deviation-tracked passes: one fault corrupts only the branches that pass
 through the faulty router, so in a deep tree a joined trial still matches
@@ -124,9 +127,10 @@ of numpy calls. A layer compiles straight to its controlled swaps grouped by
 control polarities, as index arrays, plus the rows it inverts; the dense kernel
 (`_gate_pass`) runs each group with a fixed number of numpy calls (one
 gather, the swap mask, one scatter) on chunks of at most `_GATE_CHUNK`
-plane words. The layers, the maps and the superposition block and readout
-are compiled on the first pass that sees an event, so an engine whose
-trials see no event compiles nothing.
+plane words. The layers and the maps are compiled on the first pass that
+sees an event, and the superposition block and readout on the first
+superposition pass that needs them, so an engine whose trials see no
+event compiles nothing.
 
 Error events are identical across the branches of one trial (they are
 physical events on qubits, hitting the whole superposition), which is why
@@ -149,7 +153,7 @@ which the engine's gate kernel (`_gate_pass`, the one place that says
 what a compiled gate does to a plane) runs through every layer next to
 the trials. Both address modes read out through `_fidelities`, with the
 `_span` of the block's column addresses: the 2^n addresses, compiled
-once, or in sampled-basis mode the pass's trial addresses, one column
+once, or in sampled-basis mode the joined trials' addresses, one column
 each, where B = 1 makes the squared overlap exactly the good bit.
 `_span` reads the schedule's address map (`circuits.Schedule`) for all
 its columns at once, so a span costs a fixed number of numpy calls
@@ -165,6 +169,7 @@ independent per-address oracle that the tests compare against.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -421,14 +426,13 @@ class PlaneEngine:
 
         if address_mode not in ("superposition", "basis"):
             raise ValueError(f"unknown address mode {address_mode!r}")
-        # sampled-basis mode: one fresh address per trial; phase errors
-        # become global and are undercounted in this mode
-        self.sampled_basis = address_mode == "basis"
-        self.branch_count = 1 if self.sampled_basis else 1 << schedule.n
+        # sampled-basis mode (one branch): one fresh address per trial;
+        # phase errors become global and are undercounted in this mode
+        self.branch_count = 1 if address_mode == "basis" else 1 << schedule.n
 
         self._noise_layers = self._compile_noise(noise)
         # built by `_prepare` on the first pass that has an event
-        self._layers = self._maps = self._init_span = self._readout = None
+        self._layers = self._maps = None
 
     def _compile_noise(self, noise: NoiseModel | None) -> set[int]:
         """Pool the plan's live cells by their net flip probability q;
@@ -470,7 +474,7 @@ class PlaneEngine:
         # the step's layer, Z on the whole group or, in sampled-basis mode,
         # on none
         x_size = np.searchsorted(key, head - layer[:, None]) - start
-        z_size = np.broadcast_to(0 if self.sampled_basis else size, x_size.shape)
+        z_size = np.broadcast_to(0 if self.branch_count == 1 else size, x_size.shape)
         seg_size = np.stack([x_size, z_size], axis=-1)
         # q of each distinct (rate, rounds): one array call per rounds value
         p_vals, p_idx = np.unique([(g.px, g.pz) for g in groups], return_inverse=True)
@@ -564,16 +568,19 @@ class PlaneEngine:
 
     def _prepare(self, layers: Iterable[int] = ()) -> None:
         """Compile the layers, with the row maps after the noise layers, the
-        last layer and `layers`, and the superposition span, on the first
-        pass that has an event: a pass with none needs none of them."""
+        last layer and `layers`, on the first pass that has an event: a
+        pass with none needs none of them."""
         keep = self._noise_layers | {len(self.schedule.layers) - 1} | set(layers)
         if self._layers is None:
             self._layers, self._maps = self._compile(keep)
-            if not self.sampled_basis:
-                # one trial's span of B columns, and its readout
-                self._init_span, self._readout = self._span(np.arange(self.branch_count))
         elif not keep <= self._maps.keys():
             self._maps.update(self._compile(keep - self._maps.keys())[1])
+
+    @cached_property
+    def _superposition(self) -> tuple[np.ndarray, tuple]:
+        """One superposition trial's block of B columns and its readout,
+        `_span` of every address, built on the first pass that needs it."""
+        return self._span(np.arange(self.branch_count))
 
     def _span(self, addresses) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, list]]:
         """The noiseless block and the readout of a span of columns, column
@@ -608,13 +615,16 @@ class PlaneEngine:
 
         Consecutive batches share one plane pass while it spans at most
         `_PASS_COLUMNS` (trial, branch) columns; a wider batch runs alone,
-        and so does every batch in sampled-basis mode. Each batch draws
-        from its own generator, so the grouping changes no fidelity.
+        and so does every batch of one branch per trial (sampled-basis
+        mode), whose plane rows grow with the ~6 * 2^n qubits. Both modes
+        run the same pass shape, which joins only the trials with an event.
+        Each batch draws from its own generator, so the grouping changes
+        no fidelity.
         """
         out, group, cols = [np.empty(0)], [], 0
         for rng, n_trials in batches:
             span = n_trials * self.branch_count
-            if group and (self.sampled_basis or cols + span > _PASS_COLUMNS):
+            if group and (self.branch_count == 1 or cols + span > _PASS_COLUMNS):
                 out.append(self._run_sampled(group))
                 group, cols = [], 0
             group.append((rng, n_trials))
@@ -627,7 +637,7 @@ class PlaneEngine:
         """Fidelities of `n_trials` superposition-mode trials that each see
         exactly the Pauli events of `events_by_layer`, applied after the
         named layers in place of sampled noise (a test hook)."""
-        if self.sampled_basis:
+        if self.branch_count == 1:
             raise ValueError("run_events needs superposition address mode")
         if n_trials < 1:
             raise ValueError("n_trials must be >= 1")
@@ -656,7 +666,7 @@ class PlaneEngine:
         total = sum(sizes)
         addresses, codes, offset = [], [np.zeros(0, dtype=np.int64)], 0
         for rng, n_trials in batches:
-            if self.sampled_basis:
+            if self.branch_count == 1:
                 addresses.append(rng.integers(0, 1 << self.schedule.n, size=n_trials))
             codes += self._sample_events(rng, n_trials, total, offset)
             offset += n_trials
@@ -669,10 +679,15 @@ class PlaneEngine:
         int64 `codes`, `cell * total + trial` with cell `(layer * 2 + is_z)
         * qubits + qubit`, in any order; returns the trials' fidelities.
 
-        Sampled-basis mode takes each trial's address in `trial_addresses`.
-        The pass sorts `codes` in place and then spends them. A light pass
-        with trial spans of two or more words runs `_run_deviations`, and
-        every other pass the dense plane below.
+        Each trial joins the pass at its first event layer, found the same
+        way in both address modes, and a trial with no event is never
+        simulated (fidelity exactly 1). The modes differ only in the
+        reference block: the `_superposition` span, or, when
+        `trial_addresses` gives each trial's address (sampled-basis mode),
+        the `_span` of the joined trials' addresses in join order. The pass
+        sorts `codes` in place and then spends them. A light pass with
+        trial spans of two or more words runs `_run_deviations`, and every
+        other pass the dense plane below.
         """
         if not codes.size:
             # every trial is the noiseless run: fidelity exactly 1
@@ -689,24 +704,25 @@ class PlaneEngine:
         cell = codes // total
         trial = np.subtract(codes, cell * total, out=codes)
 
-        # the reference block and each trial's first event layer (n_layers
-        # for none); trials join the plane in that order, reference first
-        if self.sampled_basis:
-            block, readout = self._span(trial_addresses)
-            first = np.zeros(total, dtype=np.int64)
-        else:
-            if B >= 128:  # each trial spans at least two plane words
-                joined = np.zeros(total, dtype=bool)
-                joined[trial] = True
-                if cell.size <= _DEVIATION_EVENTS_PER_ROW * np.count_nonzero(joined) * nq:
-                    return self._run_deviations(cell, trial, bounds, joined)
-            block, readout = self._init_span, self._readout
-            first = np.full(total, n_layers, dtype=np.int64)
-            # last layer first, so each trial keeps its earliest; segment by
-            # segment, with no temporary the size of all the codes
-            for li in range(n_layers - 1, -1, -1):
-                first[trial[bounds[2 * li] : bounds[2 * li + 2]]] = li
+        if B >= 128:  # each trial spans at least two plane words
+            joined = np.zeros(total, dtype=bool)
+            joined[trial] = True
+            if cell.size <= _DEVIATION_EVENTS_PER_ROW * np.count_nonzero(joined) * nq:
+                return self._run_deviations(cell, trial, bounds, joined)
+        # each trial's first event layer (n_layers for none); trials join
+        # the plane in that order, after the reference block. Last layer
+        # first, so each trial keeps its earliest; segment by segment, with
+        # no temporary the size of all the codes
+        first = np.full(total, n_layers, dtype=np.int64)
+        for li in range(n_layers - 1, -1, -1):
+            first[trial[bounds[2 * li] : bounds[2 * li + 2]]] = li
         order = np.argsort(first, kind="stable")[: np.count_nonzero(first < n_layers)]
+        # the block's column j is the noiseless run of joined trial j's
+        # address, or of branch j of every trial
+        if trial_addresses is None:
+            block, readout = self._superposition
+        else:
+            block, readout = self._span(trial_addresses[order])
         fids = np.ones(total)
         S = block.shape[1]
         cols = _slot_columns(B)
@@ -736,10 +752,15 @@ class PlaneEngine:
         for li, layer in enumerate(self._layers):
             _gate_pass(layer, plane, w)
             if step < len(join) and join[step] == li:
-                # copy the block out first: broadcasting it from a view of
-                # the same plane would buffer the whole fill
-                blocks[:, w // S : width[step] // S] = plane[:, :S].copy()[:, None, :]
-                w = width[step]
+                # trial-area word k starts as block word k % S
+                top = width[step]
+                if top - w > S:
+                    # whole tiles; copy the block out first: broadcasting it
+                    # from a view of the same plane would buffer the fill
+                    blocks[:, w // S : top // S] = plane[:, :S].copy()[:, None, :]
+                else:  # within one tile, as all of a sampled-basis pass
+                    plane[:, w:top] = plane[:, w % S : w % S + top - w]
+                w = top
                 step += 1
             if bounds[2 * li] == bounds[2 * li + 2]:
                 continue
@@ -756,16 +777,12 @@ class PlaneEngine:
                 key = row_units.take(cell[lo:hi] - (2 * li + is_z) * nq)
                 key += unit
                 if is_z:
-                    phase = units[key]
-                    if shift:
-                        phase &= bit
-                    np.bitwise_xor.at(sign_units, unit, phase)
+                    # a byte unit's phases flip its neighbours' signs too:
+                    # with one branch per trial no sign changes a fidelity
+                    np.bitwise_xor.at(sign_units, unit, units[key])
                 elif shift:
-                    # flips that share a byte are adjacent: each qubit's run
-                    # is sorted by trial, and trials hold their slots in order
-                    starts = np.flatnonzero(np.diff(key, prepend=-1))
-                    key = key[starts]
-                    units[key] ^= np.bitwise_or.reduceat(bit, starts)
+                    # one byte may take several trials' flips, each its bit
+                    np.bitwise_xor.at(units, key, bit)
                 else:
                     units[key] ^= whole
 
@@ -793,7 +810,7 @@ class PlaneEngine:
         """
         nq = self.schedule.qubit_count
         n_layers = len(self._layers)
-        ref = self._init_span.copy()
+        ref = self._superposition[0].copy()
         S = ref.shape[1]
         T = np.count_nonzero(joined)
         slot = (np.cumsum(joined) - 1)[trial]  # each event's joined trial
@@ -853,7 +870,7 @@ class PlaneEngine:
                 f = rows * np.int64(T) + slot[mid:hi]
                 np.bitwise_xor.at(sign, slot[mid:hi], dev.read(f)[1] ^ ref[rows])
 
-        read_rows, care, _ = self._readout
+        read_rows, care, _ = self._superposition[1]
         phys = self._maps[n_layers - 1][read_rows]
         hit = np.flatnonzero(flags.take(phys, axis=0))
         r = hit // T

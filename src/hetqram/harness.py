@@ -138,10 +138,13 @@ def simulation_ceiling(address_mode: str) -> int:
 
 
 def check_superposition_ceiling(n: int, address_mode: str) -> None:
-    """Raise ResourceLimitError when superposition mode cannot run depth n."""
-    if address_mode == "superposition" and n > MAX_SUPERPOSITION_N:
+    """Raise ResourceLimitError when `address_mode` cannot run depth n, past
+    its `simulation_ceiling`: only superposition mode's ceiling lies below
+    `MAX_DEPTH`, the deepest tree a schedule or a sweep may have."""
+    ceiling = simulation_ceiling(address_mode)
+    if n > ceiling:
         raise ResourceLimitError(
-            f"superposition mode is capped at n={MAX_SUPERPOSITION_N}; "
+            f"superposition mode is capped at n={ceiling}; "
             "use basis address mode for deeper trees"
         )
 

@@ -56,6 +56,10 @@ def test_sim_stdout_csv(capsys):
     assert 0.0 <= float(rows[0]["mean_infidelity"]) <= 1.0
 
 
+_BASIS_NOTE = ("note: sampled-basis mode leaves phase (Z) errors uncounted: "
+               "with one address per trial they are global")
+
+
 def test_sim_basis_mode_notes_uncounted_phase_errors(capsys):
     """`sim --address-mode basis` prints one `note:` line on stderr, that
     phase (Z) errors are global in sampled-basis mode and go uncounted;
@@ -66,10 +70,30 @@ def test_sim_basis_mode_notes_uncounted_phase_errors(capsys):
     assert code == 0
     (note,) = err.splitlines()
     assert note.startswith("note: ") and "phase (Z)" in note and "uncounted" in note
+    assert note == _BASIS_NOTE
     assert len(list(csv.DictReader(out.splitlines()))) == 1
     code, out, err = run_cli(point, capsys)
     assert code == 0 and err == ""
     assert len(list(csv.DictReader(out.splitlines()))) == 1
+
+
+def test_sim_all_noiseless_row_notes_its_one_sided_bound(capsys):
+    """A row whose trials all have fidelity 1 (mean 0, CI [0, 0]) gets one
+    `note:` line naming the row and the one-sided 95% bound 3/trials; the
+    CSV is unchanged. A row with a loss gets no note."""
+    point = ["sim", "--arch", "uniform-bb", "--n", "4", "--p-prime", "0.01",
+             "--seed", "7"]
+    code, out, err = run_cli([*point, "--trials", "2000"], capsys)
+    assert code == 0
+    (row,) = list(csv.DictReader(out.splitlines()))
+    assert (row["mean_infidelity"], row["ci95_low"], row["ci95_high"]) == ("0.0",) * 3
+    assert err.splitlines() == [
+        "note: uniform-bb qutrit n=4 p'=0.01: all 2000 trials were noiseless; "
+        "mean infidelity < 3/trials = 0.0015 (one-sided 95%)"]
+    code, out, err = run_cli([*point, "--p-prime", "0.3", "--trials", "200"], capsys)
+    assert code == 0 and err == ""
+    (row,) = list(csv.DictReader(out.splitlines()))
+    assert float(row["mean_infidelity"]) > 0.0
 
 
 def test_sim_json_to_file(tmp_path, capsys):
@@ -140,11 +164,13 @@ def test_resource_limit_exit_3(capsys):
 def test_compare_simulates_to_the_ceiling_of_its_address_mode(capsys):
     """`compare --mode simulated` runs a point as deep as `sim` can in its
     address mode: at n=12, past the superposition ceiling, sampled-basis
-    mode gives `sim`'s mean as the target, and superposition exits 3."""
+    mode gives `sim`'s mean as the target, with `sim`'s one note on the
+    phase errors it leaves out, and superposition exits 3."""
     point = ["--arch", "bb-hetero", "--n", "12", "--trials", "100", "--seed", "5"]
     code, out, err = run_cli(["compare", *point, "--mode", "simulated",
                               "--address-mode", "basis"], capsys)
     assert code == 0, err
+    assert err.splitlines() == [_BASIS_NOTE]
     (row,) = list(csv.DictReader(io.StringIO(out)))
     code, out, err = run_cli(["sim", *point, "--address-mode", "basis"], capsys)
     assert code == 0, err
@@ -161,7 +187,8 @@ def test_compare_auto_notes_the_points_priced_from_the_bound(capsys):
     so in one `note:` line on stderr that names those n. stdout and the
     exit code stay those of the rows alone: past the ceiling they equal
     `--mode analytic`'s. No point past the ceiling, or another mode,
-    prints no note."""
+    prints no note, except that a point simulated in sampled-basis mode
+    prints `sim`'s note on the uncounted phase errors."""
     base = ["compare", "--arch", "bb-hetero", "--trials", "50", "--seed", "3"]
     code, out, err = run_cli([*base, "--n", "3,11,12", "--mode", "auto"], capsys)
     assert code == 0
@@ -178,7 +205,9 @@ def test_compare_auto_notes_the_points_priced_from_the_bound(capsys):
         assert code == 0 and err == "", mode
     code, _, err = run_cli([*base, "--n", "12", "--mode", "auto", "--address-mode", "basis"],
                            capsys)
-    assert code == 0 and err == ""
+    assert code == 0
+    (note,) = err.splitlines()
+    assert note == _BASIS_NOTE
 
 
 def test_sweep_past_ceiling_exits_3_before_simulating(capsys, monkeypatch):

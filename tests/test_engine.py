@@ -452,6 +452,40 @@ def test_sampled_basis_runs_one_batch_per_pass(monkeypatch):
     assert passes == [[m] for m in sizes]
 
 
+def test_basis_pass_spans_only_the_joined_trials(monkeypatch):
+    """A sampled-basis pass builds its reference block with one `_span`
+    call over the addresses of only the trials that see an event, in join
+    order: by first event layer, ties in trial order. The superposition
+    span is never built, and every trial without an event comes back
+    exactly 1.0."""
+    spans = []
+    span = PlaneEngine._span
+
+    def spy(self, addresses):
+        spans.append(np.array(addresses))
+        return span(self, addresses)
+
+    monkeypatch.setattr(PlaneEngine, "_span", spy)
+    n, n_trials = 4, 200
+    sched = build_bb_hetero(n, "qutrit", _database(n))
+    noise = NoiseModel(SurfaceParams(0.03, 0.05), sched.profile)
+    eng = PlaneEngine(sched, noise, address_mode="basis")
+    fids = eng.run(trajectory_rng(5, 0), n_trials)
+    rng = trajectory_rng(5, 0)
+    addresses = rng.integers(0, 1 << n, size=n_trials)
+    key, _, trial = _events_by_key(eng, rng, n_trials)
+    first = np.full(n_trials, len(sched.layers))
+    np.minimum.at(first, trial, key // 2)
+    joined = np.flatnonzero(first < len(sched.layers))
+    order = joined[np.argsort(first[joined], kind="stable")]
+    assert 0 < order.size < n_trials and np.unique(first[order]).size > 2
+    assert len(spans) == 1 and spans[0].tolist() == addresses[order].tolist()
+    assert "_superposition" not in vars(eng)
+    quiet = np.ones(n_trials, dtype=bool)
+    quiet[order] = False
+    assert np.all(fids[quiet] == 1.0) and np.any(fids[order] < 1.0)
+
+
 def test_rounds_mode_rejected():
     """Noise is one net parity flip per qubit, kind and phase ("aggregate");
     a model asking for round-by-round draws is refused, and the default
@@ -605,7 +639,7 @@ def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip, monkeyp
         assert len(patterns) == 1
         B = 1 << n
         masks = [set(sched.output_mask(a)) for a in range(B)]
-        read_rows, care_rows, _ = eng._readout
+        read_rows, care_rows, _ = eng._superposition[1]
         assert set(read_rows.tolist()) == set().union(*masks)
         span = care_rows.shape[1] * 64
         assert patterns[0].shape == care_rows.shape
@@ -828,6 +862,7 @@ def test_deviation_pass_memory_follows_the_deviating_pairs(monkeypatch):
     codes = _sampled_codes(eng, trajectory_rng(n, 0), n_trials)
     joined = np.unique(codes % n_trials).size
     eng._prepare()
+    block = eng._superposition[0]
     tracemalloc.start()
     try:
         fids = eng._run_codes(codes, n_trials)
@@ -836,7 +871,7 @@ def test_deviation_pass_memory_follows_the_deviating_pairs(monkeypatch):
         tracemalloc.stop()
     assert calls == [n]
     assert np.any(fids < 1.0)
-    dense = sched.qubit_count * joined * eng._init_span.shape[1] * 8
+    dense = sched.qubit_count * joined * block.shape[1] * 8
     assert peak < dense / 4, (peak, dense)
 
 
@@ -1036,13 +1071,14 @@ def test_dropped_x_events_change_no_fidelity(arch, kind):
 
 
 def _spy_codes(monkeypatch):
-    """Record each `_run_codes` pass's schedule, mode and a copy of its
-    codes and trial count, then run it."""
+    """Record each `_run_codes` pass's schedule, whether it runs one branch
+    per trial (sampled-basis mode), and a copy of its codes and trial
+    count, then run it."""
     passes = []
     real = PlaneEngine._run_codes
 
     def spy(self, codes, total, trial_addresses=None):
-        passes.append((self.schedule, self.sampled_basis, codes.copy(), total))
+        passes.append((self.schedule, self.branch_count == 1, codes.copy(), total))
         return real(self, codes, total, trial_addresses)
 
     monkeypatch.setattr(PlaneEngine, "_run_codes", spy)

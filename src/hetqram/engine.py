@@ -74,27 +74,33 @@ and the sign row are viewed as trial units (`_trial_units`), one unsigned
 unit per slot (uint{B} for 8 <= B <= 64, B/64 words beyond; spans of 2 or
 4 branches widen to a byte, as `_pack_span` tiles them). A layer's X flips
 are then one invert of distinct units, and its Z phases one unit gather
-and one `xor.at` into the sign units. In sampled-basis mode a unit is the
-byte of 8 one-column trials, whose slots follow join order, not trial
-order: a layer's flips go in with one `xor.at` of each trial's bit, and
-its phases flip a whole byte of signs, which no trial reads (B = 1).
+and one `xor.at` into the trials' sign units. In sampled-basis mode a
+unit is the byte of 8 one-column trials, whose slots follow join order,
+not trial order: a layer's flips go in with one `xor.at` of each trial's
+bit, and no phase is applied, since with one branch per trial (B = 1) no
+sign changes a fidelity.
 
 A pass simulates only the trials that leave the noiseless path. A trial's
-columns equal the noiseless run until its first error event, whose layer
-is known once the pass's event codes are sorted. So the plane holds one
-reference block (one trial's packed span, run without noise) followed by
-the trials in order of their first event layer, and the gates run on the
-active prefix only. Right after the gates of a trial's first event layer,
-and before that layer's flips, its columns are copied in from the
-reference block. The active width grows in at most `_JOIN_STEPS` steps,
-each of which copies the block into the newly joined slots, so a trial may
-join a few layers early; that is exact, since until its first event it is
-a copy of the reference. A trial that sees no event is never simulated:
-its fidelity is exactly 1. Word k of the trial area starts as word k % S
-of the block of S words. Sampled-basis mode runs the same pass: its block
-holds one noiseless column per joined trial, at the trials' own addresses
-in join order, so the trial area is one tile of the block and each
-trial's column starts as its own.
+columns equal the noiseless run until its first X flip: a Z phase changes
+no bit, only signs (the reference frame of Stim, Gidney, Quantum 5, 497
+(2021)). The layer of each trial's first X flip is known once the pass's
+event codes are sorted. So the plane holds one reference block (one
+trial's packed span, run without noise) followed by the trials in order of
+their first X layer, and the gates run on the active prefix only. Right
+after the gates of a trial's first X layer, and before that layer's flips,
+its columns are copied in from the reference block. The active width grows
+in at most `_JOIN_STEPS` steps, each of which copies the block into the
+newly joined slots, so a trial may join a few layers early; that is exact,
+since until its first X flip it is a copy of the reference. A Z phase reads
+the trial's own slot once the trial has joined, and the reference block's
+slot 0 before, which holds the same bits; it flips the trial's signs, kept
+by trial and put in plane order at readout. A trial that sees no X flip is
+never simulated: it reads every bit right, so its fidelity is exactly 1,
+or, if it has phases, the squared overlap of its signs alone. Word k of the
+trial area starts as word k % S of the block of S words. Sampled-basis
+mode runs the same pass: its block holds one noiseless column per joined
+trial, at the trials' own addresses in join order, so the trial area is
+one tile of the block and each trial's column starts as its own.
 
 Deviation-tracked passes: one fault corrupts only the branches that pass
 through the faulty router, so in a deep tree a joined trial still matches
@@ -183,7 +189,7 @@ _PASS_COLUMNS = 1 << 16
 
 #: a pass widens its active prefix in at most this many steps, each one
 #: fill of the newly joined slots from the reference block, so a trial may
-#: join a few layers before its first event
+#: join a few layers before its first X flip
 _JOIN_STEPS = 8
 
 #: the dense kernel gathers up to about this many plane words (64 KB) per
@@ -679,10 +685,13 @@ class PlaneEngine:
         int64 `codes`, `cell * total + trial` with cell `(layer * 2 + is_z)
         * qubits + qubit`, in any order; returns the trials' fidelities.
 
-        Each trial joins the pass at its first event layer, found the same
-        way in both address modes, and a trial with no event is never
-        simulated (fidelity exactly 1). The modes differ only in the
-        reference block: the `_superposition` span, or, when
+        Each trial joins the pass at its first X layer, found the same way
+        in both address modes. Before it joins, its Z phases read the
+        reference block's slot 0, whose columns equal its own, and after,
+        its own slot; the phases flip a sign array indexed by trial. A
+        trial with no X flip is never simulated: its fidelity is exactly 1,
+        or the squared overlap of its signs alone when it has phases. The
+        modes differ only in the reference block: the `_superposition` span, or, when
         `trial_addresses` gives each trial's address (sampled-basis mode),
         the `_span` of the joined trials' addresses in join order. The pass
         sorts `codes` in place and then spends them. A light pass with
@@ -709,13 +718,13 @@ class PlaneEngine:
             joined[trial] = True
             if cell.size <= _DEVIATION_EVENTS_PER_ROW * np.count_nonzero(joined) * nq:
                 return self._run_deviations(cell, trial, bounds, joined)
-        # each trial's first event layer (n_layers for none); trials join
-        # the plane in that order, after the reference block. Last layer
-        # first, so each trial keeps its earliest; segment by segment, with
-        # no temporary the size of all the codes
+        # each trial's first X layer (n_layers for none); trials join the
+        # plane in that order, after the reference block. Last layer first,
+        # so each trial keeps its earliest; segment by segment, with no
+        # temporary the size of all the codes
         first = np.full(total, n_layers, dtype=np.int64)
         for li in range(n_layers - 1, -1, -1):
-            first[trial[bounds[2 * li] : bounds[2 * li + 2]]] = li
+            first[trial[bounds[2 * li] : bounds[2 * li + 1]]] = li
         order = np.argsort(first, kind="stable")[: np.count_nonzero(first < n_layers)]
         # the block's column j is the noiseless run of joined trial j's
         # address, or of branch j of every trial
@@ -723,7 +732,6 @@ class PlaneEngine:
             block, readout = self._superposition
         else:
             block, readout = self._span(trial_addresses[order])
-        fids = np.ones(total)
         S = block.shape[1]
         cols = _slot_columns(B)
         ref_slots = S * 64 // cols
@@ -734,19 +742,23 @@ class PlaneEngine:
         starts = np.flatnonzero(np.diff(firsts, prepend=-1))
         steps = starts[np.diff(starts * _JOIN_STEPS // order.size, prepend=-1) > 0]
         join = firsts[steps].tolist()
-        width = (((ref_slots + np.append(steps[1:], order.size)) * cols + 63) // 64).tolist()
+        ends = np.append(steps[1:], order.size)
+        width = (((ref_slots + ends) * cols + 63) // 64).tolist()
         W = width[-1]
 
         plane = np.empty((nq, W), dtype=np.uint64)
         plane[:, :S] = block
         blocks = plane.reshape(nq, W // S, S)
-        sign = np.zeros(W, dtype=np.uint64)
         units, shift = _trial_units(plane, cols)
-        sign_units = _trial_units(sign, cols)[0]
-        U = sign_units.shape[0]  # units per plane row
+        U = units.shape[0] // nq  # units per plane row
         whole = ~units.dtype.type(0)
-        slot_of = np.empty(total, dtype=np.int64)
-        slot_of[order] = np.arange(ref_slots, ref_slots + order.size)
+        # each trial's slot, the reference's slot 0 until the trial joins
+        slot_of = np.zeros(total, dtype=np.int64)
+        # each trial's signs, one unit per trial; one branch per trial
+        # (B = 1) reads no sign, so sampled-basis passes apply no Z phase
+        # and their signs stay 0
+        kinds = (0, 1) if B > 1 else (0,)
+        trial_sign = np.zeros((total, *units.shape[1:]), dtype=units.dtype)
 
         w, step = S, 0
         for li, layer in enumerate(self._layers):
@@ -760,13 +772,15 @@ class PlaneEngine:
                     blocks[:, w // S : top // S] = plane[:, :S].copy()[:, None, :]
                 else:  # within one tile, as all of a sampled-basis pass
                     plane[:, w:top] = plane[:, w % S : w % S + top - w]
+                lo, hi = steps[step], ends[step]
+                slot_of[order[lo:hi]] = np.arange(ref_slots + lo, ref_slots + hi)
                 w = top
                 step += 1
             if bounds[2 * li] == bounds[2 * li + 2]:
                 continue
             row_units = maps[li] * np.int64(U)  # each logical qubit's first unit
             # X flips of this layer, then Z phases read from the flipped plane
-            for is_z in (0, 1):
+            for is_z in kinds:
                 lo, hi = bounds[2 * li + is_z], bounds[2 * li + is_z + 1]
                 if lo == hi:
                     continue
@@ -777,16 +791,29 @@ class PlaneEngine:
                 key = row_units.take(cell[lo:hi] - (2 * li + is_z) * nq)
                 key += unit
                 if is_z:
-                    # a byte unit's phases flip its neighbours' signs too:
-                    # with one branch per trial no sign changes a fidelity
-                    np.bitwise_xor.at(sign_units, unit, units[key])
+                    np.bitwise_xor.at(trial_sign, trial[lo:hi], units[key])
                 elif shift:
                     # one byte may take several trials' flips, each its bit
                     np.bitwise_xor.at(units, key, bit)
                 else:
                     units[key] ^= whole
 
-        fids[order] = self._fidelities(plane, maps[n_layers - 1], sign, order.size, readout, cols)
+        def signs(trials):
+            """The signs of `trials`, packed in consecutive slots."""
+            words = np.zeros((trials.size * cols + 63) // 64, dtype=np.uint64)
+            if B > 1:  # else a unit holds 8 slots, and every sign is 0
+                _trial_units(words, cols)[0][: trials.size] = trial_sign[trials]
+            return words
+
+        fids = np.ones(total)
+        if order.size:
+            fids[order] = self._fidelities(plane, maps[n_layers - 1], signs(order), order.size,
+                                           readout, cols)
+        # a trial with phases and no X flip reads every bit right
+        phased = np.flatnonzero(trial_sign.reshape(total, -1).any(axis=1) & (first == n_layers))
+        if phased.size:
+            words = signs(phased)
+            fids[phased] = self._overlap_squares(np.zeros_like(words), words, phased.size, cols)
         return fids
 
     def _run_deviations(self, cell, trial, bounds, joined) -> np.ndarray:
@@ -916,7 +943,8 @@ class PlaneEngine:
 
     def _fidelities(self, plane, row, sign, active: int, readout, cols: int) -> np.ndarray:
         """Fidelities of the `active` trials after the reference block, in
-        plane order, each in a slot of `cols` columns."""
+        plane order, each in a slot of `cols` columns; `sign` holds their
+        signs, packed in the same slots."""
         # a branch is bad when any bit it reads differs from its ideal bit;
         # word k of every tile of S words at once, for up to _READ_CHUNK
         # words per step, from the rows whose care covers word k
@@ -934,7 +962,7 @@ class PlaneEngine:
                 d ^= ideal[r, k, None]
                 d &= care[r, k, None]
                 bad[:, k] |= np.bitwise_or.reduce(d, axis=0)
-        return self._overlap_squares(bad, sign[S:], active, cols)
+        return self._overlap_squares(bad, sign, active, cols)
 
     def _overlap_squares(
         self, bad: np.ndarray, sign: np.ndarray, active: int, cols: int

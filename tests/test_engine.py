@@ -620,9 +620,9 @@ def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip, monkeyp
     """Each branch's ideal bits, as the readout reads them off a pass's
     reference block after the last layer, equal the bits of the
     per-address oracle `Schedule.ideal_word(a)` at `output_mask(a)`, and no
-    mask qubit is missing or extra. A Z event at layer 0 on every trial
-    makes the pass simulate its trials through every layer, and a Z flips
-    no bit of the plane."""
+    mask qubit is missing or extra. An X event at layer 0 on every trial
+    makes the pass simulate its trials through every layer, and the
+    reference block sees no event."""
     patterns = []
     ideal_of = PlaneEngine._ideal
 
@@ -635,7 +635,7 @@ def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip, monkeyp
         sched = build_schedule(arch, n, kind, _database(n), round_trip=round_trip)
         eng = PlaneEngine(sched, None)
         patterns.clear()
-        eng.run_events({0: [PauliEvent(0, "Z")]}, 3)
+        eng.run_events({0: [PauliEvent(0, "X")]}, 3)
         assert len(patterns) == 1
         B = 1 << n
         masks = [set(sched.output_mask(a)) for a in range(B)]
@@ -705,17 +705,135 @@ def test_run_codes_single_faults_equal_word_oracle(arch, kind):
         assert np.any(fids < 1.0) and np.any(fids == 1.0)
 
 
+def _live_cells(eng):
+    """The engine's live X cells and live Z cells, each with its layer."""
+    cells = np.sort(np.concatenate([c.cells for c in eng._classes]))
+    key = cells // eng.schedule.qubit_count
+    return [(cells[key % 2 == k], key[key % 2 == k] // 2) for k in (0, 1)]
+
+
+def _trial_events(cells, nq):
+    """The word oracle's events of one trial from its event cells: X flips
+    before Z phases within a layer, as in the engine."""
+    events = {}
+    for cell in sorted(cells):
+        key, qubit = divmod(int(cell), nq)
+        events.setdefault(key // 2, []).append(PauliEvent(qubit, "XZ"[key % 2]))
+    return events
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_phase_only_trials_never_enter_the_plane(arch, kind, monkeypatch):
+    """Trials that see only Z phases, one to three at distinct layers, read
+    them off the reference block and never join the plane: no pass reads
+    out a plane (`_fidelities` is never called), and each trial's fidelity
+    equals the word-by-word oracle's, n=1..5. Some phases lower it."""
+    reads = []
+    fidelities = PlaneEngine._fidelities
+
+    def spy(self, *args):
+        reads.append(args)
+        return fidelities(self, *args)
+
+    monkeypatch.setattr(PlaneEngine, "_fidelities", spy)
+    rng = np.random.default_rng(5)
+    lossy = 0
+    for n in range(1, 6):
+        sched = build_schedule(arch, n, kind, _database(n))
+        eng = PlaneEngine(sched, NoiseModel(PARAMS, sched.profile))
+        z_cells, z_layers = _live_cells(eng)[1]
+        total = 16
+        trials, distinct = [], np.unique(z_layers)
+        for _ in range(total):
+            layers = rng.choice(distinct, size=min(distinct.size, rng.integers(1, 4)), replace=False)
+            trials.append([rng.choice(z_cells[z_layers == li]) for li in layers])
+        codes = np.array([c * total + t for t, cells in enumerate(trials) for c in cells])
+        fids = eng._run_codes(codes, total)
+        assert reads == [], (n, len(reads))
+        for t, cells in enumerate(trials):
+            expect = reference_fidelity(sched, _trial_events(cells, sched.qubit_count))
+            assert fids[t] == expect, (n, t)
+        lossy += np.count_nonzero(fids < 1.0)
+    assert lossy > 0
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_phases_before_the_first_x_flip_equal_word_oracle(arch, kind):
+    """Trials whose Z phases land two or more layers before their first X
+    flip: each trial's fidelity from one `_run_codes` pass equals the
+    word-by-word oracle on the trial's own events, n=1..5. A trial reads
+    those phases off the reference block, which its columns equal until its
+    first X flip, and its own slot once it has joined (some trials join a
+    few layers early). Every sixth trial has phases only. The early phases
+    must matter: the same pass without them gives other fidelities."""
+    rng = np.random.default_rng(3)
+    moved = 0
+    for n in range(1, 6):
+        sched = build_schedule(arch, n, kind, _database(n))
+        nq = sched.qubit_count
+        eng = PlaneEngine(sched, NoiseModel(PARAMS, sched.profile))
+        (x_cells, x_layers), (z_cells, z_layers) = _live_cells(eng)
+        total = 24 if n < 5 else 12
+        early, late = [], []
+        for t in range(total):
+            if t % 6 == 5:  # no X flip: the phases land anywhere
+                lx = int(x_layers.max()) + 2
+                flips = []
+            else:
+                lx = rng.choice(np.unique(x_layers[x_layers >= 2]))
+                flips = [rng.choice(x_cells[x_layers == lx])]
+            before = z_cells[z_layers <= lx - 2]
+            early.append(rng.choice(before, size=min(before.size, rng.integers(1, 4)),
+                                    replace=False).tolist())
+            after = z_cells[z_layers >= lx]
+            late.append(flips + (rng.choice(after, size=1).tolist() if after.size else []))
+        codes = {}
+        for name, trials in (("all", [e + f for e, f in zip(early, late)]), ("late", late)):
+            codes[name] = np.array([c * total + t for t, cells in enumerate(trials)
+                                    for c in cells], dtype=np.int64)
+        fids = eng._run_codes(codes["all"].copy(), total)
+        for t in range(total):
+            expect = reference_fidelity(sched, _trial_events(early[t] + late[t], nq))
+            assert fids[t] == expect, (n, t)
+        moved += np.count_nonzero(fids != eng._run_codes(codes["late"], total))
+    assert moved > 0
+
+
+def _basis_trials_for_guard(eng):
+    """Sampled-basis trials enough that a pass of them is all noiseless, or
+    all lossy, with chance below 1e-6.
+
+    With every cell's net flip probability q_j, a trial is noiseless with
+    chance p0 = prod_j (1 - q_j), and lossy with chance at least p0 times
+    the mean over addresses of sum_j q_j over the cells whose single fault
+    alone makes that address lossy (one `_run_codes` pass of every
+    (address, cell) pair): a trial whose one event is such a fault is
+    lossy. N trials miss either kind with chance below (1 - p)^N for the
+    smaller bound p."""
+    cells = np.concatenate([c.cells for c in eng._classes])
+    q = np.concatenate([np.full(c.slots, c.q) for c in eng._classes])
+    A = 1 << eng.schedule.n
+    total = A * cells.size
+    fids = eng._run_codes(np.tile(cells, A) * total + np.arange(total), total,
+                          np.repeat(np.arange(A), cells.size))
+    p0 = math.exp(np.log1p(-q).sum())
+    lossy = p0 * ((fids < 1.0).reshape(A, -1) * q).sum(axis=1).mean()
+    return math.ceil(math.log(1e-6) / math.log1p(-min(p0, lossy)))
+
+
 @pytest.mark.parametrize("arch,kind", VARIANTS)
 def test_sampled_basis_trials_equal_per_address_oracle(arch, kind):
     """Each sampled-basis trial's fidelity from one seeded pass equals the
     word-by-word oracle on the trial's own address and events, decoded
     from the same stream. Trials share plane bytes eight at a time, and at
-    this rate many share a (layer, qubit) X flip with a neighbour."""
+    this rate many share a (layer, qubit) X flip with a neighbour. The
+    pass is sized (`_basis_trials_for_guard`) so that its mean is strictly
+    between 0 and 1 but with chance below 1e-6."""
     for n in (3, 4):
         sched = build_schedule(arch, n, kind, _database(n), round_trip=n == 3)
         noise = NoiseModel(SurfaceParams(0.03, 0.2), sched.profile)
         eng = PlaneEngine(sched, noise, address_mode="basis")
-        n_trials = 150
+        n_trials = _basis_trials_for_guard(eng)
         fids = eng.run(trajectory_rng(n, 1), n_trials)
         rng = trajectory_rng(n, 1)
         addresses = rng.integers(0, 1 << n, size=n_trials).tolist()

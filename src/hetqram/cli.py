@@ -23,7 +23,8 @@ from .harness import (
     REPORT_FIELDS,
     ResourceLimitError,
     bound_pair,
-    compare_resources,
+    ReportRow,
+    compare_point,
     fit_scaling,
     load_report,
     resource_estimate,
@@ -191,21 +192,27 @@ def _note_uncounted_phases() -> None:
           "with one address per trial they are global", file=sys.stderr)
 
 
+def _note_noiseless(row: ReportRow) -> None:
+    """Name a row whose trials all came back noiseless (mean 0, CI [0, 0])
+    in a `note:` line on stderr, with the one-sided 95% bound 3/trials on
+    its mean infidelity: the chance of no loss in N trials is at most
+    (1 - mean)^N <= exp(-mean N), since a trial's infidelity lies in
+    [0, 1]."""
+    if row.ci95_high == 0.0:
+        print(f"note: {row.architecture} {row.router_kind} n={row.n} "
+              f"p'={row.p_prime!r}: all {row.trials} trials were noiseless; "
+              f"mean infidelity < 3/trials = {3 / row.trials:.3g} "
+              "(one-sided 95%)", file=sys.stderr)
+
+
 def _cmd_sim(args: argparse.Namespace) -> int:
-    """A row whose trials all came back noiseless gets a `note:` line with
-    the one-sided 95% bound 3/trials on its mean infidelity: the chance of
-    no loss in N trials is at most (1 - mean)^N <= exp(-mean N), since a
-    trial's infidelity lies in [0, 1]."""
+    """A row whose trials all came back noiseless gets `_note_noiseless`."""
     config = _config_from(args)
     if config.address_mode == "basis":
         _note_uncounted_phases()
     report = run_sweep(config)
     for row in report.rows:
-        if row.ci95_high == 0.0:
-            print(f"note: {row.architecture} {row.router_kind} n={row.n} "
-                  f"p'={row.p_prime!r}: all {row.trials} trials were noiseless; "
-                  f"mean infidelity < 3/trials = {3 / row.trials:.3g} "
-                  "(one-sided 95%)", file=sys.stderr)
+        _note_noiseless(row)
     _emit_rows(REPORT_FIELDS, [row.astuple() for row in report.rows], args)
     return EXIT_OK
 
@@ -256,19 +263,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     """`--mode auto` prices the points past the simulation ceiling of the
     address mode from the closed-form bound, as `compare_resources` does,
     and names them in one `note:` line on stderr. A point simulated in
-    sampled-basis mode gets `sim`'s note on the phases it leaves out."""
+    sampled-basis mode gets `sim`'s note on the phases it leaves out, and
+    a simulated point whose trials all came back noiseless, whose target
+    is then the floor 1e-12, gets `sim`'s note on that row."""
     config = _config_from(args)
-    rows = [
-        astuple(compare_resources(n, config, architecture=arch, mode=args.mode))
+    points = [
+        compare_point(n, config, architecture=arch, mode=args.mode)
         for arch in config.architectures
         for n in config.n_values
     ]
+    rows = [astuple(row) for row, _ in points]
     ceiling = simulation_ceiling(config.address_mode)
     bounded = ",".join(str(n) for n in config.n_values if n > ceiling)
     simulated = args.mode == "simulated" or (
         args.mode == "auto" and min(config.n_values) <= ceiling)
     if config.address_mode == "basis" and simulated:
         _note_uncounted_phases()
+    for _, simulated_row in points:
+        if simulated_row is not None:
+            _note_noiseless(simulated_row)
     if args.mode == "auto" and bounded:
         print(f"note: --mode auto prices n={bounded} from the closed-form bound, "
               f"past the {config.address_mode} simulation ceiling n={ceiling}", file=sys.stderr)

@@ -441,7 +441,20 @@ def compare_resources(
     architecture: str = "bb-hetero",
     mode: str = "analytic",
 ) -> ComparisonRow:
-    """Equal-fidelity qubit-overhead comparison against the uniform BB tree.
+    """Equal-fidelity qubit-overhead comparison against the uniform BB tree:
+    the row of `compare_point`."""
+    return compare_point(n, config, architecture, mode)[0]
+
+
+def compare_point(
+    n: int,
+    config: ExperimentConfig,
+    architecture: str = "bb-hetero",
+    mode: str = "analytic",
+) -> tuple[ComparisonRow, ReportRow | None]:
+    """Equal-fidelity qubit-overhead comparison against the uniform BB tree,
+    and the simulated point's report row (None when the target is the
+    bound).
 
     The heterogeneous target infidelity comes from the closed-form bound
     (mode="analytic") or from `run_sweep` of this one point
@@ -452,7 +465,8 @@ def compare_resources(
     odd-paired distance packing, both through `resource_estimate`. The
     bounds and the simulated target are those of the qutrit-router tree
     with the paper's linear profile, so any other router kind or profile
-    is refused, as is an unknown mode.
+    is refused, as is an unknown mode. A simulated target is the point's
+    mean infidelity, floored at 1e-12.
     """
     if architecture not in HETERO:
         raise ConfigError("comparison target must be ft-hetero or bb-hetero")
@@ -467,15 +481,17 @@ def compare_resources(
         if not simulable:
             raise ResourceLimitError(f"n={n} is beyond the simulation ceiling")
         point = replace(config, architectures=(architecture,), n_values=(n,))
-        target = max(run_sweep(point).rows[0].mean_infidelity, 1e-12)
+        simulated = run_sweep(point).rows[0]
+        target = max(simulated.mean_infidelity, 1e-12)
     else:
+        simulated = None
         profile = DistanceProfile.linear(n)
         target = bound_pair(architecture, "qutrit", n, config.params, config.cost, profile)[0]
     inputs = analytics.BoundInputs(n, config.params, config.cost)
     d = analytics.min_uniform_distance(n, target, inputs)
     uniform_q = resource_estimate("uniform-bb", DistanceProfile.uniform(n, d)).physical_total
     hetero_q = resource_estimate(architecture, DistanceProfile.odd_paired(n)).physical_total
-    return ComparisonRow(
+    row = ComparisonRow(
         n,
         architecture,
         target,
@@ -485,6 +501,7 @@ def compare_resources(
         hetero_q,
         uniform_q / hetero_q,
     )
+    return row, simulated
 
 
 # ---------------------------------------------------------------------------

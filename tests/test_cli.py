@@ -181,6 +181,30 @@ def test_compare_simulates_to_the_ceiling_of_its_address_mode(capsys):
     assert "ceiling" in err
 
 
+def test_compare_notes_a_simulated_point_whose_trials_were_all_noiseless(capsys):
+    """A point that `compare` simulates and whose trials all come back
+    noiseless gets `sim`'s `note:` line for that row on stderr (its target
+    is the floor 1e-12), and stdout stays the comparison rows alone. At
+    p'=1e-9 a trial of ft-hetero n=3 draws about 6e-9 events, so the 100
+    trials see none with chance above 1 - 1e-6. A simulated point with a
+    loss, or a target from the bound, gets no note."""
+    base = ["compare", "--arch", "ft-hetero", "--n", "3", "--trials", "100", "--seed", "7"]
+    code, out, err = run_cli([*base, "--p-prime", "1e-9", "--mode", "simulated"], capsys)
+    assert code == 0
+    assert out == (
+        "n,architecture,target_infidelity,target_vacuous,uniform_distance,"
+        "uniform_physical_qubits,hetero_physical_qubits,ratio\n"
+        "3,ft-hetero,1e-12,False,3,1296,435,2.9793103448275864\n")
+    assert err.splitlines() == [
+        "note: ft-hetero qutrit n=3 p'=1e-09: all 100 trials were noiseless; "
+        "mean infidelity < 3/trials = 0.03 (one-sided 95%)"]
+    code, out, err = run_cli([*base, "--p-prime", "0.3", "--mode", "simulated"], capsys)
+    assert code == 0 and err == ""
+    assert float(next(csv.DictReader(out.splitlines()))["target_infidelity"]) > 1e-12
+    code, _, err = run_cli([*base, "--p-prime", "1e-9", "--mode", "analytic"], capsys)
+    assert code == 0 and err == ""
+
+
 def test_compare_auto_notes_the_points_priced_from_the_bound(capsys):
     """`compare --mode auto` takes the closed-form bound as the target of
     every point past the simulation ceiling of its address mode, and says

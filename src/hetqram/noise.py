@@ -267,11 +267,13 @@ class NoisePlan:
 
 
 def trajectory_rng(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for stream `stream` of a seeded experiment.
+    """Generator for stream `stream` of a seeded experiment.
 
-    Distinct streams are statistically independent Philox streams keyed by
-    (seed, stream), so trials can run in any order or in parallel and
-    reproduce exactly.
+    A PCG64 stream (O'Neill, HMC-CS-2014-0905) seeded by the
+    `SeedSequence` of `seed` with spawn key `(stream,)`, each taken mod
+    2^64: distinct (seed, stream) pairs hash to independent states, so
+    trials can run in any order or in parallel and reproduce exactly.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    mask = 0xFFFFFFFFFFFFFFFF
+    sequence = np.random.SeedSequence(seed & mask, spawn_key=(stream & mask,))
+    return np.random.Generator(np.random.PCG64(sequence))

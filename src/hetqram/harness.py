@@ -2,8 +2,8 @@
 
 Experiments are fully determined by (config, seed): databases, noise
 streams, and batch partitioning all derive from the seed, so reruns are
-byte-identical. Trajectory batches use counter-based generator streams
-keyed by (seed, point index, batch index).
+byte-identical. Trajectory batches use independent generator streams
+keyed by (seed, point index, batch index) (`noise.trajectory_rng`).
 """
 
 from __future__ import annotations
@@ -491,7 +491,7 @@ def compare_point(
     d = analytics.min_uniform_distance(n, target, inputs)
     uniform_q = resource_estimate("uniform-bb", DistanceProfile.uniform(n, d)).physical_total
     hetero_q = resource_estimate(architecture, DistanceProfile.odd_paired(n)).physical_total
-    row = ComparisonRow(
+    return ComparisonRow(
         n,
         architecture,
         target,
@@ -500,8 +500,7 @@ def compare_point(
         uniform_q,
         hetero_q,
         uniform_q / hetero_q,
-    )
-    return row, simulated
+    ), simulated
 
 
 # ---------------------------------------------------------------------------

@@ -656,6 +656,26 @@ def test_sim_golden_csv():
     assert sim_golden_text() == golden.read_text()
 
 
+def test_regen_goldens_check_names_each_stale_file(monkeypatch, capsys):
+    """`tests/regen_goldens.py --check` writes no file: it exits 0 when
+    every golden equals what its generator gives, and 1 when one differs,
+    naming that file. Any other argument exits 2."""
+    import regen_goldens
+
+    files = [Path(__file__).parent / "data" / name
+             for name in ("sim_golden.csv", "basis_golden.json")]
+    before = {path: path.read_text() for path in files}
+    texts = dict(before)
+    monkeypatch.setattr(regen_goldens, "goldens", lambda: dict(texts))
+    assert regen_goldens.main(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+    texts[files[1]] += "\n"
+    assert regen_goldens.main(["--check"]) == 1
+    assert capsys.readouterr().out == "would change: tests/data/basis_golden.json\n"
+    assert {path: path.read_text() for path in files} == before
+    assert regen_goldens.main(["--bogus"]) == 2
+
+
 #: depths for the analytic golden: every small tree, then up to the paper's 30 and 40
 _GOLDEN_N = "1,2,3,4,5,6,7,8,9,10,12,16,20,30,40"
 _NOISE = ([], ["--p-prime", "0.01"])

@@ -655,8 +655,8 @@ def test_reference_plane_pass_matches_ideal_word(arch, kind, round_trip, monkeyp
 
 @pytest.mark.parametrize("arch,kind", VARIANTS)
 def test_each_trial_equals_word_oracle_on_its_own_events(arch, kind):
-    """Trials join a pass at their first event layer, in that order, and
-    come back in trial order: each trial's fidelity from one seeded pass
+    """Trials join a pass at their first X layer, in that order, and come
+    back in trial order: each trial's fidelity from one seeded pass
     equals, exactly, the word-by-word oracle run on that trial's own
     events, decoded from the same stream. The trials cover no event at all
     and first events at several layers."""

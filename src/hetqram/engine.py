@@ -16,13 +16,13 @@ within a phase can affect the final state, so this matches round-by-round
 noise exactly up to the O((eps*k)^2) chance of an X and a Z landing on
 the same qubit in the same phase in a specific order.
 
-Event codes: `_run_codes`, the one method that builds and runs a plane,
-takes a pass's error events as int64 codes cell * total + trial, in any
-order, with cell (layer * 2 + is_z) * qubits + qubit, and draws nothing.
-It sorts them once, so each layer's X flips and then its Z phases are two
-contiguous runs that the gate loop applies right after that layer's
-gates, and decodes cell and trial with one `//` each (`divmod` and `%` by
-a scalar cost several times more). The test hook `run_events` codes the
+Event codes: `_run_codes`, the one method that runs a plane pass, takes
+the pass's error events as int64 codes cell * total + trial, in any order,
+with cell (layer * 2 + is_z) * qubits + qubit, and draws nothing. It
+sorts them once, so each layer's X flips and then its Z phases are two
+contiguous runs that the gate loop applies right after that layer's gates,
+and decodes cell and trial with one `//` each (`divmod` and `%` by a
+scalar cost several times more). The test hook `run_events` codes the
 same given events on every trial; the sampler draws them.
 
 Noise sampling: every (noise step, live group, X or Z) segment of the plan
@@ -84,23 +84,29 @@ A pass simulates only the trials that leave the noiseless path. A trial's
 columns equal the noiseless run until its first X flip: a Z phase changes
 no bit, only signs (the reference frame of Stim, Gidney, Quantum 5, 497
 (2021)). The layer of each trial's first X flip is known once the pass's
-event codes are sorted. So the plane holds one reference block (one
-trial's packed span, run without noise) followed by the trials in order of
-their first X layer, and the gates run on the active prefix only. Right
-after the gates of a trial's first X layer, and before that layer's flips,
-its columns are copied in from the reference block. The active width grows
-in at most `_JOIN_STEPS` steps, each of which copies the block into the
-newly joined slots, so a trial may join a few layers early; that is exact,
-since until its first X flip it is a copy of the reference. A Z phase reads
-the trial's own slot once the trial has joined, and the reference block's
-slot 0 before, which holds the same bits; it flips the trial's signs, kept
-by trial and put in plane order at readout. A trial that sees no X flip is
-never simulated: it reads every bit right, so its fidelity is exactly 1,
-or, if it has phases, the squared overlap of its signs alone. Word k of the
-trial area starts as word k % S of the block of S words. Sampled-basis
-mode runs the same pass: its block holds one noiseless column per joined
-trial, at the trials' own addresses in join order, so the trial area is
-one tile of the block and each trial's column starts as its own.
+event codes are sorted, and `_run_codes` builds one trial plan from it for
+both kernels: the join order of the trials with an X flip, by that layer,
+one sign array indexed by trial, and one scoring tail. Each kernel returns
+the joined trials' bad-branch words, and the tail squares each trial's
+overlap from those words and the trial's signs. A trial that sees no X
+flip is never simulated: it reads every bit right, so its fidelity is
+exactly 1, or, if it has phases, the squared overlap of its signs alone.
+
+The dense plane holds one reference block (one trial's packed span, run
+without noise) followed by the joined trials in join order, and the gates
+run on the active prefix only. Right after the gates of a trial's first X
+layer, and before that layer's flips, the trial joins: the prefix grows
+over its slot, copied in from the reference block, so the trials that
+join at one layer take one fill. A slot that shares a plane word with an
+earlier-joined trial's is filled with that word, early; that is exact,
+since until its first X flip a trial is a copy of the reference. A Z
+phase reads the trial's own slot once the trial has joined, and the
+reference block's slot 0 before, which holds the same bits; it flips the
+trial's signs. Word k of the trial area starts as word k % S of the block
+of S words. Sampled-basis mode runs the same pass: its block holds one
+noiseless column per joined trial, at the trials' own addresses in join
+order, so the trial area is one tile of the block and each trial's column
+starts as its own.
 
 Deviation-tracked passes: one fault corrupts only the branches that pass
 through the faulty router, so in a deep tree a joined trial still matches
@@ -115,12 +121,14 @@ those pairs and not rows x trials x span; a bucket-brigade fault stays
 inside the subtree below its router (Hann et al., PRX Quantum 2, 020311
 (2021)), so they are few. A controlled swap then runs only on the
 (row, trial) pairs where an operand or a control deviates, and the readout
-compares only the read rows that deviate. It runs the same compiled
-polarity groups as the dense kernel. The dense plane stays for every
-other pass: with one trial per word or less (n <= 6), in sampled-basis
-mode and on heavy passes, its whole-row operations beat the per-pair
-gathers (measured past about 1/50 events per row at n=7, and past 1/37
-to 1/17 at n=8 and 9). Both kernels give the same fidelities bit for bit.
+compares only the read rows that deviate. The trials with no X flip share
+one more column that never deviates, so their Z phases read the reference
+alone. It runs the same compiled polarity groups as the dense kernel. The
+dense plane stays for every other pass: with one trial per word or less
+(n <= 6), in sampled-basis mode, on heavy passes and on passes with no X
+flip, its whole-row operations beat the per-pair gathers (measured past
+about 1/50 events per row at n=7, and past 1/37 to 1/17 at n=8 and 9).
+Both kernels give the same fidelities bit for bit.
 
 Swaps are unconditional, so they never reach the plane: each layer
 compiles once to gates on physical plane rows, and the swaps fold into a
@@ -157,10 +165,11 @@ junk that a router moves off the addressed path never lowers fidelity.
 Readout and noiseless reference: the reference is each pass's own block,
 which the engine's gate kernel (`_gate_pass`, the one place that says
 what a compiled gate does to a plane) runs through every layer next to
-the trials. Both address modes read out through `_fidelities`, with the
-`_span` of the block's column addresses: the 2^n addresses, compiled
-once, or in sampled-basis mode the joined trials' addresses, one column
-each, where B = 1 makes the squared overlap exactly the good bit.
+the trials. The dense plane reads out both address modes through
+`_bad_branches`, with the `_span` of the block's column addresses: the 2^n
+addresses, compiled once, or in sampled-basis mode the joined trials'
+addresses, one column each, where B = 1 makes the squared overlap exactly
+the good bit.
 `_span` reads the schedule's address map (`circuits.Schedule`) for all
 its columns at once, so a span costs a fixed number of numpy calls
 whatever its width, and packs only the (row, column) bits that are set.
@@ -186,11 +195,6 @@ from .noise import NoiseModel, NoisePlan, PauliEvent, net_flip_probability
 #: consecutive batches share a plane pass up to this many (trial, branch)
 #: columns: 1024 words (8 KB) per plane row
 _PASS_COLUMNS = 1 << 16
-
-#: a pass widens its active prefix in at most this many steps, each one
-#: fill of the newly joined slots from the reference block, so a trial may
-#: join a few layers before its first X flip
-_JOIN_STEPS = 8
 
 #: the dense kernel gathers up to about this many plane words (64 KB) per
 #: row of a gate group's operands and controls at a time: every temporary
@@ -218,17 +222,9 @@ _DEVIATION_ROWS = 1 << 10
 _READ_CHUNK = 1 << 15
 
 
-def _pack_bits_lsb(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean vector into uint64 words, bit i of word w = bits[64w+i]."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad = -packed.shape[-1] % 8
-    if pad:
-        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
-    return packed.view("<u8").astype(np.uint64, copy=False)
-
-
 def _unpack_bits_lsb(words: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` bits of a uint64 vector, inverse of `_pack_bits_lsb`."""
+    """The first `count` bits of a uint64 vector, bit 64w + i from bit i
+    of word w."""
     raw = words.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(raw, count=count, bitorder="little")
 
@@ -623,7 +619,7 @@ class PlaneEngine:
         `_PASS_COLUMNS` (trial, branch) columns; a wider batch runs alone,
         and so does every batch of one branch per trial (sampled-basis
         mode), whose plane rows grow with the ~6 * 2^n qubits. Both modes
-        run the same pass shape, which joins only the trials with an event.
+        run the same pass shape, which joins only the trials with an X flip.
         Each batch draws from its own generator, so the grouping changes
         no fidelity.
         """
@@ -685,18 +681,19 @@ class PlaneEngine:
         int64 `codes`, `cell * total + trial` with cell `(layer * 2 + is_z)
         * qubits + qubit`, in any order; returns the trials' fidelities.
 
-        Each trial joins the pass at its first X layer, found the same way
-        in both address modes. Before it joins, its Z phases read the
-        reference block's slot 0, whose columns equal its own, and after,
-        its own slot; the phases flip a sign array indexed by trial. A
-        trial with no X flip is never simulated: its fidelity is exactly 1,
-        or the squared overlap of its signs alone when it has phases. The
-        modes differ only in the reference block: the `_superposition` span, or, when
+        The pass first builds its trial plan, the same for both kernels:
+        each trial's first X layer, the join order `order` of the trials
+        that have an X flip (by that layer), and one sign array indexed by
+        trial, one trial unit each, into which every Z phase flips. A light
+        superposition pass whose trial spans are two or more words runs
+        `_run_deviations`, and every other pass `_run_dense`; either one
+        returns the bad-branch words of the joined trials, in join order,
+        and one scoring tail squares each trial's overlap. A trial with no
+        X flip is never simulated: its fidelity is exactly 1, or the
+        squared overlap of its signs alone when it has phases. When
         `trial_addresses` gives each trial's address (sampled-basis mode),
-        the `_span` of the joined trials' addresses in join order. The pass
-        sorts `codes` in place and then spends them. A light pass with
-        trial spans of two or more words runs `_run_deviations`, and every
-        other pass the dense plane below.
+        the dense pass runs the joined trials at their own addresses. The
+        pass sorts `codes` in place and then spends them.
         """
         if not codes.size:
             # every trial is the noiseless run: fidelity exactly 1
@@ -705,7 +702,6 @@ class PlaneEngine:
         nq = self.schedule.qubit_count
         B = self.branch_count
         n_layers = len(self._layers)
-        maps = self._maps
         # sorted, each layer's X flips and then its Z phases are contiguous;
         # decoded once with // (divmod and % cost far more)
         codes.sort()
@@ -713,19 +709,58 @@ class PlaneEngine:
         cell = codes // total
         trial = np.subtract(codes, cell * total, out=codes)
 
-        if B >= 128:  # each trial spans at least two plane words
-            joined = np.zeros(total, dtype=bool)
-            joined[trial] = True
-            if cell.size <= _DEVIATION_EVENTS_PER_ROW * np.count_nonzero(joined) * nq:
-                return self._run_deviations(cell, trial, bounds, joined)
-        # each trial's first X layer (n_layers for none); trials join the
-        # plane in that order, after the reference block. Last layer first,
+        # each trial's first X layer (n_layers for none). Last layer first,
         # so each trial keeps its earliest; segment by segment, with no
         # temporary the size of all the codes
         first = np.full(total, n_layers, dtype=np.int64)
         for li in range(n_layers - 1, -1, -1):
             first[trial[bounds[2 * li] : bounds[2 * li + 1]]] = li
         order = np.argsort(first, kind="stable")[: np.count_nonzero(first < n_layers)]
+        # each trial's signs, one trial unit per trial; with one branch per
+        # trial (B = 1) no sign changes a fidelity, and no phase is drawn
+        cols = _slot_columns(B)
+        unit = _trial_units(np.zeros((cols + 63) // 64, dtype=np.uint64), cols)[0]
+        sign = np.zeros((total, *unit.shape[1:]), dtype=unit.dtype)
+        # trial spans of two or more plane words, and some X flip: a pass
+        # with none has no deviation to track
+        if B >= 128 and order.size and cell.size <= _DEVIATION_EVENTS_PER_ROW * order.size * nq:
+            bad = self._run_deviations(cell, trial, bounds, order, sign)
+        else:
+            bad = self._run_dense(cell, trial, bounds, first[order], order, sign, trial_addresses)
+
+        def signs(trials):
+            """The signs of `trials`, packed in consecutive slots."""
+            words = np.zeros((trials.size * cols + 63) // 64, dtype=np.uint64)
+            if B > 1:  # else a unit holds 8 slots, and every sign is 0
+                _trial_units(words, cols)[0][: trials.size] = sign[trials]
+            return words
+
+        fids = np.ones(total)
+        fids[order] = self._overlap_squares(bad, signs(order), order.size, cols)
+        # a trial with phases and no X flip reads every bit right
+        phased = np.flatnonzero(sign.reshape(total, -1).any(axis=1) & (first == n_layers))
+        words = signs(phased)
+        fids[phased] = self._overlap_squares(np.zeros_like(words), words, phased.size, cols)
+        return fids
+
+    def _run_dense(self, cell, trial, bounds, firsts, order, sign, trial_addresses) -> np.ndarray:
+        """The dense plane pass of the decoded, sorted events: the bad-branch
+        words of the joined trials `order`, whose first X layers are
+        `firsts`; each Z phase flips its trial's unit of `sign`.
+
+        The plane holds the reference block, then each joined trial's slot
+        in join order. Right after the gates of a trial's first X layer, and
+        before that layer's flips, the trial joins: the active prefix grows
+        over its slot, which is copied in from the reference block. A slot
+        that shares a plane word with an earlier-joined trial is copied in
+        with that word, so it may be filled early; that is exact, since
+        until its first X flip a trial is a copy of the reference. A Z
+        phase reads the trial's own slot once the trial has joined, and the
+        reference block's slot 0 before, which holds the same bits. A pass
+        with no X flip holds the reference block alone, and reads none.
+        """
+        nq = self.schedule.qubit_count
+        maps = self._maps
         # the block's column j is the noiseless run of joined trial j's
         # address, or of branch j of every trial
         if trial_addresses is None:
@@ -733,17 +768,13 @@ class PlaneEngine:
         else:
             block, readout = self._span(trial_addresses[order])
         S = block.shape[1]
-        cols = _slot_columns(B)
+        cols = _slot_columns(self.branch_count)
         ref_slots = S * 64 // cols
-
-        # join steps: after the gates of layer join[k] the active prefix
-        # grows to width[k] words; each step starts at a new first layer
-        firsts = first[order]
-        starts = np.flatnonzero(np.diff(firsts, prepend=-1))
-        steps = starts[np.diff(starts * _JOIN_STEPS // order.size, prepend=-1) > 0]
-        join = firsts[steps].tolist()
-        ends = np.append(steps[1:], order.size)
+        # after the gates of layer li, the trials joined so far, ends[li],
+        # and the active prefix, width[li] words
+        ends = np.searchsorted(firsts, np.arange(len(self._layers)), side="right")
         width = (((ref_slots + ends) * cols + 63) // 64).tolist()
+        ends = ends.tolist()
         W = width[-1]
 
         plane = np.empty((nq, W), dtype=np.uint64)
@@ -753,34 +784,28 @@ class PlaneEngine:
         U = units.shape[0] // nq  # units per plane row
         whole = ~units.dtype.type(0)
         # each trial's slot, the reference's slot 0 until the trial joins
-        slot_of = np.zeros(total, dtype=np.int64)
-        # each trial's signs, one unit per trial; one branch per trial
-        # (B = 1) reads no sign, so sampled-basis passes apply no Z phase
-        # and their signs stay 0
-        kinds = (0, 1) if B > 1 else (0,)
-        trial_sign = np.zeros((total, *units.shape[1:]), dtype=units.dtype)
+        slot_of = np.zeros(sign.shape[0], dtype=np.int64)
 
-        w, step = S, 0
+        w, joined = S, 0
         for li, layer in enumerate(self._layers):
             _gate_pass(layer, plane, w)
-            if step < len(join) and join[step] == li:
+            if ends[li] > joined:
                 # trial-area word k starts as block word k % S
-                top = width[step]
+                top = width[li]
                 if top - w > S:
                     # whole tiles; copy the block out first: broadcasting it
                     # from a view of the same plane would buffer the fill
                     blocks[:, w // S : top // S] = plane[:, :S].copy()[:, None, :]
                 else:  # within one tile, as all of a sampled-basis pass
                     plane[:, w:top] = plane[:, w % S : w % S + top - w]
-                lo, hi = steps[step], ends[step]
-                slot_of[order[lo:hi]] = np.arange(ref_slots + lo, ref_slots + hi)
-                w = top
-                step += 1
+                slot_of[order[joined : ends[li]]] = np.arange(ref_slots + joined,
+                                                              ref_slots + ends[li])
+                w, joined = top, ends[li]
             if bounds[2 * li] == bounds[2 * li + 2]:
                 continue
             row_units = maps[li] * np.int64(U)  # each logical qubit's first unit
             # X flips of this layer, then Z phases read from the flipped plane
-            for is_z in kinds:
+            for is_z in (0, 1):
                 lo, hi = bounds[2 * li + is_z], bounds[2 * li + is_z + 1]
                 if lo == hi:
                     continue
@@ -791,60 +816,49 @@ class PlaneEngine:
                 key = row_units.take(cell[lo:hi] - (2 * li + is_z) * nq)
                 key += unit
                 if is_z:
-                    np.bitwise_xor.at(trial_sign, trial[lo:hi], units[key])
+                    np.bitwise_xor.at(sign, trial[lo:hi], units[key])
                 elif shift:
                     # one byte may take several trials' flips, each its bit
                     np.bitwise_xor.at(units, key, bit)
                 else:
                     units[key] ^= whole
+        if not order.size:
+            return np.zeros(0, dtype=np.uint64)
+        return self._bad_branches(plane, maps[len(self._layers) - 1], readout)
 
-        def signs(trials):
-            """The signs of `trials`, packed in consecutive slots."""
-            words = np.zeros((trials.size * cols + 63) // 64, dtype=np.uint64)
-            if B > 1:  # else a unit holds 8 slots, and every sign is 0
-                _trial_units(words, cols)[0][: trials.size] = trial_sign[trials]
-            return words
-
-        fids = np.ones(total)
-        if order.size:
-            fids[order] = self._fidelities(plane, maps[n_layers - 1], signs(order), order.size,
-                                           readout, cols)
-        # a trial with phases and no X flip reads every bit right
-        phased = np.flatnonzero(trial_sign.reshape(total, -1).any(axis=1) & (first == n_layers))
-        if phased.size:
-            words = signs(phased)
-            fids[phased] = self._overlap_squares(np.zeros_like(words), words, phased.size, cols)
-        return fids
-
-    def _run_deviations(self, cell, trial, bounds, joined) -> np.ndarray:
+    def _run_deviations(self, cell, trial, bounds, order, sign) -> np.ndarray:
         """The deviation-tracked form of a superposition pass: the same
-        fidelities as the dense plane from the decoded, sorted events, for
-        passes whose joined trials carry few events.
+        bad-branch words of the joined trials `order` as `_run_dense`, from
+        the decoded, sorted events, for passes whose joined trials carry
+        few events; each Z phase flips its trial's unit of `sign`.
 
-        Each joined trial (one with an event) keeps only its XOR against
-        the reference block, whose span of S >= 2 words runs densely. The
-        deviations live in a `_DeviationStore`, which holds a row only for
-        a (row, joined trial) pair that has deviated, so no trial is copied
-        in and the memory follows the deviating pairs. A flag per pair
-        marks the pairs that may deviate. Each group of a layer's
-        controlled swaps costs a fixed number of numpy calls: the
-        reference's swap, then a gather and a scatter of only the pairs
-        where an operand or a control is flagged. An inversion acts on the
-        reference alone, since it leaves every XOR as it was. An X event
-        flips its trial's whole span, and a Z event reads its row's value
-        as deviation ^ reference. The readout compares only the flagged
-        read rows: a clean pair reads exactly its ideal bits.
+        Each joined trial keeps only its XOR against the reference block,
+        whose span of S >= 2 words runs densely. The deviations live in a
+        `_DeviationStore`, which holds a row only for a (row, column) pair
+        that has deviated, so no trial is copied in and the memory follows
+        the deviating pairs. Column j is joined trial j, and one more
+        column, which no X flip reaches and so never deviates, takes the
+        trials with no X flip. A flag per pair marks the pairs that may
+        deviate. Each group of a layer's controlled swaps costs a fixed
+        number of numpy calls: the reference's swap, then a gather and a
+        scatter of only the pairs where an operand or a control is flagged.
+        An inversion acts on the reference alone, since it leaves every XOR
+        as it was. An X event flips its trial's whole span, and a Z event
+        reads its row's value as deviation ^ reference, so a trial with no X
+        flip reads the reference alone. The readout compares only the
+        flagged read rows: a clean pair reads exactly its ideal bits.
         """
         nq = self.schedule.qubit_count
         n_layers = len(self._layers)
         ref = self._superposition[0].copy()
         S = ref.shape[1]
-        T = np.count_nonzero(joined)
-        slot = (np.cumsum(joined) - 1)[trial]  # each event's joined trial
-        dev = _DeviationStore(nq * T, S)  # row r, trial t at pair r * T + t
+        T = order.size + 1  # the joined trials' columns, then the clean one
+        column = np.full(sign.shape[0], order.size, dtype=np.int64)
+        column[order] = np.arange(order.size)
+        slot = column[trial]  # each event's column
+        dev = _DeviationStore(nq * T, S)  # row r, column t at pair r * T + t
         dirty = np.zeros(nq * T, dtype=bool)
         flags = dirty.reshape(nq, T)
-        sign = np.zeros((T, S), dtype=np.uint64)
         for li, (swaps, inverts) in enumerate(self._layers):
             for rows, pols in swaps:
                 a, b, *cs = rows
@@ -895,18 +909,16 @@ class PlaneEngine:
             if mid < hi:  # Z phases, read from the flipped state
                 rows = self._maps[li].take(cell[mid:hi] - (2 * li + 1) * nq)
                 f = rows * np.int64(T) + slot[mid:hi]
-                np.bitwise_xor.at(sign, slot[mid:hi], dev.read(f)[1] ^ ref[rows])
+                np.bitwise_xor.at(sign, trial[mid:hi], dev.read(f)[1] ^ ref[rows])
 
         read_rows, care, _ = self._superposition[1]
         phys = self._maps[n_layers - 1][read_rows]
         hit = np.flatnonzero(flags.take(phys, axis=0))
         r = hit // T
         t = hit - r * T
-        bad = np.zeros((T, S), dtype=np.uint64)
+        bad = np.zeros((order.size, S), dtype=np.uint64)
         np.bitwise_or.at(bad, t, dev.read(phys[r] * np.int64(T) + t)[1] & care.take(r, axis=0))
-        fids = np.ones(joined.size)
-        fids[joined] = self._overlap_squares(bad, sign, T, self.branch_count)
-        return fids
+        return bad
 
     def _sample_events(
         self, rng: np.random.Generator, n_trials: int, total: int, offset: int
@@ -941,11 +953,10 @@ class PlaneEngine:
         read_rows, care, _ = readout
         return plane[row[read_rows], : care.shape[1]] & care
 
-    def _fidelities(self, plane, row, sign, active: int, readout, cols: int) -> np.ndarray:
-        """Fidelities of the `active` trials after the reference block, in
-        plane order, each in a slot of `cols` columns; `sign` holds their
-        signs, packed in the same slots."""
-        # a branch is bad when any bit it reads differs from its ideal bit;
+    def _bad_branches(self, plane, row, readout) -> np.ndarray:
+        """The bad-branch words of the trials after the reference block, in
+        plane order: a branch is bad when any bit it reads differs from its
+        ideal bit."""
         # word k of every tile of S words at once, for up to _READ_CHUNK
         # words per step, from the rows whose care covers word k
         read_rows, care, word_rows = readout
@@ -962,7 +973,7 @@ class PlaneEngine:
                 d ^= ideal[r, k, None]
                 d &= care[r, k, None]
                 bad[:, k] |= np.bitwise_or.reduce(d, axis=0)
-        return self._overlap_squares(bad, sign, active, cols)
+        return bad
 
     def _overlap_squares(
         self, bad: np.ndarray, sign: np.ndarray, active: int, cols: int

@@ -67,6 +67,8 @@ class ExperimentConfig:
     round_trip: bool | None = None
 
     def __post_init__(self):
+        if not self.architectures:
+            raise ConfigError("empty architecture list")
         for arch in self.architectures:
             if arch not in ARCHITECTURES:
                 raise ConfigError(f"unknown architecture {arch!r}")

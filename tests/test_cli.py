@@ -4,16 +4,20 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hetqram import harness
-from hetqram.cli import _COMMON_KEYS, main
+from hetqram.circuits import build_schedule
+from hetqram.cli import _COMMON_KEYS, _build_parser, _config_from, main
+from hetqram.engine import PlaneEngine
 from hetqram.harness import (
     ARCHITECTURES,
     REPORT_FIELDS,
@@ -24,6 +28,7 @@ from hetqram.harness import (
     rows_to_text,
     run_sweep,
 )
+from hetqram.noise import NoiseModel
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -77,20 +82,51 @@ def test_sim_basis_mode_notes_uncounted_phase_errors(capsys):
     assert len(list(csv.DictReader(out.splitlines()))) == 1
 
 
+def _sim_point_engine(argv):
+    """The config of the one `sim` point that `argv` names, and its engine,
+    built as `run_sweep` builds it."""
+    parser, _ = _build_parser(argv[0])
+    config = _config_from(parser.parse_args(argv))
+    ((arch, kind, n, profile),) = config.points()
+    sched = build_schedule(arch, n, kind, harness.database_for(config, n), profile=profile,
+                           cost=config.cost, round_trip=config.round_trip)
+    return config, PlaneEngine(sched, NoiseModel(config.params, sched.profile,
+                                                 channel=config.channel))
+
+
 def test_sim_all_noiseless_row_notes_its_one_sided_bound(capsys):
     """A row whose trials all have fidelity 1 (mean 0, CI [0, 0]) gets one
     `note:` line naming the row and the one-sided 95% bound 3/trials; the
-    CSV is unchanged. A row with a loss gets no note."""
-    point = ["sim", "--arch", "uniform-bb", "--n", "4", "--p-prime", "0.01",
-             "--seed", "7"]
-    code, out, err = run_cli([*point, "--trials", "2000"], capsys)
+    CSV is unchanged. A row with a loss gets no note.
+
+    Neither half rests on the seed. The noiseless point expects under 1e-6
+    events over all its trials (the engine's classes give sum q * slots
+    per trial), which bounds the chance that any trial sees one. The lossy
+    point runs enough trials that none is lossy with chance below 1e-6:
+    a trial is lossy at least when its one event is a single fault that
+    loses it (one `_run_codes` pass of every cell), with chance at least
+    p0 * q of that cell, p0 the chance of no event."""
+    quiet = ["sim", "--arch", "uniform-bb", "--n", "4", "--p-prime", "0.0005",
+             "--trials", "2000", "--seed", "7"]
+    config, eng = _sim_point_engine(quiet)
+    expected = config.trials * sum(c.q * c.slots for c in eng._classes)
+    assert expected < 1e-6, expected
+    code, out, err = run_cli(quiet, capsys)
     assert code == 0
     (row,) = list(csv.DictReader(out.splitlines()))
     assert (row["mean_infidelity"], row["ci95_low"], row["ci95_high"]) == ("0.0",) * 3
     assert err.splitlines() == [
-        "note: uniform-bb qutrit n=4 p'=0.01: all 2000 trials were noiseless; "
+        "note: uniform-bb qutrit n=4 p'=0.0005: all 2000 trials were noiseless; "
         "mean infidelity < 3/trials = 0.0015 (one-sided 95%)"]
-    code, out, err = run_cli([*point, "--p-prime", "0.3", "--trials", "200"], capsys)
+
+    lossy = [*quiet[:6], "0.3", "--seed", "7"]
+    _, eng = _sim_point_engine(lossy)
+    cells = np.concatenate([c.cells for c in eng._classes])
+    q = np.concatenate([np.full(c.slots, c.q) for c in eng._classes])
+    fids = eng._run_codes(cells * cells.size + np.arange(cells.size), cells.size)
+    p_lossy = math.exp(np.log1p(-q).sum()) * q[fids < 1.0].sum()
+    trials = math.ceil(math.log(1e-6) / math.log1p(-p_lossy))
+    code, out, err = run_cli([*lossy, "--trials", str(trials)], capsys)
     assert code == 0 and err == ""
     (row,) = list(csv.DictReader(out.splitlines()))
     assert float(row["mean_infidelity"]) > 0.0
@@ -146,6 +182,15 @@ def test_surface_param_errors_name_the_flag(capsys, command, flag, value, messag
 def test_invalid_arch_exit_2(capsys):
     code, _, _ = run_cli(["sim", "--arch", "nope", "--n", "2"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["sim", "bounds", "compare"])
+def test_empty_arch_list_exit_2(command, capsys):
+    """`--arch ,` names no architecture: exit 2 with one `error:` line and
+    no header-only report."""
+    code, out, err = run_cli([command, "--arch", ",", "--n", "3"], capsys)
+    assert code == 2 and not out
+    assert err == "error: empty architecture list\n"
 
 
 def test_bad_n_range_exit_2(capsys):

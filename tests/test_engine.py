@@ -27,7 +27,6 @@ from hetqram.engine import (
     _DeviationStore,
     _bernoulli_hits,
     _gate_pass,
-    _pack_bits_lsb,
     _pack_span,
     _slot_columns,
     _trial_units,
@@ -47,6 +46,16 @@ from hetqram.noise import (
 PARAMS = SurfaceParams(0.03, 0.2)
 
 
+def _pack_bits_lsb(bits) -> np.ndarray:
+    """Pack booleans along the last axis into uint64 words, bit i of word w
+    = bits[64w + i]: the inverse of the engine's `_unpack_bits_lsb`."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    pad = -packed.shape[-1] % 8
+    if pad:
+        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
 def test_pack_bits_lsb_roundtrip():
     rng = np.random.default_rng(0)
     bits = rng.integers(0, 2, size=130).astype(bool)
@@ -54,6 +63,7 @@ def test_pack_bits_lsb_roundtrip():
     assert words.shape == (3,)
     for i, b in enumerate(bits):
         assert ((int(words[i // 64]) >> (i % 64)) & 1) == int(b)
+    assert np.array_equal(_unpack_bits_lsb(words, bits.size), bits)
 
 
 @pytest.mark.parametrize("slots,q", [(1, 0.5), (50, 0.2), (1000, 0.003), (700, 0.97), (10**7, 1e-20)])
@@ -726,16 +736,16 @@ def _trial_events(cells, nq):
 def test_phase_only_trials_never_enter_the_plane(arch, kind, monkeypatch):
     """Trials that see only Z phases, one to three at distinct layers, read
     them off the reference block and never join the plane: no pass reads
-    out a plane (`_fidelities` is never called), and each trial's fidelity
+    out a plane (`_bad_branches` is never called), and each trial's fidelity
     equals the word-by-word oracle's, n=1..5. Some phases lower it."""
     reads = []
-    fidelities = PlaneEngine._fidelities
+    fidelities = PlaneEngine._bad_branches
 
     def spy(self, *args):
         reads.append(args)
         return fidelities(self, *args)
 
-    monkeypatch.setattr(PlaneEngine, "_fidelities", spy)
+    monkeypatch.setattr(PlaneEngine, "_bad_branches", spy)
     rng = np.random.default_rng(5)
     lossy = 0
     for n in range(1, 6):
@@ -758,25 +768,31 @@ def test_phase_only_trials_never_enter_the_plane(arch, kind, monkeypatch):
 
 
 @pytest.mark.parametrize("arch,kind", VARIANTS)
-def test_phases_before_the_first_x_flip_equal_word_oracle(arch, kind):
+def test_phases_before_the_first_x_flip_equal_word_oracle(arch, kind, monkeypatch):
     """Trials whose Z phases land two or more layers before their first X
     flip: each trial's fidelity from one `_run_codes` pass equals the
-    word-by-word oracle on the trial's own events, n=1..5. A trial reads
-    those phases off the reference block, which its columns equal until its
-    first X flip, and its own slot once it has joined (some trials join a
-    few layers early). Every sixth trial has phases only. The early phases
-    must matter: the same pass without them gives other fidelities."""
+    word-by-word oracle on the trial's own events, n=1..5 on the dense
+    plane and n=7 on the deviation-tracked kernel (a spy checks which ran).
+    On the dense plane a trial reads those phases off the reference block,
+    which its columns equal until its first X flip, and its own slot once
+    it has joined at that layer; the deviation kernel reads them as the
+    reference XOR a deviation that is still zero. Every sixth trial, or
+    the last of a pass too short for one (4 trials at n=7), has phases
+    only. The early phases must matter: the same pass without them gives
+    other fidelities."""
+    calls = _spy_deviation_passes(monkeypatch)
     rng = np.random.default_rng(3)
     moved = 0
-    for n in range(1, 6):
+    for n in (1, 2, 3, 4, 5, 7):
         sched = build_schedule(arch, n, kind, _database(n))
         nq = sched.qubit_count
         eng = PlaneEngine(sched, NoiseModel(PARAMS, sched.profile))
         (x_cells, x_layers), (z_cells, z_layers) = _live_cells(eng)
-        total = 24 if n < 5 else 12
+        total = {5: 12, 7: 4}.get(n, 24)
+        quiet = set(range(5, total, 6)) or {total - 1}
         early, late = [], []
         for t in range(total):
-            if t % 6 == 5:  # no X flip: the phases land anywhere
+            if t in quiet:  # no X flip: the phases land anywhere
                 lx = int(x_layers.max()) + 2
                 flips = []
             else:
@@ -791,7 +807,9 @@ def test_phases_before_the_first_x_flip_equal_word_oracle(arch, kind):
         for name, trials in (("all", [e + f for e, f in zip(early, late)]), ("late", late)):
             codes[name] = np.array([c * total + t for t, cells in enumerate(trials)
                                     for c in cells], dtype=np.int64)
+        calls.clear()
         fids = eng._run_codes(codes["all"].copy(), total)
+        assert calls == ([7] if n == 7 else []), n
         for t in range(total):
             expect = reference_fidelity(sched, _trial_events(early[t] + late[t], nq))
             assert fids[t] == expect, (n, t)
@@ -939,9 +957,10 @@ def test_deviation_kernel_equals_dense_kernel(arch, kind, monkeypatch):
     (trial spans of two and four plane words), both protocols, p'=0.01
     and 0.1. A limit of 0 events per row forces the dense kernel and an
     infinite one the deviation kernel, and a spy checks that the deviation
-    kernel ran on every pass that saw an event. At p'=0.1 the deviation
-    store starts with its zero row alone, so a second spy checks that
-    every pass with an X event, which makes a pair deviate, grew it."""
+    kernel ran on exactly the passes that saw an X flip: a pass with no
+    joined trial is dense. At p'=0.1 the deviation store starts with its
+    zero row alone, so a second spy checks that every pass with an X
+    event, which makes a pair deviate, grew it."""
     calls = _spy_deviation_passes(monkeypatch)
     grows = _spy_store_growth(monkeypatch)
     n_trials, noisy, grown = 128, 0, 0
@@ -959,7 +978,7 @@ def test_deviation_kernel_equals_dense_kernel(arch, kind, monkeypatch):
                     calls.clear()
                     grows.clear()
                     fids[limit] = eng._run_codes(codes.copy(), n_trials)
-                    assert len(calls) == (limit > 0 and codes.size > 0)
+                    assert len(calls) == (limit > 0 and flips)
                     if calls and p_prime == 0.1:
                         assert bool(grows) == flips, (n, round_trip)
                         grown += flips

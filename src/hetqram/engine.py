@@ -716,6 +716,9 @@ class PlaneEngine:
         for li in range(n_layers - 1, -1, -1):
             first[trial[bounds[2 * li] : bounds[2 * li + 1]]] = li
         order = np.argsort(first, kind="stable")[: np.count_nonzero(first < n_layers)]
+        if B == 1 and not order.size:
+            # with one branch per trial a phase is global: all noiseless
+            return np.ones(total)
         # each trial's signs, one trial unit per trial; with one branch per
         # trial (B = 1) no sign changes a fidelity, and no phase is drawn
         cols = _slot_columns(B)

@@ -817,6 +817,32 @@ def test_phases_before_the_first_x_flip_equal_word_oracle(arch, kind, monkeypatc
     assert moved > 0
 
 
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_basis_phases_change_no_fidelity(arch, kind):
+    """With one branch per trial a Z phase is global: a sampled-basis pass
+    whose codes are all Z phases (on every qubit of the first two noisy
+    layers, for trials 1 and 2 of 4) reads every trial as noiseless, and
+    the same phases next to a lossy X flip of trial 2 give the fidelities
+    of that flip alone. n=3, each trial at its own address."""
+    n, total = 3, 4
+    sched = build_schedule(arch, n, kind, _database(n))
+    nq = sched.qubit_count
+    eng = PlaneEngine(sched, NoiseModel(PARAMS, sched.profile), address_mode="basis")
+    addresses = np.arange(total)
+    x_cells, x_layers = _live_cells(eng)[0]
+    z_cells = np.array([(li * 2 + 1) * nq + q for li in np.unique(x_layers)[:2]
+                        for q in range(nq)])
+    z_codes = np.concatenate([z_cells * total + t for t in (1, 2)])
+    assert np.array_equal(eng._run_codes(z_codes.copy(), total, addresses), np.ones(total))
+    for x_cell in x_cells:
+        x_alone = eng._run_codes(np.array([x_cell * total + 2]), total, addresses)
+        if x_alone[2] < 1.0:
+            break
+    assert x_alone[2] < 1.0
+    both = np.append(z_codes, x_cell * total + 2)
+    assert np.array_equal(eng._run_codes(both, total, addresses), x_alone)
+
+
 def _basis_trials_for_guard(eng):
     """Sampled-basis trials enough that a pass of them is all noiseless, or
     all lossy, with chance below 1e-6.

@@ -39,11 +39,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
-#: keys of the flags every subcommand shares; the flag is --KEY
-_COMMON_KEYS = (
-    "arch", "routers", "n", "p-prime", "epsilon-prime", "c", "s", "trials", "seed",
-    "profile", "address-mode", "database", "round-trip", "batch-size", "out", "format",
-)
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
 #: flag dest -> the SurfaceParams field that takes its parsed value
@@ -273,15 +268,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         for n in config.n_values
     ]
     rows = [astuple(row) for row, _ in points]
-    ceiling = simulation_ceiling(config.address_mode)
-    bounded = ",".join(str(n) for n in config.n_values if n > ceiling)
-    simulated = args.mode == "simulated" or (
-        args.mode == "auto" and min(config.n_values) <= ceiling)
+    simulated = [row for _, row in points if row is not None]
     if config.address_mode == "basis" and simulated:
         _note_uncounted_phases()
-    for _, simulated_row in points:
-        if simulated_row is not None:
-            _note_noiseless(simulated_row)
+    for row in simulated:
+        _note_noiseless(row)
+    ceiling = simulation_ceiling(config.address_mode)
+    bounded = ",".join(str(n) for n in config.n_values if n > ceiling)
     if args.mode == "auto" and bounded:
         print(f"note: --mode auto prices n={bounded} from the closed-form bound, "
               f"past the {config.address_mode} simulation ceiling n={ceiling}", file=sys.stderr)
@@ -322,42 +315,45 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> tuple[_Parser, _Parser | None]:
-    """The top parser, which names every subcommand with its help line, and
-    the parser of `command`, the only one given its flags: a call runs one
-    subcommand, and declaring every flag of all five would double the
-    parse cost. None if `command` names no subcommand."""
+def _top_parser() -> _Parser:
+    """The parser of `hetqram` itself, which names every subcommand with
+    its help line and takes no flag but --help: `main` consults it only
+    when argv does not start with a subcommand."""
     parser = _Parser(
         prog="hetqram",
         description="Heterogeneously error-corrected QRAM simulator and analytics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    chosen = None
-    for name, (_, text, add_flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        if name == command:
-            add_flags(p)
-            chosen = p
-    return parser, chosen
+    for name, (_, text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=text)
+    return parser
+
+
+def _command_parser(name: str) -> _Parser:
+    """The parser of subcommand `name`, with its flags."""
+    parser = _Parser(prog=f"hetqram {name}")
+    _COMMANDS[name][2](parser)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top parser takes no flag but --help, so the first other word
-    # names the subcommand
-    parser, command = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
-        args = parser.parse_args(argv)
+        # a call runs one subcommand, so only its parser is built; the top
+        # parser answers --help and a missing or unknown subcommand
+        name = argv[0] if argv and argv[0] in _COMMANDS else _top_parser().parse_args(argv).command
+        flags = argv[argv.index(name) + 1 :]
+        command = _command_parser(name)
+        args = command.parse_args(flags)
         if getattr(args, "config", None):
             # the file's flags go first, so an explicit flag wins (last one wins);
             # the explicit ones parsed above, so an error here is the file's
-            at = argv.index(args.command) + 1
             tokens = _config_tokens(args.config, command)
             try:
-                args = parser.parse_args(argv[:at] + tokens + argv[at:])
+                args = command.parse_args(tokens + flags)
             except ConfigError as exc:
                 raise ConfigError(f"{args.config}: {exc}") from None
-        return _COMMANDS[args.command][0](args)
+        return _COMMANDS[name][0](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -229,6 +229,20 @@ def estimate_infidelity(
 # analytic bound matching a simulated point
 
 
+def _check_profile(architecture: str, profile: DistanceProfile) -> None:
+    """Refuse a profile kind that `architecture` does not take. The hetero
+    trees run a graded profile, linear or odd-paired; the uniform tree and
+    the walker run one code distance, a uniform profile. The bounds and
+    the resource tables exist for exactly these pairs. An unknown
+    architecture is refused too."""
+    if architecture not in ARCHITECTURES:
+        raise ConfigError(f"unknown architecture {architecture!r}")
+    if (architecture in HETERO) == (profile.kind == "uniform"):
+        accepted = "linear or odd-paired" if architecture in HETERO else "uniform:D"
+        raise ConfigError(f"{architecture} takes a {accepted} profile, "
+                          f"not {profile.kind.replace('_', '-')}")
+
+
 def bound_pair(
     architecture: str,
     router_kind: str,
@@ -240,37 +254,26 @@ def bound_pair(
     """(exact, closed-form) infidelity bound of one architecture point.
 
     Single-qubit router variants add the error-propagation term 4*delta
-    on top of both wait-state bounds. The uniform tree's bound needs a
-    uniform profile; the walker reads a non-uniform one at its root
-    distance. The heterogeneous bounds assume the linear profile's
-    distances (odd-paired gives every level the same effective distance),
-    so a uniform profile has no bound there.
+    on top of both wait-state bounds. The profile must be one that the
+    architecture takes (`_check_profile`): the uniform tree and the walker
+    are priced at their one distance, and the heterogeneous bounds assume
+    the linear profile's distances (odd-paired gives every level the same
+    effective distance).
     """
+    _check_profile(architecture, profile)
     inputs = analytics.BoundInputs(n, params, cost)
-    if architecture in ("uniform-bb", "walker"):
-        if profile.kind == "uniform":
-            d = profile.uniform_d
-        elif architecture == "walker":
-            d = profile.distance(0)
-        else:
-            raise ConfigError("uniform-bb requires a uniform profile")
-        exact = closed = analytics.uniform_bb_infidelity(inputs, d)
-        if router_kind == "qubit":
-            exact = closed = exact + 4.0 * analytics.uniform_qubit_delta(inputs, d)
-        return exact, closed
-    if architecture in HETERO and profile.kind == "uniform":
-        raise ConfigError(f"{architecture} has no bound for a uniform profile; "
-                          "use linear or odd-paired")
     if architecture == "ft-hetero":
         exact, closed = analytics.ft_infidelity_bound(inputs)
-        key = "ft"
     elif architecture == "bb-hetero":
         exact, closed = analytics.bb_infidelity_bound(inputs)
-        key = "bb"
     else:
-        raise ConfigError(f"unknown architecture {architecture!r}")
+        exact = closed = analytics.uniform_bb_infidelity(inputs, profile.uniform_d)
     if router_kind == "qubit":
-        extra = 4.0 * analytics.qubit_router_delta(key, inputs)
+        if architecture in HETERO:
+            key = "ft" if architecture == "ft-hetero" else "bb"
+            extra = 4.0 * analytics.qubit_router_delta(key, inputs)
+        else:
+            extra = 4.0 * analytics.uniform_qubit_delta(inputs, profile.uniform_d)
         exact, closed = exact + extra, closed + extra
     return exact, closed
 
@@ -288,23 +291,17 @@ def matching_bound(
 
 
 def resource_estimate(architecture: str, profile: DistanceProfile) -> analytics.ResourceEstimate:
-    """The physical-qubit table of one architecture at `profile`.
+    """The physical-qubit table of one architecture at `profile`, which
+    must be one that the architecture takes (`_check_profile`).
 
-    The uniform trees price 18 d^2 N at the profile's one distance, so
-    they need a uniform profile. The hetero trees price the linear or the
-    odd-paired packing, whichever the profile is, and have no table for a
-    uniform profile.
+    The uniform trees price 18 d^2 N at the profile's one distance. The
+    hetero trees price the linear or the odd-paired packing, whichever
+    the profile is.
     """
+    _check_profile(architecture, profile)
     if architecture in HETERO:
-        if profile.kind == "uniform":
-            raise ConfigError(f"{architecture} has no resource table for a uniform profile; "
-                              "use linear or odd-paired")
         table = analytics.ft_resources if architecture == "ft-hetero" else analytics.bb_resources
         return table(profile.n, efficient=profile.kind == "odd_paired")
-    if architecture not in ARCHITECTURES:
-        raise ConfigError(f"unknown architecture {architecture!r}")
-    if profile.kind != "uniform":
-        raise ConfigError(f"{architecture} resources need a uniform profile or --distance")
     return analytics.uniform_resources(profile.n, profile.uniform_d)
 
 

@@ -1,12 +1,13 @@
-"""Rewrite the Monte Carlo goldens from the generators their tests check.
+"""Rewrite the golden files from the generators their tests check.
 
     PYTHONPATH=src python tests/regen_goldens.py [--check]
 
-writes tests/data/sim_golden.csv (`test_cli.sim_golden_text`) and
-tests/data/basis_golden.json (`test_engine.basis_golden_fidelities`). Run
-it only for a change that alters the RNG draw order on purpose, and say
-why in the change; run at an unchanged commit, it rewrites both files
-byte for byte. With --check it writes nothing: it names each file that
+writes tests/data/sim_golden.csv (`test_cli.sim_golden_text`),
+tests/data/basis_golden.json (`test_engine.basis_golden_fidelities`) and
+tests/data/analytic_golden.json (`test_cli.analytic_outputs`). Run it only
+for a change that alters the RNG draw order, a bound or a resource table
+on purpose, and say why in the change; run at an unchanged commit, it
+rewrites every file byte for byte. With --check it writes nothing: it names each file that
 would change and exits 1, or exits 0 when every file is as it would write
 it.
 """
@@ -29,6 +30,7 @@ def goldens() -> dict[Path, str]:
     return {
         data / "sim_golden.csv": test_cli.sim_golden_text(),
         data / "basis_golden.json": basis + "\n",
+        data / "analytic_golden.json": json.dumps(test_cli.analytic_outputs(), indent=1) + "\n",
     }
 
 

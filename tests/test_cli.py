@@ -16,15 +16,19 @@ import pytest
 
 from hetqram import harness
 from hetqram.circuits import build_schedule
-from hetqram.cli import _COMMON_KEYS, _build_parser, _config_from, main
+from hetqram.cli import _Parser, _command_parser, _config_from, main
 from hetqram.engine import PlaneEngine
 from hetqram.harness import (
     ARCHITECTURES,
+    HETERO,
     REPORT_FIELDS,
+    ConfigError,
     ExperimentConfig,
+    bound_pair,
     compare_resources,
     matching_bound,
     report_to_csv,
+    resource_estimate,
     rows_to_text,
     run_sweep,
 )
@@ -85,8 +89,7 @@ def test_sim_basis_mode_notes_uncounted_phase_errors(capsys):
 def _sim_point_engine(argv):
     """The config of the one `sim` point that `argv` names, and its engine,
     built as `run_sweep` builds it."""
-    parser, _ = _build_parser(argv[0])
-    config = _config_from(parser.parse_args(argv))
+    config = _config_from(_command_parser(argv[0]).parse_args(argv[1:]))
     ((arch, kind, n, profile),) = config.points()
     sched = build_schedule(arch, n, kind, harness.database_for(config, n), profile=profile,
                            cost=config.cost, round_trip=config.round_trip)
@@ -428,6 +431,13 @@ def test_config_file_mirrors_every_flag(tmp_path, capsys):
     assert data[0]["seed"] == 77
 
 
+#: keys of the flags every subcommand but `fit` shares; the flag is --KEY
+_COMMON_KEYS = (
+    "arch", "routers", "n", "p-prime", "epsilon-prime", "c", "s", "trials", "seed",
+    "profile", "address-mode", "database", "round-trip", "batch-size", "out", "format",
+)
+
+
 @pytest.mark.parametrize("command", ["sim", "bounds", "resources", "compare"])
 def test_subcommand_help_lists_every_common_flag(command, capsys):
     """The shared flags are declared once, on a parent parser; each
@@ -487,6 +497,22 @@ def test_unknown_subcommand_exits_2(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     if argv[0] == "nope":
         assert "invalid choice: 'nope'" in err and "sim" in err
+
+
+def test_sim_builds_one_parser(monkeypatch, capsys):
+    """A `sim` call builds the parser of `sim` alone: not the top parser,
+    nor those of the other subcommands."""
+    built = []
+    init = _Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Parser, "__init__", spy)
+    code, _, _ = run_cli(["sim", "--n", "2", "--trials", "20", "--seed", "3"], capsys)
+    assert code == 0
+    assert built == ["hetqram sim"]
 
 
 def _sim_csv(capsys, *extra):
@@ -585,6 +611,9 @@ def _report(*rows: str) -> str:
         (["compare", "--arch", "bb-hetero,walker"], None),
         (["resources", "--arch", "bb-hetero", "--n", "6", "--efficient", "--profile", "linear"],
          None),
+        (["bounds", "--arch", "walker", "--profile", "linear", "--n", "3"], None),
+        (["sim", "--arch", "walker", "--profile", "odd-paired", "--n", "2", "--trials", "10"],
+         None),
     ],
     ids=["sim-n20", "sim-uniform0", "sim-uniform-bb-linear", "bounds-uniform-bb-linear",
          "sim-hetero-uniform", "bounds-hetero-uniform",
@@ -597,7 +626,7 @@ def _report(*rows: str) -> str:
          "resources-uniform-bb-linear", "resources-walker-odd-paired",
          "resources-hetero-uniform", "fit-three-rows", "fit-bad-field",
          "fit-json-missing-key", "fit-ci-outside-mean", "compare-walker",
-         "resources-efficient-linear"],
+         "resources-efficient-linear", "bounds-walker-linear", "sim-walker-odd-paired"],
 )
 def test_invalid_config_exits_2_without_traceback(tmp_path, args, config):
     """Run as a subprocess so an uncaught exception would show its traceback.
@@ -610,6 +639,30 @@ def test_invalid_config_exits_2_without_traceback(tmp_path, args, config):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@pytest.mark.parametrize("profile", ["linear", "odd-paired", "uniform:5"])
+def test_commands_take_the_same_profiles(arch, profile, capsys):
+    """`bounds`, `resources` and a tiny `sim` accept or refuse the same
+    (architecture, profile) pairs: all exit 0 or all exit 2. The hetero
+    trees take a graded profile, the uniform tree and the walker a
+    uniform one. `bound_pair` and `resource_estimate`, called directly,
+    raise `ConfigError` for exactly the refused pairs."""
+    point = ["--arch", arch, "--n", "2", "--profile", profile]
+    codes = [run_cli([command, *point, *extra], capsys)[0] for command, extra in (
+        ("bounds", []), ("resources", []), ("sim", ["--trials", "20", "--seed", "3"]))]
+    takes = (arch in HETERO) != profile.startswith("uniform")
+    assert codes == [0 if takes else 2] * 3
+    config = ExperimentConfig(profile=profile)
+    prof = config.profile_for(arch, 2)
+    for call in (lambda: bound_pair(arch, "qutrit", 2, config.params, config.cost, prof),
+                 lambda: resource_estimate(arch, prof)):
+        if takes:
+            call()
+        else:
+            with pytest.raises(ConfigError, match=arch):
+                call()
 
 
 def _cli_stdout(args, config=None, tmp_path=None):
@@ -731,18 +784,17 @@ def analytic_outputs() -> dict[str, str]:
     """stdout of `bounds`, `resources` and `compare --mode analytic` over a
     fixed grid, keyed by the command line: every architecture and router
     kind, depths up to 40, two values each of p' and of c/s, and the
-    --efficient, --distance and --profile flags. Regenerate the golden file
-    with `python -c "import json, test_cli as t; print(json.dumps(
-    t.analytic_outputs(), indent=1))"` from `tests/`."""
+    --efficient, --distance and --profile flags: the contents of
+    tests/data/analytic_golden.json, which `tests/regen_goldens.py`
+    rewrites."""
     every = ",".join(ARCHITECTURES)
     hetero = "ft-hetero,bb-hetero"
     grid = [
         ["bounds", "--arch", every, "--routers", kind, "--n", _GOLDEN_N, *noise, *cost]
         for kind in ("qutrit", "qubit") for noise in _NOISE for cost in _COST
     ] + [
-        ["bounds", "--arch", "ft-hetero,bb-hetero,walker", "--n", _GOLDEN_N,
-         "--profile", "odd-paired"],
-        ["bounds", "--arch", "ft-hetero,bb-hetero,walker", "--routers", "qubit",
+        ["bounds", "--arch", hetero, "--n", _GOLDEN_N, "--profile", "odd-paired"],
+        ["bounds", "--arch", hetero, "--routers", "qubit",
          "--n", _GOLDEN_N, "--profile", "linear", "--p-prime", "0.01"],
         ["bounds", "--arch", "uniform-bb,walker", "--routers", "qubit", "--n", _GOLDEN_N,
          "--profile", "uniform:9", "--p-prime", "0.01", "--format", "json"],
@@ -775,6 +827,6 @@ def test_analytic_golden():
     """The analytic subcommands' output, byte for byte (see
     `analytic_outputs`); a change to a bound, a coherence time or a
     resource table on purpose regenerates tests/data/analytic_golden.json
-    and says why."""
+    with `tests/regen_goldens.py` and says why."""
     golden = json.loads((Path(__file__).parent / "data" / "analytic_golden.json").read_text())
     assert analytic_outputs() == golden

@@ -48,7 +48,9 @@ trial, so a later Z phase there flips the sign of the branches where the
 qubit is 0 instead of those where it is 1: the two differ by a sign on
 the whole trial, which the squared overlap (sum_b w_b s_b g_b)^2 ignores
 bit for bit. In sampled-basis mode every Z phase is dead too: with one
-branch per trial (B = 1) each phase is global. This is the locality
+branch per trial (B = 1) each phase is global, and most Z phases on a row
+that the reference holds uniform are global as well (see Uniform windows
+below). This is the locality
 behind bucket-brigade noise resilience (Hann et al., PRX Quantum 2,
 020311 (2021)): the lower levels of a heterogeneous tree idle for most of
 a query, and most of their X events land on such qubits. Each group's
@@ -129,6 +131,34 @@ dense plane stays for every other pass: with one trial per word or less
 flip, its whole-row operations beat the per-pair gathers (measured past
 about 1/50 events per row at n=7, and past 1/37 to 1/17 at n=8 and 9).
 Both kernels give the same fidelities bit for bit.
+
+Uniform windows: a Z phase on a plane row that holds one bit in every
+branch of its trial flips the signs of all of them or of none, a global
+phase. A row's window runs from a layer in which the row is an operand of
+a controlled swap (or from the start) to the next such layer. Inside one
+only inverts and X flips change the row, alike on every branch of a
+trial, so the row stays uniform or mixed there, and its phases combine by
+parity up to a global sign. Most trials follow the noiseless run on most
+rows, and the weakly protected lower levels of a heterogeneous tree idle
+on rows that are uniform in it (Hann et al., PRX Quantum 2, 020311
+(2021)). So an engine whose live Z cells expect at least `_SPLIT_Z_HITS`
+hits per trial runs the reference block once through the compiled layers
+at construction (`_reference_windows`) and splits (`_split_windows`):
+the Z cells of a window that is uniform in the reference leave the
+classes. A window open from the start is uniform in every trial, and its
+cells are dropped. Any other that expects at least `_WINDOW_Z_HITS` flips
+per trial keeps one parity Q_w = (1 - prod(1 - 2q)) / 2 of its cells, and
+goes lazy: at its opening layer a pass collects the joined trials whose
+row is mixed there (the dense kernel gathers the window rows of the
+active trials, the deviation kernel reads its flagged pairs), and at the
+end of the pass each batch draws one uniform per collected pair of its
+own trials from its own generator, in (opening layer, row, join) order
+(`_draw_windows`). A pair whose uniform falls below Q_w XORs the row, as
+it was at the opening, into the trial's signs. This is the reference
+frame again, applied to phases: at seed 7 a pass of the fourteen
+acceptance-regime points draws 575 582 static Z phases instead of
+1 826 778, plus 132 066 lazy uniforms, of which 28 717 fire. The split
+moves the draws of a stream, not the fidelity distribution.
 
 Swaps are unconditional, so they never reach the plane: each layer
 compiles once to gates on physical plane rows, and the swaps fold into a
@@ -212,6 +242,24 @@ _GATE_CHUNK = 1 << 13
 #: at n=7, 0.75 at 1/41 (bb), 1.00 at 1/47 (ft) and 0.95-1.06 from 1/197
 #: to 1/62 (uniform). A larger limit would lose at n=7, so it stays
 _DEVIATION_EVENTS_PER_ROW = 1 / 40
+
+#: a superposition engine splits off its uniform windows (`_split_windows`)
+#: when its live Z cells expect at least this many hits per trial. The split
+#: costs a reference run and a pass over the Z cells when the engine is
+#: built (2.5-4 ms at n=5, 6) and a gather per lazy window in each pass.
+#: Construction plus 4096 trials of 512 per batch, split against whole
+#: (median of 9 and of 11, two runs, the four hetero trees at n=4..6,
+#: p'=0.03-0.15): from 32.9 hits up 22 of 24 runs gained (-4% to +29%),
+#: from 17 to 27 the sign was mixed (-17% to +14%), below 17 most lost. At
+#: 1000 trials, the CLI default, it still lost from 32.9 to 76.9 hits
+_SPLIT_Z_HITS = 32.0
+
+#: a uniform window of such an engine goes lazy when its Z cells expect at
+#: least this many flips per trial; the others keep their cells static. At
+#: the hetero sweep-trials points, 0.03 to 0.2 ran within noise of each
+#: other, 0.01 and 0.003 up to 7% slower, and every uniform window lazy
+#: 10-15% slower
+_WINDOW_Z_HITS = 0.05
 
 #: rows a deviation-tracked pass's store starts with, row 0 the clean
 #: pairs' zeros; it doubles whenever it is full
@@ -432,9 +480,15 @@ class PlaneEngine:
         # phase errors become global and are undercounted in this mode
         self.branch_count = 1 if address_mode == "basis" else 1 << schedule.n
 
-        self._noise_layers = self._compile_noise(noise)
-        # built by `_prepare` on the first pass that has an event
+        # built by `_prepare` on the first pass that has an event, or at
+        # construction when the engine splits off its uniform windows
         self._layers = self._maps = None
+        self._noise_layers: set[int] = set()  # until `_compile_noise` sets them
+        # the lazy windows' opening layers -> (first window, rows), and each
+        # window's parity Q_w; empty unless the engine splits
+        self._windows: dict[int, tuple[int, np.ndarray]] = {}
+        self._window_q = np.zeros(0)
+        self._noise_layers = self._compile_noise(noise)
 
     def _compile_noise(self, noise: NoiseModel | None) -> set[int]:
         """Pool the plan's live cells by their net flip probability q;
@@ -447,8 +501,9 @@ class PlaneEngine:
         qubits by descending X horizon, ties in group order, so the live X
         slots of a (noise step, group) segment are a prefix of the group,
         whose length one `searchsorted` gives for the whole step x group
-        grid. Z segments stay whole in superposition mode and go in
-        sampled-basis mode; empty segments go too. One `_NoiseClass` per
+        grid. Z segments stay whole in superposition mode, less the cells
+        of uniform windows in an engine that splits (`_split_windows`), and
+        go in sampled-basis mode; empty segments go too. One `_NoiseClass` per
         q, in order of first appearance, whose slots of one trial run
         segment after segment in (step, group, X before Z) order. Both
         orders fix the draws.
@@ -489,6 +544,15 @@ class PlaneEngine:
             return set()
         q = q[step_i, group_i, is_z]
         seg_size = seg_size[step_i, group_i, is_z]
+        start = start[group_i]
+        if self.branch_count > 1 and q @ (seg_size * is_z) >= _SPLIT_Z_HITS:
+            pool, start, seg_size = self._split_windows(layer, step_i, is_z, q, start,
+                                                        seg_size, pool)
+            kept = seg_size > 0
+            step_i, is_z, q, start, seg_size = (
+                a[kept] for a in (step_i, is_z, q, start, seg_size))
+            if not step_i.size:
+                return set()
         values, first, cls = np.unique(q, return_index=True, return_inverse=True)
         # classes in order of first appearance, and the segments class by
         # class, each class's in plan order (a stable sort)
@@ -498,7 +562,7 @@ class PlaneEngine:
         rank = rank[cls.reshape(-1)]
         seg_order = np.argsort(rank, kind="stable")
         base = (layer[step_i[seg_order]] * 2 + is_z[seg_order]) * nq
-        start, seg_size = start[group_i[seg_order]], seg_size[seg_order]
+        start, seg_size = start[seg_order], seg_size[seg_order]
         # plain slices: np.split costs far more per call
         cut = [0, *(np.flatnonzero(np.diff(rank[seg_order])) + 1).tolist(), seg_order.size]
         self._classes = [
@@ -506,6 +570,107 @@ class PlaneEngine:
             for q, lo, hi in zip(values[by_first].tolist(), cut, cut[1:])
         ]
         return set(layer[step_i].tolist())
+
+    def _split_windows(self, layers, step, is_z, q, start, size, pool):
+        """Take the Z cells of branch-uniform windows out of the segments
+        `(step, is_z, q, start, size)` over `pool`, `step` indexing the
+        sorted noise step `layers`; returns the new pool, starts and sizes,
+        each Z segment keeping its other cells in order. Sets the lazy
+        windows (`_windows`, `_window_q`).
+
+        A Z cell at layer li lies in the window of its physical row open
+        after li (`_reference_windows`). A window whose reference row is
+        uniform holds a uniform row in every trial that has not deviated
+        there when it opens, and there its phases are global. One open
+        from the start is uniform in every trial, so its cells are
+        dropped. Any other whose cells expect at least `_WINDOW_Z_HITS`
+        flips per trial keeps one parity Q_w = (1 - prod(1 - 2q)) / 2 of
+        its cells, which the passes draw for the trials whose row is mixed
+        when it opens (`_draw_windows`).
+        """
+        nq = self.schedule.qubit_count
+        window, uniform, maps, w_layer, w_row = self._reference_windows(layers)
+        # every Z cell's segment, qubit, physical row and window
+        z = np.flatnonzero(is_z)
+        zs = size[z]
+        ends = np.cumsum(zs)
+        seg = np.repeat(np.arange(z.size), zs)
+        qubit = pool[np.arange(ends[-1]) + np.repeat(start[z] - ends + zs, zs)]
+        at = np.repeat(step[z] * nq, zs)
+        at += maps.take(at + qubit)
+        cell_window, flat = window.take(at), uniform.take(at)
+
+        # the cells of the uniform windows that a swap opens, and each such
+        # window's expected flips per trial and the parity of its cells'
+        # flips: the product of 1 - 2q is that of |1 - 2q|, its sign
+        # flipped by each cell with q > 1/2
+        pooled = np.flatnonzero(flat & (cell_window >= nq))
+        w, cq = cell_window[pooled], q[z][seg[pooled]]
+        hits = np.bincount(w, cq, w_layer.size)
+        with np.errstate(divide="ignore"):
+            logs = np.bincount(w, np.log(np.abs(1.0 - 2.0 * cq)), w_layer.size)
+        odd = np.bincount(w[cq > 0.5], minlength=w_layer.size) & 1
+        # the lazy windows in (opening layer, row) order
+        kept = np.flatnonzero(hits >= _WINDOW_Z_HITS)
+        kept = kept[np.lexsort((w_row[kept], w_layer[kept]))]
+        self._window_q = 0.5 - 0.5 * np.exp(logs[kept]) * (1 - 2 * odd[kept])
+        w_layer, w_row = w_layer[kept], w_row[kept]
+        cut = np.flatnonzero(np.diff(w_layer, prepend=-1)).tolist()
+        self._windows = {
+            li: (lo, w_row[lo:hi])
+            for li, lo, hi in zip(w_layer[cut].tolist(), cut, [*cut[1:], w_layer.size])
+        }
+
+        # the Z segments keep their static cells, appended to the pool
+        static = ~flat
+        static[pooled[hits[w] < _WINDOW_Z_HITS]] = True
+        start, size = start.copy(), size.copy()
+        size[z] = np.bincount(seg[static], minlength=z.size)
+        start[z] = pool.size + np.cumsum(size[z]) - size[z]
+        return np.concatenate([pool, qubit[static]]), start, size
+
+    def _reference_windows(self, layers: np.ndarray):
+        """The windows of the physical rows, from one run of the compiled
+        layers on the reference block up to the last of the sorted noise
+        `layers`: `(window, uniform, maps, opening, row)`.
+
+        A row's window opens at each layer in which the row is an operand
+        of a controlled swap. Inside one only inverts and X flips change
+        the row, alike on every branch of a trial, so a row uniform (one
+        bit in every branch) when its window opens stays uniform there.
+        Window r < qubits is row r's window open from the start, with
+        opening layer -1; the others are numbered in order of opening, and
+        `opening` and `row` give each window's opening layer and row.
+        After each layer of `layers`, `window` gives each row's open
+        window and `uniform` whether the reference row is uniform; `maps`
+        holds the row maps after those layers.
+        """
+        self._prepare(layers.tolist())
+        nq = self.schedule.qubit_count
+        block = self._superposition[0].copy()
+        current = np.arange(nq, dtype=np.int32)
+        opening, rows_of = [np.full(nq, -1)], [np.arange(nq)]
+        window = np.empty((layers.size, nq), dtype=np.int32)
+        uniform = np.empty((layers.size, nq), dtype=bool)
+        count = step = 0
+        for li, layer in enumerate(self._layers[: layers[-1] + 1]):
+            _gate_pass(layer, block, block.shape[1])
+            for rows, _ in layer[0]:
+                operands = rows[:2].reshape(-1)
+                count += operands.size
+                current[operands] = np.arange(nq + count - operands.size, nq + count)
+                opening.append(np.full(operands.size, li))
+                rows_of.append(operands)
+            if li == layers[step]:
+                window[step] = current
+                head = block[:, 0]
+                flat = (head == 0) | (head == ~np.uint64(0))
+                if block.shape[1] > 1:  # and every word as the first
+                    flat &= (block == block[:, :1]).all(axis=1)
+                uniform[step] = flat
+                step += 1
+        maps = np.stack([self._maps[li] for li in layers.tolist()])
+        return window, uniform, maps, np.concatenate(opening), np.concatenate(rows_of)
 
     def _compile(self, keep: set[int]) -> tuple[list[tuple], dict[int, np.ndarray]]:
         """Each layer's gates on physical plane rows, and the logical-to-
@@ -674,9 +839,11 @@ class PlaneEngine:
             offset += n_trials
         # one array, so the per-class arrays are freed before the pass
         codes = np.concatenate(codes)
-        return self._run_codes(codes, total, np.concatenate(addresses) if addresses else None)
+        return self._run_codes(codes, total, np.concatenate(addresses) if addresses else None,
+                               batches)
 
-    def _run_codes(self, codes: np.ndarray, total: int, trial_addresses=None) -> np.ndarray:
+    def _run_codes(self, codes: np.ndarray, total: int, trial_addresses=None,
+                   batches=None) -> np.ndarray:
         """Run one plane pass of `total` trials whose error events are the
         int64 `codes`, `cell * total + trial` with cell `(layer * 2 + is_z)
         * qubits + qubit`, in any order; returns the trials' fidelities.
@@ -692,8 +859,12 @@ class PlaneEngine:
         X flip is never simulated: its fidelity is exactly 1, or the
         squared overlap of its signs alone when it has phases. When
         `trial_addresses` gives each trial's address (sampled-basis mode),
-        the dense pass runs the joined trials at their own addresses. The
-        pass sorts `codes` in place and then spends them.
+        the dense pass runs the joined trials at their own addresses. When
+        `batches` gives the pass's `(rng, n_trials)` batches, in trial
+        order, the kernel also collects the joined trials whose row is
+        mixed at a uniform window's opening, and each batch draws their
+        parities (`_draw_windows`) before the scoring. The pass sorts
+        `codes` in place and then spends them.
         """
         if not codes.size:
             # every trial is the noiseless run: fidelity exactly 1
@@ -724,12 +895,16 @@ class PlaneEngine:
         cols = _slot_columns(B)
         unit = _trial_units(np.zeros((cols + 63) // 64, dtype=np.uint64), cols)[0]
         sign = np.zeros((total, *unit.shape[1:]), dtype=unit.dtype)
+        mixed = [] if batches is not None and self._windows else None
         # trial spans of two or more plane words, and some X flip: a pass
         # with none has no deviation to track
         if B >= 128 and order.size and cell.size <= _DEVIATION_EVENTS_PER_ROW * order.size * nq:
-            bad = self._run_deviations(cell, trial, bounds, order, sign)
+            bad = self._run_deviations(cell, trial, bounds, order, sign, mixed)
         else:
-            bad = self._run_dense(cell, trial, bounds, first[order], order, sign, trial_addresses)
+            bad = self._run_dense(cell, trial, bounds, first[order], order, sign, trial_addresses,
+                                  mixed)
+        if mixed:
+            self._draw_windows(mixed, order, sign, batches)
 
         def signs(trials):
             """The signs of `trials`, packed in consecutive slots."""
@@ -746,10 +921,13 @@ class PlaneEngine:
         fids[phased] = self._overlap_squares(np.zeros_like(words), words, phased.size, cols)
         return fids
 
-    def _run_dense(self, cell, trial, bounds, firsts, order, sign, trial_addresses) -> np.ndarray:
+    def _run_dense(self, cell, trial, bounds, firsts, order, sign, trial_addresses,
+                   mixed=None) -> np.ndarray:
         """The dense plane pass of the decoded, sorted events: the bad-branch
         words of the joined trials `order`, whose first X layers are
-        `firsts`; each Z phase flips its trial's unit of `sign`.
+        `firsts`; each Z phase flips its trial's unit of `sign`. A list
+        `mixed` takes, at each uniform window's opening, `(window, join
+        index, unit)` of the joined trials whose unit there is mixed.
 
         The plane holds the reference block, then each joined trial's slot
         in join order. Right after the gates of a trial's first X layer, and
@@ -786,6 +964,7 @@ class PlaneEngine:
         units, shift = _trial_units(plane, cols)
         U = units.shape[0] // nq  # units per plane row
         whole = ~units.dtype.type(0)
+        by_row = units.reshape(nq, U, *units.shape[1:])
         # each trial's slot, the reference's slot 0 until the trial joins
         slot_of = np.zeros(sign.shape[0], dtype=np.int64)
 
@@ -804,6 +983,19 @@ class PlaneEngine:
                 slot_of[order[joined : ends[li]]] = np.arange(ref_slots + joined,
                                                               ref_slots + ends[li])
                 w, joined = top, ends[li]
+            # the trials joined before this layer: one that joins here is
+            # still a copy of the reference, whose window rows are uniform
+            old = ends[li - 1] if li else 0
+            if mixed is not None and old and li in self._windows:
+                lo, rows = self._windows[li]
+                u = by_row[rows, ref_slots : ref_slots + old]
+                head = u if u.ndim == 2 else u[..., 0]
+                mix = (head != 0) & (head != whole)
+                if u.ndim > 2:  # a wide unit: its words must all equal the first
+                    mix |= (u != head[..., None]).any(axis=2)
+                hit = np.flatnonzero(mix)
+                k = hit // old
+                mixed.append((lo + k, hit - k * old, u.reshape(-1, *units.shape[1:])[hit]))
             if bounds[2 * li] == bounds[2 * li + 2]:
                 continue
             row_units = maps[li] * np.int64(U)  # each logical qubit's first unit
@@ -829,11 +1021,12 @@ class PlaneEngine:
             return np.zeros(0, dtype=np.uint64)
         return self._bad_branches(plane, maps[len(self._layers) - 1], readout)
 
-    def _run_deviations(self, cell, trial, bounds, order, sign) -> np.ndarray:
+    def _run_deviations(self, cell, trial, bounds, order, sign, mixed=None) -> np.ndarray:
         """The deviation-tracked form of a superposition pass: the same
         bad-branch words of the joined trials `order` as `_run_dense`, from
         the decoded, sorted events, for passes whose joined trials carry
-        few events; each Z phase flips its trial's unit of `sign`.
+        few events; each Z phase flips its trial's unit of `sign`, and
+        `mixed` takes what `_run_dense` gives it, from the flagged pairs.
 
         Each joined trial keeps only its XOR against the reference block,
         whose span of S >= 2 words runs densely. The deviations live in a
@@ -902,6 +1095,16 @@ class PlaneEngine:
                 ref[a], ref[b] = ra, rb
             if inverts.size:
                 ref[inverts] = ~ref[inverts]
+            if mixed is not None and li in self._windows:
+                # a uniform window's row is mixed where its deviation is
+                lo, rows = self._windows[li]
+                hit = np.flatnonzero(flags.take(rows, axis=0))
+                k = hit // T
+                t = hit - k * T
+                d = dev.read(rows[k] * np.int64(T) + t)[1]
+                d ^= ref.take(rows[k], axis=0)
+                mix = ~((d == 0).all(axis=1) | (d == ~np.uint64(0)).all(axis=1))
+                mixed.append((lo + k[mix], t[mix], d[mix]))
             lo, mid, hi = bounds[2 * li : 2 * li + 3]
             if lo < mid:  # X flips: each trial's whole span
                 rows = self._maps[li].take(cell[lo:mid] - 2 * li * nq)
@@ -948,6 +1151,28 @@ class PlaneEngine:
             code += hits
             codes.append(code)
         return codes
+
+    def _draw_windows(self, mixed, order, sign, batches) -> None:
+        """Flip the signs of the mixed (uniform window, joined trial) pairs
+        whose window parity fires: the pass's `mixed` pairs, `(window, join
+        index, row unit)` in (layer, row, join) order, and the pass's
+        `(rng, n_trials)` batches. Each batch draws one uniform per pair of
+        its own trials from its own generator, in that order, so the draws
+        do not depend on how batches share passes; a pair whose uniform
+        falls below its window's Q_w XORs its unit into its trial's signs."""
+        window, join, words = (np.concatenate(part) for part in zip(*mixed))
+        trial = order[join]
+        ends = np.cumsum([n for _, n in batches])
+        # a pass holds at most 2^15 trials of two or more branches, so its
+        # batch numbers fit uint16, which numpy sorts stably by radix
+        batch = np.searchsorted(ends, trial, side="right").astype(np.uint16)
+        by_batch = np.argsort(batch, kind="stable")
+        cut = np.searchsorted(batch[by_batch], np.arange(len(batches) + 1))
+        fire = np.empty(trial.size, dtype=bool)
+        for (rng, _), lo, hi in zip(batches, cut.tolist(), cut[1:].tolist()):
+            pick = by_batch[lo:hi]
+            fire[pick] = rng.random(hi - lo) < self._window_q[window[pick]]
+        np.bitwise_xor.at(sign, trial[fire], words[fire])
 
     def _ideal(self, plane: np.ndarray, row: np.ndarray, readout) -> np.ndarray:
         """Each read row's noiseless final bits from the pass's reference

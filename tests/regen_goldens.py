@@ -9,10 +9,13 @@ for a change that alters the RNG draw order, a bound or a resource table
 on purpose, and say why in the change; run at an unchanged commit, it
 rewrites every file byte for byte. With --check it writes nothing: it names each file that
 would change and exits 1, or exits 0 when every file is as it would write
-it.
+it. When it rewrites sim_golden.csv, it prints each changed row's z-score
+against the row it replaces (`z_scores`).
 """
 
+import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +37,35 @@ def goldens() -> dict[Path, str]:
     }
 
 
+def z_scores(old: str, new: str) -> list[str]:
+    """One line per row of the sweep CSV text `new` that differs from the
+    row in the same place of `old`: its row number among the data rows,
+    its point, both means and z = (new - old) / sqrt(se_old^2 + se_new^2).
+    A row's standard error is read off its 95% interval as (high - low) /
+    3.92: for the Wilson interval that is the binomial one, never below
+    the per-trial error of fidelities in [0, 1], so |z| errs low. Header
+    lines, which start each concatenated report, are skipped."""
+    def rows(text):
+        return [row for row in csv.reader(text.splitlines()) if row[0] != "architecture"]
+
+    head = next(csv.reader(new.splitlines()))
+    col = {name: head.index(name) for name in
+           ("architecture", "router_kind", "n", "mean_infidelity", "ci95_low", "ci95_high")}
+    out = []
+    for i, (was, now) in enumerate(zip(rows(old), rows(new)), 1):
+        if was == now:
+            continue
+        mean, se = [], []
+        for row in (was, now):
+            mean.append(float(row[col["mean_infidelity"]]))
+            se.append((float(row[col["ci95_high"]]) - float(row[col["ci95_low"]])) / 3.92)
+        spread = math.hypot(*se)
+        z = (mean[1] - mean[0]) / spread if spread else 0.0  # two all-noiseless rows
+        point = " ".join(now[col[k]] for k in ("architecture", "router_kind"))
+        out.append(f"row {i}: {point} n={now[col['n']]}: {mean[0]!r} -> {mean[1]!r}, z={z:+.2f}")
+    return out
+
+
 def main(argv: list[str]) -> int:
     if argv not in ([], ["--check"]):
         print("usage: regen_goldens.py [--check]", file=sys.stderr)
@@ -41,6 +73,9 @@ def main(argv: list[str]) -> int:
     texts = goldens()
     if not argv:
         for path, text in texts.items():
+            if path.name == "sim_golden.csv" and path.is_file():
+                for line in z_scores(path.read_text(), text):
+                    print(f"{path.name} {line}")
             path.write_text(text)
         return 0
     stale = [path for path, text in texts.items()

@@ -209,6 +209,31 @@ def test_resource_limit_exit_3(capsys):
     assert "basis" in err
 
 
+def test_sim_round_trip_notes_the_descent_only_hetero_bound(capsys):
+    """`sim --round-trip on` prints one `note:` line on stderr naming the
+    hetero architectures of the sweep, whose `analytic_bound` is the
+    descent-only bound that the round trip can exceed; the CSV keeps that
+    bound, the one `--round-trip off` prints. A sweep with no hetero tree,
+    or on its own protocol, prints no note."""
+    base = ["sim", "--n", "2", "--p-prime", "0.9", "--trials", "50", "--seed", "3"]
+    code, out, err = run_cli([*base, "--arch", "uniform-bb,ft-hetero,walker,bb-hetero",
+                              "--round-trip", "on"], capsys)
+    assert code == 0
+    assert err.splitlines() == [
+        "note: --round-trip on: the analytic_bound of ft-hetero,bb-hetero is the "
+        "descent-only bound, which the round trip can exceed"]
+    rows = list(csv.DictReader(out.splitlines()))
+    code, descent, err = run_cli([*base, "--arch", "ft-hetero,bb-hetero", "--round-trip", "off"],
+                                 capsys)
+    assert code == 0 and err == ""
+    assert [row["analytic_bound"] for row in rows if "hetero" in row["architecture"]] == [
+        row["analytic_bound"] for row in csv.DictReader(descent.splitlines())]
+    for argv in ([*base, "--arch", "uniform-bb", "--round-trip", "on"],
+                 [*base, "--arch", "ft-hetero,bb-hetero"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0 and err == "", argv
+
+
 def test_compare_simulates_to_the_ceiling_of_its_address_mode(capsys):
     """`compare --mode simulated` runs a point as deep as `sim` can in its
     address mode: at n=12, past the superposition ceiling, sampled-basis
@@ -280,6 +305,30 @@ def test_compare_auto_notes_the_points_priced_from_the_bound(capsys):
     assert code == 0
     (note,) = err.splitlines()
     assert note == _BASIS_NOTE
+
+
+def test_compare_auto_note_names_the_depths_without_a_report_row(capsys, monkeypatch):
+    """The `--mode auto` note names exactly the depths whose points
+    `compare_point` priced from the bound, which it says by returning no
+    report row, in the order of --n and once each over the architectures:
+    here a stand-in returns none at n=3 and 5 of 2..5, depths inside the
+    superposition ceiling, and a report row elsewhere."""
+    from hetqram import cli
+
+    real = cli.compare_point
+
+    def stand_in(n, config, architecture, mode):
+        row, _ = real(n, config, architecture=architecture, mode="analytic")
+        return row, None if n in (3, 5) else object()
+
+    monkeypatch.setattr(cli, "compare_point", stand_in)
+    monkeypatch.setattr(cli, "_note_noiseless", lambda row: None)
+    code, _, err = run_cli(["compare", "--arch", "ft-hetero,bb-hetero", "--n", "2..5",
+                            "--mode", "auto"], capsys)
+    assert code == 0
+    assert err.splitlines() == [
+        "note: --mode auto prices n=3,5 from the closed-form bound, "
+        "past the superposition simulation ceiling n=10"]
 
 
 def test_sweep_past_ceiling_exits_3_before_simulating(capsys, monkeypatch):
@@ -772,6 +821,37 @@ def test_regen_goldens_check_names_each_stale_file(monkeypatch, capsys):
     assert capsys.readouterr().out == "would change: tests/data/basis_golden.json\n"
     assert {path: path.read_text() for path in files} == before
     assert regen_goldens.main(["--bogus"]) == 2
+
+
+def test_regen_goldens_prints_z_scores_of_the_changed_sim_rows(monkeypatch, capsys, tmp_path):
+    """Rewriting sim_golden.csv prints one line per changed row, with its
+    row number among the data rows (header lines skipped), its point, both
+    means and z = (new - old) / hypot(se_old, se_new), each row's standard
+    error read off its 95% interval as (high - low) / 3.92; an unchanged
+    row, or a rewrite of another file, prints nothing. Synthetic reports of
+    two blocks, one row of each changed."""
+    import regen_goldens
+
+    head = "architecture,router_kind,n,p_prime,trials,mean_infidelity,ci95_low,ci95_high,seed\n"
+    old = (head + "ft-hetero,qutrit,2,0.2,500,0.30,0.26,0.34,11\n"
+           "bb-hetero,qubit,3,0.2,500,0.10,0.08,0.12,11\n"
+           + head + "ft-hetero,qutrit,2,0.2,500,0.20,0.18,0.22,11\n")
+    new = old.replace("0.30,0.26,0.34", "0.28,0.24,0.32").replace("0.20,0.18,0.22", "0.23,0.20,0.26")
+    z_first = (0.28 - 0.30) / math.hypot(0.08 / 3.92, 0.08 / 3.92)
+    z_third = (0.23 - 0.20) / math.hypot(0.04 / 3.92, 0.06 / 3.92)
+    assert regen_goldens.z_scores(old, new) == [
+        f"row 1: ft-hetero qutrit n=2: 0.3 -> 0.28, z={z_first:+.2f}",
+        f"row 3: ft-hetero qutrit n=2: 0.2 -> 0.23, z={z_third:+.2f}"]
+    assert regen_goldens.z_scores(old, old) == []
+
+    sim, other = tmp_path / "sim_golden.csv", tmp_path / "basis_golden.json"
+    sim.write_text(old)
+    other.write_text("{}\n")
+    monkeypatch.setattr(regen_goldens, "goldens", lambda: {sim: new, other: "{ }\n"})
+    assert regen_goldens.main([]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"sim_golden.csv {line}" for line in regen_goldens.z_scores(old, new)]
+    assert sim.read_text() == new and other.read_text() == "{ }\n"
 
 
 #: depths for the analytic golden: every small tree, then up to the paper's 30 and 40

@@ -1,7 +1,10 @@
 """Batched plane engine against the word-by-word oracle and hand-checkable cases."""
 
+import copy
+import functools
 import json
 import math
+import operator
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +16,9 @@ from hypothesis.extra import numpy as hnp
 from compile_oracle import reference_compile
 from word_oracle import reference_fidelity, sampled_events
 
+from hetqram import engine
 from hetqram.circuits import (
+    GateKind,
     build_bb_hetero,
     build_ft_hetero,
     build_schedule,
@@ -421,31 +426,35 @@ def test_fused_passes_equal_one_run_per_batch(n, monkeypatch):
     and takes on the next batch whenever that stays within the limit.
     n=1..7 crosses the sub-word (B < 64) and the aligned trial spans; the
     cases give a partial last batch, a pass whose column count is no
-    multiple of 64, and batches that hit the column limit."""
-    sched = build_ft_hetero(n, "qubit", _database(n))
-    noise = NoiseModel(SurfaceParams(0.03, 0.3), sched.profile)
-    B = 1 << n
-    per_pass = _PASS_COLUMNS // B
-    eng = PlaneEngine(sched, noise)
-    cases = [(333, 50), (5 * (per_pass // 3 + 1) + 11, per_pass // 3 + 1), (600, 512)]
-    expect = {}
-    for trials, batch in cases:
-        sizes = [min(batch, trials - d) for d in range(0, trials, batch)]
-        expect[trials, batch] = sizes, np.concatenate(
-            [eng.run(trajectory_rng(9, b), take) for b, take in enumerate(sizes)])
-
+    multiple of 64, and batches that hit the column limit. A qutrit tree at
+    epsilon'=0.3 splits off its uniform windows from n=4 on, so there each
+    batch also draws its lazy window parities from its own stream."""
     passes = _spy_passes(monkeypatch)
-    for trials, batch in cases:
-        passes.clear()
-        sizes, ref = expect[trials, batch]
-        got = run_fidelities(sched, noise, trials, seed=9, batch_size=batch)
-        assert got.tobytes() == ref.tobytes(), (n, trials, batch)
-        assert [m for p in passes for m in p] == sizes
-        for p, following in zip(passes, passes[1:] + [[]]):
-            assert sum(p) * B <= max(max(p) * B, _PASS_COLUMNS)
-            if following:
-                assert (sum(p) + following[0]) * B > _PASS_COLUMNS
-    assert len(expect[333, 50][0]) == 7
+    for kind, params in (("qubit", SurfaceParams(0.03, 0.3)), ("qutrit", SurfaceParams(0.3, 0.3))):
+        sched = build_ft_hetero(n, kind, _database(n))
+        noise = NoiseModel(params, sched.profile)
+        B = 1 << n
+        per_pass = _PASS_COLUMNS // B
+        eng = PlaneEngine(sched, noise)
+        assert bool(eng._windows) == (kind == "qutrit" and n >= 4)
+        cases = [(333, 50), (5 * (per_pass // 3 + 1) + 11, per_pass // 3 + 1), (600, 512)]
+        expect = {}
+        for trials, batch in cases:
+            sizes = [min(batch, trials - d) for d in range(0, trials, batch)]
+            expect[trials, batch] = sizes, np.concatenate(
+                [eng.run(trajectory_rng(9, b), take) for b, take in enumerate(sizes)])
+
+        for trials, batch in cases:
+            passes.clear()
+            sizes, ref = expect[trials, batch]
+            got = run_fidelities(sched, noise, trials, seed=9, batch_size=batch)
+            assert got.tobytes() == ref.tobytes(), (n, kind, trials, batch)
+            assert [m for p in passes for m in p] == sizes
+            for p, following in zip(passes, passes[1:] + [[]]):
+                assert sum(p) * B <= max(max(p) * B, _PASS_COLUMNS)
+                if following:
+                    assert (sum(p) + following[0]) * B > _PASS_COLUMNS
+        assert len(expect[333, 50][0]) == 7
 
 
 def test_sampled_basis_runs_one_batch_per_pass(monkeypatch):
@@ -1093,27 +1102,89 @@ def test_sampled_basis_fidelities_unchanged():
     assert basis_golden_fidelities() == golden
 
 
+def _windows_loop(sched):
+    """Loop definition of the engine's row windows, from `Layer.gates` and
+    `Gate.apply_to_word` alone: after each layer, for each logical qubit
+    b, `(opening, row, uniform)`. `row` is b's plane row, which follows its
+    data through plain swaps; `opening` is the last layer so far in which
+    that row was an operand of a controlled swap (-1 for none), a control
+    touch opening nothing; `uniform` says whether every address's
+    noiseless word holds one bit at b."""
+    nq = sched.qubit_count
+    row, opened = list(range(nq)), [-1] * nq
+    words = [sched.initial_word(a) for a in range(1 << sched.n)]
+    out = []
+    for li, layer in enumerate(sched.layers):
+        for g in layer.gates:
+            if g.controls:
+                for b in g.operands:
+                    opened[row[b]] = li
+            elif g.kind is GateKind.SWAP:
+                a, b = g.operands
+                row[a], row[b] = row[b], row[a]
+            words = [g.apply_to_word(w) for w in words]
+        ones, zeros = functools.reduce(operator.and_, words), functools.reduce(operator.or_, words)
+        out.append([(opened[row[b]], row[b], (ones >> b & 1) == (zeros >> b & 1))
+                    for b in range(nq)])
+    return out
+
+
 def _noise_classes_loop(sched, noise, basis=False):
-    """Loop definition of the engine's noise classes: per distinct net flip
-    probability q, in order of first appearance over (step, live group,
-    X before Z), the live event cells (layer * 2 + is_z) * qubits + qubit,
-    in the engine's slot order: each group's qubits by descending X
-    horizon, ties in group order, and only those whose events can change a
-    fidelity (`_global_phase_events`)."""
+    """Loop definition of the engine's noise classes and lazy windows.
+
+    The classes: per distinct net flip probability q, in order of first
+    appearance over (step, live group, X before Z), the live event cells
+    (layer * 2 + is_z) * qubits + qubit, in the engine's slot order: each
+    group's qubits by descending X horizon, ties in group order, and only
+    those whose events can change a fidelity (`_global_phase_events`).
+
+    A superposition engine whose live Z cells expect at least
+    `_SPLIT_Z_HITS` hits per trial takes out the Z cells whose window
+    (`_windows_loop`) is uniform: it drops those of a window open from the
+    start, and a window that opens at a swap and whose cells expect at
+    least `_WINDOW_Z_HITS` flips keeps their parity (1 - prod(1 - 2q)) / 2.
+    Returns the classes and those windows, `{(opening, row): parity}`.
+    """
     nq = sched.qubit_count
     horizon = _x_horizons(sched)
     dead = _global_phase_events(sched, basis)
-    classes: dict[float, list[int]] = {}
+    segments = []
     for step in NoisePlan(sched, noise).steps:
         for g in step.groups:
             qubits = sorted(g.qubits.tolist(), key=lambda b: -horizon[b])
             for is_z, p in ((0, g.px), (1, g.pz)):
                 q = net_flip_probability(p, step.rounds)
-                key = step.layer * 2 + is_z
-                cells = [key * nq + b for b in qubits if not dead(key, b)]
+                cells = [b for b in qubits if not dead(step.layer * 2 + is_z, b)]
                 if q > 0.0 and cells:
-                    classes.setdefault(q, []).extend(cells)
-    return list(classes.items())
+                    segments.append((q, step.layer, is_z, cells))
+    taken, lazy = set(), {}
+    if sum(q * len(cells) for q, _, is_z, cells in segments if is_z) >= engine._SPLIT_Z_HITS:
+        state, windows = _windows_loop(sched), {}
+        for q, li, is_z, cells in segments:
+            for b in cells if is_z else ():
+                opening, row, uniform = state[li][b]
+                if uniform and opening < 0:
+                    taken.add((li, b))
+                elif uniform:
+                    windows.setdefault((opening, row), []).append((li, b, q))
+        for window, members in windows.items():
+            if sum(q for _, _, q in members) >= engine._WINDOW_Z_HITS:
+                taken |= {(li, b) for li, b, _ in members}
+                lazy[window] = (1 - math.prod(1 - 2 * q for _, _, q in members)) / 2
+    classes: dict[float, list[int]] = {}
+    for q, li, is_z, cells in segments:
+        kept = [(li * 2 + is_z) * nq + b for b in cells if not (is_z and (li, b) in taken)]
+        if kept:
+            classes.setdefault(q, []).extend(kept)
+    return list(classes.items()), lazy
+
+
+def _lazy_windows(eng):
+    """The engine's lazy windows in its own order, as `(opening, row)`,
+    and their parities."""
+    keys = [(li, row) for li, (lo, rows) in eng._windows.items()
+            for row in rows.tolist()]
+    return keys, eng._window_q.tolist()
 
 
 def test_noise_class_cells_built_on_first_hit():
@@ -1141,7 +1212,10 @@ def test_noise_classes_equal_loop_definition(arch, kind):
     """The engine's vectorized class table holds the loop's classes, in the
     same order and with the same live cells in the same order, in both
     address modes: both orders fix which slot each geometric draw lands
-    on."""
+    on. The lazy windows are the loop's too, in (opening layer, row)
+    order, the order of their draws, with the same parities; the hetero
+    trees' superposition engines at n=5 with Z noise split."""
+    splits = 0
     for n in (1, 3, 5):
         sched = build_schedule(arch, n, kind, _database(n), round_trip=n != 3)
         for channel in ("xz", "x", "z"):
@@ -1152,8 +1226,13 @@ def test_noise_classes_equal_loop_definition(arch, kind):
                 got = [(c.q, c.cells.tolist()) for c in eng._classes]
                 assert all(c.cells.dtype == np.int64 and c.cells.size == c.slots
                            for c in eng._classes)
-                want = _noise_classes_loop(sched, noise, basis)
+                want, windows = _noise_classes_loop(sched, noise, basis)
                 assert got == want, (arch, kind, n, channel, basis)
+                keys, parities = _lazy_windows(eng)
+                assert keys == sorted(windows), (arch, kind, n, channel, basis)
+                assert parities == pytest.approx([windows[k] for k in keys], rel=1e-12)
+                splits += bool(windows)
+    assert splits == (2 if "hetero" in arch else 0)
 
 
 def _plan_cells(sched, noise):
@@ -1233,6 +1312,193 @@ def test_dropped_x_events_change_no_fidelity(arch, kind):
     assert cases == 320 and phased > 100 and lossy > 50, (phased, lossy)
 
 
+def _random_flips(rng, nq, layers, count):
+    """`count` X flips on random qubits after random layers of `layers`."""
+    flips = {}
+    for li, b in zip(rng.choice(layers, count).tolist(), rng.integers(0, nq, count).tolist()):
+        flips.setdefault(li, []).append(PauliEvent(b, "X"))
+    return flips
+
+
+def _with(events, more):
+    """The events of both dicts, layer by layer."""
+    return {li: events.get(li, []) + more.get(li, []) for li in events.keys() | more.keys()}
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_z_pair_in_one_window_is_global(arch, kind):
+    """Two Z phases on one plane row inside one of its windows
+    (`_reference_windows`: a row's window runs from a layer in which it is
+    an operand of a controlled swap to the next) flip the signs of all of
+    a trial's branches or of none, whatever X flips the trial sees:
+    `run_events` gives the same fidelity bit for bit with the pair and
+    without it. The pairs span whole windows or random parts of them, next
+    to one to three random X flips, at n=2..4 and both protocols. The same
+    flips with a pair that straddles a window boundary of the row change
+    some fidelities, so the boundaries are where they must be."""
+    rng = np.random.default_rng(23)
+    cases = lossy = straddles = moved = 0
+    for n in (2, 3, 4):
+        for rt in (True, False):
+            sched = build_schedule(arch, n, kind, _database(n), round_trip=rt)
+            eng = PlaneEngine(sched, None)
+            nq, n_layers = sched.qubit_count, len(sched.layers)
+            window, _, maps, _, _ = eng._reference_windows(np.arange(n_layers))
+            logical = np.argsort(maps, axis=1)  # each layer's row -> logical qubit
+            for _ in range(24):
+                row = int(rng.integers(nq))
+                spans = np.flatnonzero(np.diff(window[:, row], prepend=-1, append=-1))
+                k = int(rng.integers(spans.size - 1))
+                lo, hi = spans[k], spans[k + 1] - 1  # the layers of one window
+                if hi == lo:
+                    continue
+                l1, l2 = (lo, hi) if rng.random() < 0.5 else sorted(rng.choice(
+                    np.arange(lo, hi + 1), 2, replace=False).tolist())
+                flips = _random_flips(rng, nq, n_layers, int(rng.integers(1, 4)))
+                pair = _with({l1: [PauliEvent(int(logical[l1, row]), "Z")]},
+                             {l2: [PauliEvent(int(logical[l2, row]), "Z")]})
+                expect = eng.run_events(flips, 1)
+                assert eng.run_events(_with(flips, pair), 1).tobytes() == expect.tobytes(), (
+                    arch, kind, n, rt, row, l1, l2, flips)
+                cases += 1
+                lossy += expect[0] < 1.0
+                if k + 2 < spans.size:  # the last layer here, the first of the next
+                    pair = _with({hi: [PauliEvent(int(logical[hi, row]), "Z")]},
+                                 {hi + 1: [PauliEvent(int(logical[hi + 1, row]), "Z")]})
+                    straddles += 1
+                    moved += eng.run_events(_with(flips, pair), 1)[0] != expect[0]
+    assert cases > 100 and lossy > 20 and moved > 0, (cases, lossy, straddles, moved)
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_uniform_window_phase_changes_nothing(arch, kind, monkeypatch):
+    """A Z phase on a cell that a splitting engine takes out of its classes
+    (its row's window is uniform in the reference: dropped, or kept as a
+    lazy parity) changes no fidelity of a trial whose row stays uniform:
+    through `run_events`, the phase alone reads exactly 1, and next to one
+    to three random X flips at later layers it gives, bit for bit, the
+    fidelity of those flips alone. n=2..4, both protocols, every engine
+    forced to split; the cells are those that the same engine without the
+    split draws and this one does not."""
+    rng = np.random.default_rng(29)
+    cases = lossy = 0
+    for n in (2, 3, 4):
+        for rt in (True, False):
+            sched = build_schedule(arch, n, kind, _database(n), round_trip=rt)
+            noise = NoiseModel(SurfaceParams(0.03, 0.3), sched.profile)
+            nq, n_layers = sched.qubit_count, len(sched.layers)
+            monkeypatch.setattr("hetqram.engine._SPLIT_Z_HITS", math.inf)
+            whole = set(_live_cells(PlaneEngine(sched, noise))[1][0].tolist())
+            monkeypatch.setattr("hetqram.engine._SPLIT_Z_HITS", 0.0)
+            eng = PlaneEngine(sched, noise)
+            taken = sorted(whole - set(_live_cells(eng)[1][0].tolist()))
+            assert taken and eng._windows.keys() <= set(range(n_layers))
+            for cell in rng.choice(taken, min(len(taken), 12), replace=False).tolist():
+                li, b = divmod(cell, 2 * nq)
+                phase = {li: [PauliEvent(b - nq, "Z")]}
+                assert eng.run_events(phase, 1)[0] == 1.0, (arch, kind, n, rt, li, b - nq)
+                if li + 1 < n_layers:
+                    flips = _random_flips(rng, nq, np.arange(li + 1, n_layers),
+                                          int(rng.integers(1, 4)))
+                    expect = eng.run_events(flips, 1)
+                    assert eng.run_events(_with(flips, phase), 1).tobytes() == expect.tobytes()
+                    lossy += expect[0] < 1.0
+                cases += 1
+    assert cases > 50 and lossy > 5, (cases, lossy)
+
+
+def _spy_lazy_pairs(monkeypatch):
+    """Record each `_draw_windows` call's lazy pairs and which fire.
+
+    A record is `(pairs, fired)`: the collected pairs as `(window, join
+    index)`, which must come in (opening layer, row, join) order, and the
+    fired ones as `(trial, opening layer, row)`, found by replaying each
+    batch's uniforms from a copy of its generator, one per pair of its
+    trials in that order, against the window's parity."""
+    calls = []
+    real = PlaneEngine._draw_windows
+
+    def spy(self, mixed, order, sign, batches):
+        window, join = (np.concatenate([m[i] for m in mixed]).tolist() for i in (0, 1))
+        pairs = list(zip(window, join))
+        assert pairs == sorted(pairs)
+        opened = [(li, row) for li, (_, rows) in self._windows.items() for row in rows.tolist()]
+        streams = [copy.deepcopy(rng) for rng, _ in batches]
+        real(self, mixed, order, sign, batches)
+        fired, first = [], 0
+        for stream, (_, n_trials) in zip(streams, batches):
+            for w, j in pairs:
+                t = int(order[j])
+                if first <= t < first + n_trials and stream.random() < self._window_q[w]:
+                    fired.append((t, *opened[w]))
+            first += n_trials
+        calls.append((pairs, fired))
+
+    monkeypatch.setattr(PlaneEngine, "_draw_windows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("arch,kind", VARIANTS)
+def test_split_trials_equal_word_oracle(arch, kind, monkeypatch):
+    """On an engine forced to split, each trial's fidelity from one seeded
+    pass equals, exactly, the word-by-word oracle run on the trial's own
+    drawn events plus one Z phase at the opening layer of each lazy window
+    whose parity fired for it (replayed from the batch's stream, see
+    `_spy_lazy_pairs`). n=2..4, both protocols, p'=0.2: the hetero trees
+    fire some windows."""
+    monkeypatch.setattr("hetqram.engine._SPLIT_Z_HITS", 0.0)
+    calls = _spy_lazy_pairs(monkeypatch)
+    fires = 0
+    for n in (2, 3, 4):
+        for rt in (True, False):
+            sched = build_schedule(arch, n, kind, _database(n), round_trip=rt)
+            eng = PlaneEngine(sched, NoiseModel(PARAMS, sched.profile))
+            n_trials = 40
+            calls.clear()
+            fids = eng.run(trajectory_rng(n, 1), n_trials)
+            key, qubit, trial = _events_by_key(eng, trajectory_rng(n, 1), n_trials)
+            events = [{} for _ in range(n_trials)]
+            for k, b, t in sorted(zip(key.tolist(), qubit.tolist(), trial.tolist())):
+                events[t].setdefault(k // 2, []).append(PauliEvent(b, "XZ"[k % 2]))
+            for t, li, row in (f for _, fired in calls for f in fired):
+                eng._prepare({li})
+                b = int(np.flatnonzero(eng._maps[li] == row)[0])
+                events[t].setdefault(li, []).append(PauliEvent(b, "Z"))
+                fires += 1
+            for t in range(n_trials):
+                assert fids[t] == reference_fidelity(sched, events[t]), (arch, kind, n, rt, t)
+    assert fires > 0 or "hetero" not in arch
+
+
+@pytest.mark.parametrize("arch,kind", [("ft-hetero", "qutrit"), ("bb-hetero", "qubit")])
+def test_split_kernels_collect_the_same_pairs(arch, kind, monkeypatch):
+    """The deviation-tracked pass and the dense plane pass of a splitting
+    engine collect the same lazy pairs, in the same order, and give the
+    same fidelities bit for bit: n=7 and 8, both protocols, p'=0.01 and
+    0.1, one 64-trial batch each, with a limit of 0 events per row forcing
+    the dense kernel and an infinite one the deviation kernel."""
+    monkeypatch.setattr("hetqram.engine._SPLIT_Z_HITS", 0.0)
+    calls = _spy_lazy_pairs(monkeypatch)
+    deviations = _spy_deviation_passes(monkeypatch)
+    paired = 0
+    for n in (7, 8):
+        for rt in (True, False):
+            sched = build_schedule(arch, n, kind, _database(n), round_trip=rt)
+            for p_prime in (0.01, 0.1):
+                eng = PlaneEngine(sched, NoiseModel(SurfaceParams(0.03, p_prime), sched.profile))
+                got = {}
+                for limit in (0.0, math.inf):
+                    monkeypatch.setattr("hetqram.engine._DEVIATION_EVENTS_PER_ROW", limit)
+                    calls.clear()
+                    deviations.clear()
+                    fids = eng.run(trajectory_rng(n, 2), 64)
+                    assert len(deviations) == (limit > 0)
+                    got[limit] = fids.tobytes(), calls[:]
+                assert got[0.0] == got[math.inf], (arch, kind, n, rt, p_prime)
+                paired += sum(len(pairs) for pairs, _ in got[0.0][1])
+    assert paired > 0
+
+
 def _spy_codes(monkeypatch):
     """Record each `_run_codes` pass's schedule, whether it runs one branch
     per trial (sampled-basis mode), and a copy of its codes and trial
@@ -1240,9 +1506,9 @@ def _spy_codes(monkeypatch):
     passes = []
     real = PlaneEngine._run_codes
 
-    def spy(self, codes, total, trial_addresses=None):
+    def spy(self, codes, total, *rest):
         passes.append((self.schedule, self.branch_count == 1, codes.copy(), total))
-        return real(self, codes, total, trial_addresses)
+        return real(self, codes, total, *rest)
 
     monkeypatch.setattr(PlaneEngine, "_run_codes", spy)
     return passes
@@ -1296,10 +1562,10 @@ def test_sim_passes_spend_every_draw(point, monkeypatch, tmp_path):
 
     run = PlaneEngine._run_codes
 
-    def spy_run(self, codes, total, trial_addresses=None):
+    def spy_run(self, codes, total, *rest):
         passes.append((drawn[0], codes.size))
         drawn[0] = 0
-        return run(self, codes, total, trial_addresses)
+        return run(self, codes, total, *rest)
 
     monkeypatch.setattr("hetqram.engine._bernoulli_hits", spy_hits)
     monkeypatch.setattr(PlaneEngine, "_run_codes", spy_run)

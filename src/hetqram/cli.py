@@ -126,7 +126,11 @@ def _common_flags(p: _Parser) -> None:
     p.add_argument("--database", choices=("random", "all_zero", "all_one"))
     p.add_argument("--round-trip", choices=("on", "off"), dest="round_trip",
                    help="default: each architecture's own protocol")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p.add_argument("--batch-size", type=int, dest="batch_size",
+                   help="trials per random stream (default 512): results depend on it, "
+                        "but not on how the engine groups batches into plane passes; a "
+                        "batch whose plane is over the 5 MiB pass budget runs alone, "
+                        "its plane as large as it needs")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

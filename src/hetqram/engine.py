@@ -62,25 +62,31 @@ distribution is the same. `_run_codes` and `run_events` still apply
 whatever events they are given.
 
 Passes: a batch is the unit of randomness (one generator stream each),
-not of work. Consecutive batches share one plane pass until it would span
-more than 2^16 (trial, branch) columns, 8 KB per plane row: a narrow batch
-alone gives rows of a few hundred words, where every gate costs its numpy
-call overhead rather than its bits. Each batch still draws its addresses
-and then its noise from its own generator, so the grouping changes no
-fidelity. Sampled-basis mode keeps one batch per pass: there a row holds
-one column per trial while the qubit count grows as ~6 * 2^n, so a pass
-that wide would need gigabytes at large n. Within a pass each trial owns a
-slot of the plane, its place in join order after the reference block,
-and an event finds its plane place from that slot by arithmetic: the plane
-and the sign row are viewed as trial units (`_trial_units`), one unsigned
-unit per slot (uint{B} for 8 <= B <= 64, B/64 words beyond; spans of 2 or
-4 branches widen to a byte, as `_pack_span` tiles them). A layer's X flips
-are then one invert of distinct units, and its Z phases one unit gather
-and one `xor.at` into the trials' sign units. In sampled-basis mode a
-unit is the byte of 8 one-column trials, whose slots follow join order,
-not trial order: a layer's flips go in with one `xor.at` of each trial's
-bit, and no phase is applied, since with one branch per trial (B = 1) no
-sign changes a fidelity.
+not of work. Consecutive batches share one plane pass while its dense
+plane, qubit rows x plane words with every drawn trial counted as joined
+and the reference block included, stays within `_PASS_BYTES` (5 MiB): a
+narrow batch alone gives rows of a few hundred words, where every gate
+costs its numpy call overhead rather than its bits. The budget counts
+bytes, not columns, so a tree of few rows takes more trials per pass, and
+one rule serves both address modes: a sampled-basis row holds one column
+per trial, but its qubit count grows as ~6 * 2^n, so its passes narrow as
+the tree deepens. A batch over the budget on its own still runs alone, its
+plane as wide as it needs. Each batch still draws its addresses, its noise
+and its lazy window parities from its own generator, so the grouping
+changes no fidelity.
+
+Within a pass each trial owns a slot of the plane, its place in join order
+after the reference block, and an event finds its plane place from that
+slot by arithmetic: the plane and the sign row are viewed as trial units
+(`_trial_units`), one unsigned unit per slot (uint{B} for 8 <= B <= 64,
+B/64 words beyond; spans of 2 or 4 branches widen to a byte, as
+`_pack_span` tiles them). A layer's X flips are then one invert of
+distinct units, and its Z phases one unit gather and one `xor.at` into the
+trials' sign units. In sampled-basis mode a unit is the byte of 8
+one-column trials, whose slots follow join order, not trial order: a
+layer's flips go in with one `xor.at` of each trial's bit, and no phase is
+applied, since with one branch per trial (B = 1) no sign changes a
+fidelity.
 
 A pass simulates only the trials that leave the noiseless path. A trial's
 columns equal the noiseless run until its first X flip: a Z phase changes
@@ -222,9 +228,12 @@ import numpy as np
 from .circuits import GateTable, Schedule
 from .noise import NoiseModel, NoisePlan, PauliEvent, net_flip_probability
 
-#: consecutive batches share a plane pass up to this many (trial, branch)
-#: columns: 1024 words (8 KB) per plane row
-_PASS_COLUMNS = 1 << 16
+#: consecutive batches share a plane pass while its dense plane, with every
+#: drawn trial joined, stays within this many bytes: just above the largest
+#: plane of any n <= 6 pass of 512-trial batches, ft-hetero qutrit n=6's
+#: 620 rows x 1025 words (4.85 MiB), so that narrower trees take wider
+#: passes at no more peak memory
+_PASS_BYTES = 5 << 20
 
 #: the dense kernel gathers up to about this many plane words (64 KB) per
 #: row of a gate group's operands and controls at a time: every temporary
@@ -236,11 +245,14 @@ _GATE_CHUNK = 1 << 13
 #: deviation-tracked kernel when its events per joined trial are at most
 #: this many per plane row. Its gathers grow with the deviating pairs, and
 #: those with events per row, not per trial. Re-measured with the row
-#: store, one pass of 2^16 columns (bb- and ft-hetero descent-only,
-#: uniform-bb round trip, 9 runs each), deviation / dense time: at n=8
-#: and 9, 0.43-0.77 from 1/41 to 1/55 and parity between 1/37 and 1/17;
-#: at n=7, 0.75 at 1/41 (bb), 1.00 at 1/47 (ft) and 0.95-1.06 from 1/197
-#: to 1/62 (uniform). A larger limit would lose at n=7, so it stays
+#: store, one pass of 2^16 (trial, branch) columns: 512 trials at n=7, 128
+#: at n=9 (from n=7 a 512-trial batch is over `_PASS_BYTES` on its own, so
+#: a pass there holds one batch, 2^16 columns or more). Deviation / dense
+#: time, bb- and ft-hetero descent-only and uniform-bb round trip, 9 runs
+#: each: at n=8 and 9, 0.43-0.77 from 1/41 to 1/55 and parity between 1/37
+#: and 1/17; at n=7, 0.75 at 1/41 (bb), 1.00 at 1/47 (ft) and 0.95-1.06
+#: from 1/197 to 1/62 (uniform). A larger limit would lose at n=7, so it
+#: stays
 _DEVIATION_EVENTS_PER_ROW = 1 / 40
 
 #: a superposition engine splits off its uniform windows (`_split_windows`)
@@ -293,6 +305,13 @@ def _slot_columns(B: int) -> int:
     a byte for B = 2, 4 (`_pack_span` tiles short spans, so the widened
     slot repeats its B columns), or one in sampled-basis mode (B = 1)."""
     return B if B == 1 else max(B, 8)
+
+
+def _plane_words(S: int, cols: int, trials):
+    """Words per row of a dense plane that holds a reference block of S
+    words and then the slots of `trials` joined trials, `cols` columns
+    each."""
+    return ((S * 64 // cols + trials) * cols + 63) // 64
 
 
 def _trial_units(words: np.ndarray, cols: int) -> tuple[np.ndarray, int]:
@@ -780,25 +799,32 @@ class PlaneEngine:
     def run_batches(self, batches: Iterable[tuple[np.random.Generator, int]]) -> np.ndarray:
         """Fidelities of every `(rng, n_trials)` batch, in order.
 
-        Consecutive batches share one plane pass while it spans at most
-        `_PASS_COLUMNS` (trial, branch) columns; a wider batch runs alone,
-        and so does every batch of one branch per trial (sampled-basis
-        mode), whose plane rows grow with the ~6 * 2^n qubits. Both modes
-        run the same pass shape, which joins only the trials with an X flip.
-        Each batch draws from its own generator, so the grouping changes
-        no fidelity.
+        Consecutive batches share one plane pass while its dense plane,
+        counting every drawn trial as joined (`_pass_bytes`), stays within
+        `_PASS_BYTES`, in both address modes; a batch over the budget on
+        its own runs alone. A pass joins only the trials with an X flip, so
+        the plane it allocates is at most that. Each batch draws from its
+        own generator, so the grouping changes no fidelity.
         """
-        out, group, cols = [np.empty(0)], [], 0
+        out, group, trials = [np.empty(0)], [], 0
         for rng, n_trials in batches:
-            span = n_trials * self.branch_count
-            if group and (self.branch_count == 1 or cols + span > _PASS_COLUMNS):
+            if group and self._pass_bytes(trials + n_trials) > _PASS_BYTES:
                 out.append(self._run_sampled(group))
-                group, cols = [], 0
+                group, trials = [], 0
             group.append((rng, n_trials))
-            cols += span
+            trials += n_trials
         if group:
             out.append(self._run_sampled(group))
         return np.concatenate(out)
+
+    def _pass_bytes(self, trials: int) -> int:
+        """Bytes of the dense plane of a pass in which all of `trials`
+        trials join: each qubit row holds the reference block (one trial's
+        span, or in sampled-basis mode one column per trial) and then each
+        trial's slot."""
+        B = self.branch_count
+        S = ((B if B > 1 else trials) + 63) // 64
+        return self.schedule.qubit_count * _plane_words(S, _slot_columns(B), trials) * 8
 
     def run_events(self, events_by_layer: dict[int, list[PauliEvent]], n_trials: int) -> np.ndarray:
         """Fidelities of `n_trials` superposition-mode trials that each see
@@ -954,7 +980,7 @@ class PlaneEngine:
         # after the gates of layer li, the trials joined so far, ends[li],
         # and the active prefix, width[li] words
         ends = np.searchsorted(firsts, np.arange(len(self._layers)), side="right")
-        width = (((ref_slots + ends) * cols + 63) // 64).tolist()
+        width = _plane_words(S, cols, ends).tolist()
         ends = ends.tolist()
         W = width[-1]
 
@@ -1163,9 +1189,11 @@ class PlaneEngine:
         window, join, words = (np.concatenate(part) for part in zip(*mixed))
         trial = order[join]
         ends = np.cumsum([n for _, n in batches])
-        # a pass holds at most 2^15 trials of two or more branches, so its
-        # batch numbers fit uint16, which numpy sorts stably by radix
-        batch = np.searchsorted(ends, trial, side="right").astype(np.uint16)
+        # the narrowest unsigned type that holds every batch number: numpy
+        # sorts one of 16 bits or fewer stably by radix, and a pass under
+        # the byte budget may still hold more than 2^16 one-trial batches
+        batch = np.searchsorted(ends, trial, side="right").astype(
+            np.min_scalar_type(len(batches) - 1))
         by_batch = np.argsort(batch, kind="stable")
         cut = np.searchsorted(batch[by_batch], np.arange(len(batches) + 1))
         fire = np.empty(trial.size, dtype=bool)

@@ -165,8 +165,10 @@ def run_fidelities(
     `batch_size` is the stream granularity: batch b of `batch_size`
     trials (the last one possibly shorter) draws from its own stream,
     `trajectory_rng(seed, stream * _POINT_STRIDE + b)`, so the results do
-    not depend on how the engine runs the batches. One plane pass may
-    span several consecutive batches (see `PlaneEngine.run_batches`).
+    not depend on how the engine runs the batches. In both address modes
+    one plane pass takes consecutive batches while its plane stays within
+    the engine's byte budget, and a batch over that budget runs alone
+    (see `PlaneEngine.run_batches`).
     """
     check_superposition_ceiling(schedule.n, address_mode)
     engine = PlaneEngine(schedule, noise, address_mode)

@@ -27,7 +27,7 @@ from hetqram.circuits import (
 )
 from hetqram.engine import (
     _DEVIATION_ROWS,
-    _PASS_COLUMNS,
+    _PASS_BYTES,
     PlaneEngine,
     _DeviationStore,
     _bernoulli_hits,
@@ -418,23 +418,33 @@ def _spy_passes(monkeypatch):
     return passes
 
 
+def _assert_budget_grouping(eng, passes):
+    """Each pass's plane, every drawn trial joined, stays within
+    `_PASS_BYTES` unless the pass is a single batch, and the next batch
+    would overflow it."""
+    for p, following in zip(passes, passes[1:] + [[]]):
+        assert len(p) == 1 or eng._pass_bytes(sum(p)) <= _PASS_BYTES
+        if following:
+            assert eng._pass_bytes(sum(p) + following[0]) > _PASS_BYTES
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_fused_passes_equal_one_run_per_batch(n, monkeypatch):
     """`run_fidelities` runs consecutive batches in shared plane passes and
     still equals, bit for bit, one `PlaneEngine.run` per batch on the same
-    streams. A pass spans at most max(one batch, _PASS_COLUMNS) columns,
-    and takes on the next batch whenever that stays within the limit.
-    n=1..7 crosses the sub-word (B < 64) and the aligned trial spans; the
-    cases give a partial last batch, a pass whose column count is no
-    multiple of 64, and batches that hit the column limit. A qutrit tree at
+    streams. A pass stays within the byte budget unless it is one batch,
+    and takes on the next batch whenever that stays within it. n=1..7
+    crosses the sub-word (B < 64) and the aligned trial spans; the cases
+    give a partial last batch, a pass whose column count is no multiple of
+    64, and, at n=7, batches that fill the budget. A qutrit tree at
     epsilon'=0.3 splits off its uniform windows from n=4 on, so there each
     batch also draws its lazy window parities from its own stream."""
     passes = _spy_passes(monkeypatch)
     for kind, params in (("qubit", SurfaceParams(0.03, 0.3)), ("qutrit", SurfaceParams(0.3, 0.3))):
         sched = build_ft_hetero(n, kind, _database(n))
         noise = NoiseModel(params, sched.profile)
-        B = 1 << n
-        per_pass = _PASS_COLUMNS // B
+        # about 2^16 (trial, branch) columns of work per case at every n
+        per_pass = (1 << 16) >> n
         eng = PlaneEngine(sched, noise)
         assert bool(eng._windows) == (kind == "qutrit" and n >= 4)
         cases = [(333, 50), (5 * (per_pass // 3 + 1) + 11, per_pass // 3 + 1), (600, 512)]
@@ -450,25 +460,73 @@ def test_fused_passes_equal_one_run_per_batch(n, monkeypatch):
             got = run_fidelities(sched, noise, trials, seed=9, batch_size=batch)
             assert got.tobytes() == ref.tobytes(), (n, kind, trials, batch)
             assert [m for p in passes for m in p] == sizes
-            for p, following in zip(passes, passes[1:] + [[]]):
-                assert sum(p) * B <= max(max(p) * B, _PASS_COLUMNS)
-                if following:
-                    assert (sum(p) + following[0]) * B > _PASS_COLUMNS
+            _assert_budget_grouping(eng, passes)
+            if n == 7 and (trials, batch) == cases[1]:
+                assert len(passes) > 1 and max(map(len, passes)) > 1
         assert len(expect[333, 50][0]) == 7
 
 
-def test_sampled_basis_runs_one_batch_per_pass(monkeypatch):
-    """Sampled-basis batches never share a pass, and each still equals its
-    own `PlaneEngine.run` on the same stream."""
-    sched = build_bb_hetero(3, "qutrit", _database(3))
+@pytest.mark.parametrize("n, trials, batch, count", [
+    (3, 333, 50, 1), (9, 8000, 512, 2), (12, 1300, 1100, 2),
+], ids=["one-pass", "split", "over-budget"])
+def test_sampled_basis_passes_fill_the_byte_budget(n, trials, batch, count, monkeypatch):
+    """Sampled-basis batches share passes by the same byte budget, whose
+    reference block holds one column per trial, and each still equals its
+    own `PlaneEngine.run` on the same stream. At n=3 every batch fits one
+    pass, at n=9 the budget splits them into `count` passes, and at n=12
+    the first batch is over the budget on its own and runs alone."""
+    sched = build_bb_hetero(n, "qutrit", _database(n))
     noise = NoiseModel(SurfaceParams(0.03, 0.3), sched.profile)
     eng = PlaneEngine(sched, noise, address_mode="basis")
-    sizes = [50] * 6 + [33]
+    sizes = [min(batch, trials - d) for d in range(0, trials, batch)]
     ref = np.concatenate([eng.run(trajectory_rng(4, b), m) for b, m in enumerate(sizes)])
     passes = _spy_passes(monkeypatch)
-    got = run_fidelities(sched, noise, 333, seed=4, address_mode="basis", batch_size=50)
+    got = run_fidelities(sched, noise, trials, seed=4, address_mode="basis", batch_size=batch)
     assert got.tobytes() == ref.tobytes()
-    assert passes == [[m] for m in sizes]
+    assert [m for p in passes for m in p] == sizes
+    _assert_budget_grouping(eng, passes)
+    assert len(passes) == count
+    assert (eng._pass_bytes(batch) > _PASS_BYTES) == (n == 12)
+
+
+@pytest.mark.parametrize("mode, arch, kind, n, trials", [
+    ("superposition", "ft-hetero", "qutrit", 6, 2048),
+    ("superposition", "bb-hetero", "qubit", 6, 2048),
+    ("basis", "bb-hetero", "qutrit", 9, 8000),
+])
+def test_multi_batch_planes_stay_within_the_budget(mode, arch, kind, n, trials, monkeypatch):
+    """The dense plane that `_run_dense` allocates is the one `_pass_bytes`
+    counts for the pass's joined trials, and in a pass of several batches
+    it stays within `_PASS_BYTES`, which stays at 5 MiB: a larger budget
+    raises peak memory, and must say so here. 512-trial batches at p'=0.1,
+    round trip: ft-hetero qutrit n=6 takes two batches per pass, 4.85 MiB
+    when every trial joins, bb-hetero qubit n=6 all four, and sampled-basis
+    bb-hetero qutrit n=9 thirteen and then three."""
+    sched = build_schedule(arch, n, kind, _database(n), round_trip=True)
+    noise = NoiseModel(SurfaceParams(0.03, 0.1), sched.profile)
+    eng = PlaneEngine(sched, noise, address_mode=mode)
+    planes = []
+    run_dense, bad_branches = PlaneEngine._run_dense, PlaneEngine._bad_branches
+
+    def spy_dense(self, cell, trial, bounds, firsts, order, *rest):
+        planes.append([order.size, 0])
+        return run_dense(self, cell, trial, bounds, firsts, order, *rest)
+
+    def spy_bad(self, plane, *rest):
+        planes[-1][1] = plane.nbytes
+        return bad_branches(self, plane, *rest)
+
+    monkeypatch.setattr(PlaneEngine, "_run_dense", spy_dense)
+    monkeypatch.setattr(PlaneEngine, "_bad_branches", spy_bad)
+    passes = _spy_passes(monkeypatch)
+    sizes = [min(512, trials - d) for d in range(0, trials, 512)]
+    eng.run_batches((trajectory_rng(3, b), m) for b, m in enumerate(sizes))
+    assert len(planes) == len(passes) and any(len(p) > 1 for p in passes)
+    for p, (joined, nbytes) in zip(passes, planes):
+        assert nbytes == eng._pass_bytes(joined) and joined <= sum(p)
+        if len(p) > 1:
+            assert nbytes <= _PASS_BYTES <= 5 << 20
+    assert max(nbytes for _, nbytes in planes) > _PASS_BYTES // 4
 
 
 def test_basis_pass_spans_only_the_joined_trials(monkeypatch):
@@ -1407,6 +1465,34 @@ def test_uniform_window_phase_changes_nothing(arch, kind, monkeypatch):
     assert cases > 50 and lossy > 5, (cases, lossy)
 
 
+def test_window_draws_keep_batch_numbers_past_16_bits():
+    """`_draw_windows` sends each lazy pair to its own batch's generator
+    also in a pass of more than 2^16 batches, whose numbers do not fit 16
+    bits (a pass under the byte budget may hold that many one-trial
+    batches): synthetic pairs on 65 539 one-trial batches, each batch's
+    generator a stub that counts its draws and always fires."""
+
+    class Stub:
+        draws = 0
+
+        def random(self, size):
+            self.draws += size
+            return np.zeros(size)
+
+    eng = PlaneEngine(build_bb_hetero(2, "qutrit", _database(2)), None)
+    eng._window_q = np.array([0.5, 0.5])
+    total = (1 << 16) + 3
+    batches = [(Stub(), 1) for _ in range(total)]
+    trial = np.array([0, 2, 65535, 65536, 65538])
+    words = np.arange(1, 6, dtype=np.uint8)
+    mixed = [(np.array([0, 0, 1, 1, 1]), trial, words)]
+    sign = np.zeros(total, dtype=np.uint8)
+    eng._draw_windows(mixed, np.arange(total), sign, batches)
+    draws = np.array([rng.draws for rng, _ in batches])
+    assert np.flatnonzero(draws).tolist() == trial.tolist() and draws.max() == 1
+    assert sign[trial].tolist() == words.tolist() and np.count_nonzero(sign) == trial.size
+
+
 def _spy_lazy_pairs(monkeypatch):
     """Record each `_draw_windows` call's lazy pairs and which fire.
 
@@ -1542,7 +1628,7 @@ def test_sim_passes_hold_no_global_phase_event(point, monkeypatch, tmp_path):
 @pytest.mark.parametrize("point", [
     ["--arch", "ft-hetero", "--n", "6", "--round-trip", "on", "--trials", "2048",
      "--batch-size", "512"],
-    ["--arch", "bb-hetero", "--n", "9", "--address-mode", "basis", "--trials", "300",
+    ["--arch", "bb-hetero", "--n", "9", "--address-mode", "basis", "--trials", "8000",
      "--batch-size", "128"],
 ], ids=["superposition", "basis"])
 def test_sim_passes_spend_every_draw(point, monkeypatch, tmp_path):

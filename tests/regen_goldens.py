@@ -3,10 +3,13 @@
     PYTHONPATH=src python tests/regen_goldens.py [--check]
 
 writes tests/data/sim_golden.csv (`test_cli.sim_golden_text`),
-tests/data/basis_golden.json (`test_engine.basis_golden_fidelities`) and
-tests/data/analytic_golden.json (`test_cli.analytic_outputs`). Run it only
-for a change that alters the RNG draw order, a bound or a resource table
-on purpose, and say why in the change; run at an unchanged commit, it
+tests/data/basis_golden.json (`test_engine.basis_golden_fidelities`),
+tests/data/analytic_golden.json (`test_cli.analytic_outputs`),
+tests/data/schedule_digest.json (`test_circuits.schedule_digests`) and
+tests/data/cli_help.txt (`test_cli.cli_help_text`). Run it only for a
+change that alters the RNG draw order, a bound, a resource table, a built
+schedule or the help text on purpose, and say why in the change; run at
+an unchanged commit, it
 rewrites every file byte for byte. With --check it writes nothing: it names each file that
 would change and exits 1, or exits 0 when every file is as it would write
 it. When it rewrites sim_golden.csv, it prints each changed row's z-score
@@ -22,6 +25,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
+import test_circuits  # noqa: E402
 import test_cli  # noqa: E402
 import test_engine  # noqa: E402
 
@@ -30,10 +34,13 @@ def goldens() -> dict[Path, str]:
     """Each golden file and the text the current generators give it."""
     data = HERE / "data"
     basis = json.dumps(test_engine.basis_golden_fidelities(), indent=1, sort_keys=True)
+    digests = json.dumps(test_circuits.schedule_digests(), indent=1, sort_keys=True)
     return {
         data / "sim_golden.csv": test_cli.sim_golden_text(),
         data / "basis_golden.json": basis + "\n",
         data / "analytic_golden.json": json.dumps(test_cli.analytic_outputs(), indent=1) + "\n",
+        data / "schedule_digest.json": digests + "\n",
+        data / "cli_help.txt": test_cli.cli_help_text(),
     }
 
 

@@ -531,10 +531,9 @@ def schedule_digests() -> dict[str, str]:
     its `dump()`, its qubit `levels` and `roles`, each layer's
     (code_cycles, noise_rounds, phase), which `dump()` leaves out, its
     `input_qubits` in order, and (initial_word, output_mask) of every
-    address. The walker has no return pass, so it has one protocol.
-    Regenerate the golden file with `python -c "import json, test_circuits
-    as t; print(json.dumps(t.schedule_digests(), indent=1,
-    sort_keys=True))"` from `tests/`."""
+    address. The walker has no return pass, so it has one protocol: the
+    contents of tests/data/schedule_digest.json, which
+    `tests/regen_goldens.py` rewrites."""
     out = {}
     for arch, kind in ALL_VARIANTS:
         for n in range(1, 9):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from dataclasses import astuple
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -910,3 +911,25 @@ def test_analytic_golden():
     with `tests/regen_goldens.py` and says why."""
     golden = json.loads((Path(__file__).parent / "data" / "analytic_golden.json").read_text())
     assert analytic_outputs() == golden
+
+
+def cli_help_text() -> str:
+    """`hetqram --help` and each subcommand's `--help`, at 80 columns, each
+    after a `$ ` line naming its command: the contents of
+    tests/data/cli_help.txt, which `tests/regen_goldens.py` rewrites."""
+    parts = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in ([], *([name] for name in _SUBCOMMANDS)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0, argv
+            parts.append(f"$ {' '.join(['hetqram', *argv, '--help'])}\n{out.getvalue()}")
+    return "".join(parts)
+
+
+def test_cli_help_golden():
+    """The help text of `hetqram` and of every subcommand, byte for byte
+    (see `cli_help_text`); a change to a flag or its help on purpose
+    regenerates tests/data/cli_help.txt with `tests/regen_goldens.py`."""
+    assert cli_help_text() == (Path(__file__).parent / "data" / "cli_help.txt").read_text()

@@ -6,21 +6,22 @@ expensive gate in the layer sets the cost: c*d cycles for a controlled
 swap at distance d, s*d for a plain swap or X). Registry qubits carry a
 tree level (root = 0, leaves = n) and a role tag.
 
-Gate tables: a layer holds its gates as one int64 array, one row per gate
-(`GateTable` names the columns and kind codes): the kind, operands a and
-b, two (control, polarity) pairs and the data bit, with -1 wherever a
-gate has fewer operands or controls. The builders write the tables, a
-whole tree level's gates in a few numpy calls from the registry's mode
-arrays (`_move`, `_route`, `_steer_route`, the walker hop, the data
-copy). `_LayerAccum.seal` checks every layer of a schedule and prices it
-from the tables, with one fixed set of numpy calls for all the layers;
-the return pass reuses the descent's tables. `Schedule` range-checks the
-tables and takes each qubit's first and last layer from them
-(`first_active_layer`, `measured_coherence_cycles`, `unread_from`), and
-`PlaneEngine._compile` (engine.py) compiles them. `Layer.gates` is
-derived from the table on first access, for the per-word readers
-(`run_noiseless`, `Schedule.dump`, the sparse branch states and the test
-oracles); the simulation path never builds a `Gate`.
+Gate tables: a layer holds its gates as one int64 array, one row per
+gate (`GateTable` names the columns, and a `GateKind` value is a kind
+code): the kind, operands a and b, two (control, polarity) pairs and the
+data bit, with -1 wherever a gate has fewer operands or controls. The
+builders write the tables, a whole tree level's gates in a few numpy
+calls from the registry's mode arrays (`_move`, `_route`,
+`_steer_route`, the walker hop, the data copy). `_LayerAccum.seal`
+checks every layer of a schedule and prices it from the tables, with one
+fixed set of numpy calls for all the layers; the return pass reuses the
+descent's tables. `Schedule` range-checks the tables and takes each
+qubit's first and last layer from them (`first_active_layer`,
+`measured_coherence_cycles`, `unread_from`), and `PlaneEngine._compile`
+(engine.py) compiles them. `Layer.gates` is derived from the table on
+first access, for the per-word readers (`run_noiseless`,
+`Schedule.dump`, the sparse branch states and the test oracles); the
+simulation path never builds a `Gate`.
 
 Address map: where an address enters a tree and where its answer is
 read is schedule data. The builders (`_tree_schedule`, `build_walker`)
@@ -28,11 +29,13 @@ fill three `Schedule` fields from their mode arrays: `address_rails`,
 the qubit that address bit k sets when it is 0 or 1 (-1 for none);
 `set_qubits`, set in every initial word; and `readout_tables`, whose
 tables of 2^l modes are indexed by the address's top l bits, the rows
-in turn making its output mask. `PlaneEngine._span` reads the map for
-all its columns at once (`set_cells`, `output_masks`), the per-word
-readers one address at a time (`initial_word`, `output_mask`). Only
-`decode`, which just the per-word checks call, stays a builder closure,
-and it turns the modes it reads into Python lists on its first call.
+in turn making its output mask. Only the two array readers read the map,
+for an array of addresses at once, and they alone check that each lies
+in [0, 2^n): `set_cells` and `output_masks`. `PlaneEngine._span` calls
+them for all its columns, and `initial_word` and `output_mask`, which
+the per-word readers use, for one address. Only `decode`, which just the
+per-word checks call, stays a builder closure, and it turns the modes it
+reads into Python lists on its first call.
 
 Conventions shared by all architectures:
 
@@ -78,35 +81,35 @@ import numpy as np
 from .noise import CycleCost, DistanceProfile
 
 
-class GateKind(enum.Enum):
-    SWAP = "SWAP"
-    CSWAP = "CSWAP"
-    CCSWAP = "CCSWAP"
-    X = "X"
-    CLASSICAL_CX = "CLASSICALCX"
+class GateKind(enum.IntEnum):
+    """A gate's kind, whose value is its code in a gate table's `KIND`
+    column (`GateTable`): a swap's code is its number of controls, and
+    the classical data copy is `CLASSICAL_CX`."""
+
+    SWAP = 0
+    CSWAP = 1
+    CCSWAP = 2
+    X = 3
+    CLASSICAL_CX = 4
 
 
 class GateTable:
     """The layout of a layer's gate table: an int64 array of one row per
     gate, whose columns are `KIND`, `A`, `B`, `C0`, `C1`, `P0`, `P1`,
-    `DATA`. A row holds its gate's kind code, its operands a and b, its
-    controls' qubits c0, c1 and polarities p0, p1, and its data bit; an
-    entry the gate does not have (b of an X or data copy, a missing
-    control and its polarity) is -1, and the data bit of every gate but
-    the copy is 0. The kind code indexes `KINDS`; a swap's code is its
-    number of controls.
+    `DATA`. A row holds its gate's kind (a `GateKind` value), its operands
+    a and b, its controls' qubits c0, c1 and polarities p0, p1, and its
+    data bit; an entry the gate does not have (b of an X or data copy, a
+    missing control and its polarity) is -1, and the data bit of every
+    gate but the copy is 0.
     """
 
     KIND, A, B, C0, C1, P0, P1, DATA = range(8)
-    SWAP, CSWAP, CCSWAP, X, COPY = range(5)
-    KINDS = (GateKind.SWAP, GateKind.CSWAP, GateKind.CCSWAP, GateKind.X, GateKind.CLASSICAL_CX)
     #: by kind code, which of the qubit columns A, B, C0, C1 the gate has
     PRESENT = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0]],
                        dtype=bool)
 
 
 _T = GateTable
-_CODES = {kind: code for code, kind in enumerate(_T.KINDS)}
 
 
 @dataclass(frozen=True)
@@ -192,13 +195,13 @@ class Gate:
             ctrls = ",".join(
                 f"ctrl=q{q}{'+' if pol else '-'}" for q, pol in self.controls
             )
-            return f"{self.kind.value}({ctrls},a=q{self.operands[0]},b=q{self.operands[1]})"
+            return f"{self.kind.name}({ctrls},a=q{self.operands[0]},b=q{self.operands[1]})"
         if self.kind is GateKind.X:
             return f"X(q=q{self.operands[0]})"
         return f"CLASSICALCX(data={self.data_bit},q=q{self.operands[0]})"
 
 
-def _gate_rows(kind: int, a, b=-1, c0=-1, c1=-1, p0=-1, p1=-1, data=0) -> np.ndarray:
+def _gate_rows(kind: GateKind, a, b=-1, c0=-1, c1=-1, p0=-1, p1=-1, data=0) -> np.ndarray:
     """A gate table of one `kind` row per element of `a`: the operands `a`
     and `b` are raveled, and every other column is a scalar or a vector
     with one entry per row."""
@@ -221,7 +224,7 @@ def _gate_table(gates: Iterable[Gate]) -> np.ndarray:
     for g in gates:
         ops = g.operands + (-1,) * (2 - len(g.operands))
         (c0, p0), (c1, p1) = g.controls + ((-1, -1),) * (2 - len(g.controls))
-        rows.append((_CODES[g.kind], *ops, c0, c1, p0, p1, g.data_bit))
+        rows.append((g.kind, *ops, c0, c1, p0, p1, g.data_bit))
     return np.array(rows, dtype=np.int64).reshape(-1, 8)
 
 
@@ -229,10 +232,10 @@ def _table_gates(table: np.ndarray) -> tuple[Gate, ...]:
     """The `Gate`s of a gate table's rows, in order (unchecked)."""
     gates = []
     for code, a, b, c0, c1, p0, p1, data in table.tolist():
-        if code <= _T.CCSWAP:  # a swap with `code` controls
-            gates.append(Gate(_T.KINDS[code], (a, b), ((c0, p0), (c1, p1))[:code]))
+        if code <= GateKind.CCSWAP:  # a swap with `code` controls
+            gates.append(Gate(GateKind(code), (a, b), ((c0, p0), (c1, p1))[:code]))
         else:
-            gates.append(Gate(_T.KINDS[code], (a,), data_bit=data))
+            gates.append(Gate(GateKind(code), (a,), data_bit=data))
     return tuple(gates)
 
 
@@ -455,54 +458,50 @@ class Schedule:
     def total_cycles(self) -> int:
         return sum(layer.code_cycles for layer in self.layers)
 
-    # -- the address map, for arrays of addresses --------------------------
+    # -- the address map ----------------------------------------------------
 
-    def set_cells(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _addresses(self, addresses) -> np.ndarray:
+        """`addresses` as an int64 array, each checked to lie in [0, 2^n)."""
+        try:
+            addresses = np.asarray(addresses, dtype=np.int64)
+        except OverflowError:  # Python ints past int64, each checked as is
+            addresses = np.asarray(addresses, dtype=object)
+        bad = addresses[addresses >> self.n != 0]  # a negative one shifts to -1
+        if bad.size:
+            raise ValueError(f"address {bad[0]} outside [0, 2^{self.n})")
+        return addresses
+
+    def set_cells(self, addresses) -> tuple[np.ndarray, np.ndarray]:
         """(qubit, column) of every qubit that column c's initial word sets,
         column c holding addresses[c]: the set qubits of every column, then
-        the rail that each address bit picks."""
-        addresses = np.asarray(addresses, dtype=np.int64)
+        the rail that each address bit picks. Each qubit of a column is
+        listed once."""
+        if self.address_rails is None:
+            raise ValueError("schedule has no architecture input map")
+        addresses = self._addresses(addresses)
         bits = (addresses >> np.arange(self.n - 1, -1, -1)[:, None]) & 1  # (n, C)
         qubits = np.vstack([np.repeat(self.set_qubits[:, None], addresses.size, axis=1),
                             np.take_along_axis(self.address_rails, bits, axis=1)])
         row, column = np.nonzero(qubits >= 0)
         return qubits[row, column], column
 
-    def output_masks(self, addresses: np.ndarray) -> np.ndarray:
-        """(C, m) array whose row c is `output_mask(addresses[c])`."""
-        addresses = np.asarray(addresses, dtype=np.int64)
+    def output_masks(self, addresses) -> np.ndarray:
+        """(C, m) array whose row c holds the qubits that carry the query
+        output of address addresses[c]: its row of each readout table, the
+        row at its top l bits for a table of 2^l modes."""
+        if not self.readout_tables:
+            raise ValueError("schedule has no output mask")
+        addresses = self._addresses(addresses)
         return np.concatenate([table[addresses >> (self.n - len(table).bit_length() + 1)]
                                for table in self.readout_tables], axis=1)
 
-    # -- the address map, one address at a time -----------------------------
-
-    @cached_property
-    def _address_lists(self) -> tuple[int, list, list]:
-        """The address map as Python values: the word of the set qubits,
-        `address_rails` and each readout table with its address shift."""
-        return (sum(1 << q for q in self.set_qubits.tolist()),
-                self.address_rails.tolist(),
-                [(table.tolist(), self.n - len(table).bit_length() + 1)
-                 for table in self.readout_tables])
-
     def initial_word(self, address: int) -> int:
         """The basis word that enters the tree for one address."""
-        if not 0 <= address < (1 << self.n):
-            raise ValueError(f"address {address} outside [0, 2^{self.n})")
-        if self.address_rails is None:
-            raise ValueError("schedule has no architecture input map")
-        word, rails, _ = self._address_lists
-        for k, rail in enumerate(rails):
-            q = rail[(address >> (self.n - 1 - k)) & 1]
-            if q >= 0:
-                word |= 1 << q
-        return word
+        return sum(1 << q for q in self.set_cells([address])[0].tolist())
 
     def output_mask(self, address: int) -> tuple[int, ...]:
         """Qubits that carry the query output for one address branch."""
-        if not self.readout_tables:
-            raise ValueError("schedule has no output mask")
-        return tuple(q for rows, shift in self._address_lists[2] for q in rows[address >> shift])
+        return tuple(self.output_masks([address])[0].tolist())
 
     def decode(self, word: int) -> tuple[int, int, bool]:
         """(address, data bit, delivered) read from a final basis word."""
@@ -535,9 +534,6 @@ def run_noiseless(schedule: Schedule, word: int) -> int:
     return word
 
 
-ROUTER_ROLES = frozenset({"router_direction", "router_active"})
-
-
 def measured_coherence_cycles(schedule: Schedule, level: int) -> int:
     """Code cycles from the first gate on `level`'s routers to the schedule end.
 
@@ -550,7 +546,7 @@ def measured_coherence_cycles(schedule: Schedule, level: int) -> int:
     if not 0 <= level <= schedule.n:
         raise ValueError(f"level {level} outside [0, {schedule.n}]")
     on_level = [q for q, l in enumerate(schedule.levels) if l == level]
-    watched = [q for q in on_level if schedule.roles[q] in ROUTER_ROLES] or on_level
+    watched = [q for q in on_level if schedule.roles[q] in _ROUTER_ROLES] or on_level
     start = int(schedule._first_touch[watched].min())
     return sum(layer.code_cycles for layer in schedule.layers[start:])
 
@@ -636,7 +632,7 @@ def _router_width(router_kind: str) -> int:
 
 def _move(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Plain swaps of modes, mode by mode and rail by rail."""
-    return _gate_rows(_T.SWAP, src, dst)
+    return _gate_rows(GateKind.SWAP, src, dst)
 
 
 def _route(router: np.ndarray, src: np.ndarray, dst: np.ndarray, bit: int) -> np.ndarray:
@@ -646,15 +642,16 @@ def _route(router: np.ndarray, src: np.ndarray, dst: np.ndarray, bit: int) -> np
     holds one mode per node."""
     fire = np.repeat(router, src.shape[-1], axis=0)  # each rail's router
     if router.shape[-1] == 1:
-        return _gate_rows(_T.CSWAP, src, dst, c0=fire[:, 0], p0=bit)
-    return _gate_rows(_T.CCSWAP, src, dst, c0=fire[:, 1], c1=fire[:, 0], p0=1, p1=bit)
+        return _gate_rows(GateKind.CSWAP, src, dst, c0=fire[:, 0], p0=bit)
+    return _gate_rows(GateKind.CCSWAP, src, dst, c0=fire[:, 1], c1=fire[:, 0], p0=1, p1=bit)
 
 
 def _append_return_pass(layers: list[Layer]) -> None:
     """Mirror the descent (every layer but the data copy) after the copy,
     one phase per layer from the next free phase on; the mirrored layers
     share the descent's tables."""
-    descent = [l for l in layers if not np.any(l.table[:, _T.KIND] == _T.COPY)]
+    copy = int(GateKind.CLASSICAL_CX)  # numpy compares an IntEnum member far slower
+    descent = [l for l in layers if not np.any(l.table[:, _T.KIND] == copy)]
     base = layers[-1].phase + 1
     layers.extend(
         Layer(src.table, src.code_cycles, src.noise_rounds, base + i)
@@ -664,7 +661,7 @@ def _append_return_pass(layers: list[Layer]) -> None:
 
 def _data_copy(leaves: np.ndarray, database: Sequence[int]) -> np.ndarray:
     """The classical copy of each database bit onto its leaf's value rail."""
-    return _gate_rows(_T.COPY, leaves[:, 0], data=np.asarray(database))
+    return _gate_rows(GateKind.CLASSICAL_CX, leaves[:, 0], data=np.asarray(database))
 
 
 def _tree_schedule(
@@ -990,7 +987,7 @@ def build_ft_hetero(
 
 def _s_hop(parent_b, parent_r, child_b, child_r) -> np.ndarray:
     """The gate table of `walker_s_hop`."""
-    return _gate_rows(_T.CCSWAP, parent_b, child_r, c0=child_b, c1=parent_r, p0=0, p1=0)
+    return _gate_rows(GateKind.CCSWAP, parent_b, child_r, c0=child_b, c1=parent_r, p0=0, p1=0)
 
 
 def walker_s_hop(parent_b: int, parent_r: int, child_b: int, child_r: int) -> Gate:
@@ -1006,7 +1003,7 @@ def _steer_route(steer: np.ndarray, src: np.ndarray, dst: np.ndarray, bit: int) 
     """Each node's walker hop into child `bit`, rail by rail, fired by the
     node's steer cell's B rail (bit 0, left) or R rail (bit 1, right)."""
     fire = np.repeat(steer[:, bit], src.shape[-1])  # each rail's steer rail
-    return _gate_rows(_T.CSWAP, src, dst, c0=fire, p0=1)
+    return _gate_rows(GateKind.CSWAP, src, dst, c0=fire, p0=1)
 
 
 def build_walker(

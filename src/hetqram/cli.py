@@ -15,6 +15,7 @@ import sys
 from dataclasses import astuple
 
 from . import analytics
+from .engine import _PASS_BYTES
 from .harness import (
     ARCHITECTURES,
     ConfigError,
@@ -129,8 +130,8 @@ def _common_flags(p: _Parser) -> None:
     p.add_argument("--batch-size", type=int, dest="batch_size",
                    help="trials per random stream (default 512): results depend on it, "
                         "but not on how the engine groups batches into plane passes; a "
-                        "batch whose plane is over the 5 MiB pass budget runs alone, "
-                        "its plane as large as it needs")
+                        f"batch whose plane is over the {_PASS_BYTES >> 20} MiB pass budget "
+                        "runs alone, its plane as large as it needs")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -224,7 +225,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     report = run_sweep(config)
     for row in report.rows:
         _note_noiseless(row)
-    _emit_rows(REPORT_FIELDS, [row.astuple() for row in report.rows], args)
+    _emit_rows(REPORT_FIELDS, [astuple(row) for row in report.rows], args)
     return EXIT_OK
 
 

@@ -138,22 +138,24 @@ flip, its whole-row operations beat the per-pair gathers (measured past
 about 1/50 events per row at n=7, and past 1/37 to 1/17 at n=8 and 9).
 Both kernels give the same fidelities bit for bit.
 
-Uniform windows: a Z phase on a plane row that holds one bit in every
-branch of its trial flips the signs of all of them or of none, a global
-phase. A row's window runs from a layer in which the row is an operand of
-a controlled swap (or from the start) to the next such layer. Inside one
-only inverts and X flips change the row, alike on every branch of a
-trial, so the row stays uniform or mixed there, and its phases combine by
-parity up to a global sign. Most trials follow the noiseless run on most
-rows, and the weakly protected lower levels of a heterogeneous tree idle
-on rows that are uniform in it (Hann et al., PRX Quantum 2, 020311
-(2021)). So an engine whose live Z cells expect at least `_SPLIT_Z_HITS`
-hits per trial runs the reference block once through the compiled layers
-at construction (`_reference_windows`) and splits (`_split_windows`):
-the Z cells of a window that is uniform in the reference leave the
-classes. A window open from the start is uniform in every trial, and its
-cells are dropped. Any other that expects at least `_WINDOW_Z_HITS` flips
-per trial keeps one parity Q_w = (1 - prod(1 - 2q)) / 2 of its cells, and
+Uniform windows: a trial's row is uniform when it holds one bit in every
+branch of the trial, all 0 or all 1 (`_uniform` decides it, for a trial
+unit and a row of words alike). A Z phase on a uniform row flips the
+signs of all the branches or of none, a global phase. A row's window
+runs from a layer in which the row is an operand of a controlled swap
+(or from the start) to the next such layer. Inside one only inverts and
+X flips change the row, alike on every branch of a trial, so the row
+stays uniform or mixed there, and its phases combine by parity up to a
+global sign. Most trials follow the noiseless run on most rows, and the
+weakly protected lower levels of a heterogeneous tree idle on rows that
+are uniform in it (Hann et al., PRX Quantum 2, 020311 (2021)). So an
+engine whose live Z cells expect at least `_SPLIT_Z_HITS` hits per trial
+runs the reference block once through the compiled layers at
+construction (`_reference_windows`) and splits (`_split_windows`): the Z
+cells of a window that is uniform in the reference leave the classes. A
+window open from the start is uniform in every trial, and its cells are
+dropped. Any other that expects at least `_WINDOW_Z_HITS` flips per
+trial keeps one parity Q_w = (1 - prod(1 - 2q)) / 2 of its cells, and
 goes lazy: at its opening layer a pass collects the joined trials whose
 row is mixed there (the dense kernel gathers the window rows of the
 active trials, the deviation kernel reads its flagged pairs), and at the
@@ -161,10 +163,8 @@ end of the pass each batch draws one uniform per collected pair of its
 own trials from its own generator, in (opening layer, row, join) order
 (`_draw_windows`). A pair whose uniform falls below Q_w XORs the row, as
 it was at the opening, into the trial's signs. This is the reference
-frame again, applied to phases: at seed 7 a pass of the fourteen
-acceptance-regime points draws 575 582 static Z phases instead of
-1 826 778, plus 132 066 lazy uniforms, of which 28 717 fire. The split
-moves the draws of a stream, not the fidelity distribution.
+frame again, applied to phases. The split moves the draws of a stream,
+not the fidelity distribution.
 
 Swaps are unconditional, so they never reach the plane: each layer
 compiles once to gates on physical plane rows, and the swaps fold into a
@@ -328,6 +328,19 @@ def _trial_units(words: np.ndarray, cols: int) -> tuple[np.ndarray, int]:
     if bits > 64:
         units = units.reshape(-1, bits // 64)
     return units, shift
+
+
+def _uniform(units: np.ndarray) -> np.ndarray:
+    """Whether each unit of `units`, whose words run along the last axis,
+    holds the same bit in every branch: all its bits 0, or all 1. One
+    rule for every unit the engine reads: a trial unit of one word (uint8
+    to uint64, the tiled byte of a 2- or 4-branch slot among them) or of
+    several, and a plane row of words."""
+    head = units[..., 0]
+    flat = (head == 0) | (head == ~head.dtype.type(0))
+    if units.shape[-1] > 1:  # and every word as the first
+        flat &= (units == head[..., None]).all(axis=-1)
+    return flat
 
 
 def _gate_pass(layer, plane: np.ndarray, w: int) -> None:
@@ -655,8 +668,8 @@ class PlaneEngine:
 
         A row's window opens at each layer in which the row is an operand
         of a controlled swap. Inside one only inverts and X flips change
-        the row, alike on every branch of a trial, so a row uniform (one
-        bit in every branch) when its window opens stays uniform there.
+        the row, alike on every branch of a trial, so a row uniform
+        (`_uniform`) when its window opens stays uniform there.
         Window r < qubits is row r's window open from the start, with
         opening layer -1; the others are numbered in order of opening, and
         `opening` and `row` give each window's opening layer and row.
@@ -682,11 +695,7 @@ class PlaneEngine:
                 rows_of.append(operands)
             if li == layers[step]:
                 window[step] = current
-                head = block[:, 0]
-                flat = (head == 0) | (head == ~np.uint64(0))
-                if block.shape[1] > 1:  # and every word as the first
-                    flat &= (block == block[:, :1]).all(axis=1)
-                uniform[step] = flat
+                uniform[step] = _uniform(block)
                 step += 1
         maps = np.stack([self._maps[li] for li in layers.tolist()])
         return window, uniform, maps, np.concatenate(opening), np.concatenate(rows_of)
@@ -1015,11 +1024,7 @@ class PlaneEngine:
             if mixed is not None and old and li in self._windows:
                 lo, rows = self._windows[li]
                 u = by_row[rows, ref_slots : ref_slots + old]
-                head = u if u.ndim == 2 else u[..., 0]
-                mix = (head != 0) & (head != whole)
-                if u.ndim > 2:  # a wide unit: its words must all equal the first
-                    mix |= (u != head[..., None]).any(axis=2)
-                hit = np.flatnonzero(mix)
+                hit = np.flatnonzero(~_uniform(u.reshape(rows.size, old, -1)))
                 k = hit // old
                 mixed.append((lo + k, hit - k * old, u.reshape(-1, *units.shape[1:])[hit]))
             if bounds[2 * li] == bounds[2 * li + 2]:
@@ -1129,7 +1134,7 @@ class PlaneEngine:
                 t = hit - k * T
                 d = dev.read(rows[k] * np.int64(T) + t)[1]
                 d ^= ref.take(rows[k], axis=0)
-                mix = ~((d == 0).all(axis=1) | (d == ~np.uint64(0)).all(axis=1))
+                mix = ~_uniform(d)
                 mixed.append((lo + k[mix], t[mix], d[mix]))
             lo, mid, hi = bounds[2 * li : 2 * li + 3]
             if lo < mid:  # X flips: each trial's whole span

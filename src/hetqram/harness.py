@@ -13,8 +13,8 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence, get_args
+from dataclasses import astuple, dataclass, field, replace
+from typing import Iterator, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -310,22 +310,11 @@ def resource_estimate(architecture: str, profile: DistanceProfile) -> analytics.
 # ---------------------------------------------------------------------------
 # sweeps and reports
 
-REPORT_FIELDS = (
-    "architecture",
-    "router_kind",
-    "n",
-    "p_prime",
-    "trials",
-    "mean_infidelity",
-    "ci95_low",
-    "ci95_high",
-    "analytic_bound",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class ReportRow:
+    """One sweep point's row; its fields, in order, are the report's
+    columns (`REPORT_FIELDS`)."""
+
     architecture: str
     router_kind: str
     n: int
@@ -343,12 +332,11 @@ class ReportRow:
         if self.analytic_bound < 0:
             raise ValueError("negative analytic bound")
 
-    def astuple(self):
-        return tuple(getattr(self, f) for f in REPORT_FIELDS)
 
-
-#: the type of each REPORT_FIELDS column, for reading a report back
-_ROW_TYPES = (str, str, int, float, int, float, float, float, float, int)
+#: the type of each report column, by name in column order, for reading a
+#: report back
+_ROW_TYPES = get_type_hints(ReportRow)
+REPORT_FIELDS = tuple(_ROW_TYPES)
 
 
 @dataclass
@@ -524,12 +512,12 @@ def rows_to_text(fields: Sequence[str], rows: Sequence[tuple], fmt: str) -> str:
 
 
 def report_to_csv(report: ExperimentReport) -> str:
-    return rows_to_text(REPORT_FIELDS, [row.astuple() for row in report.rows], "csv")
+    return rows_to_text(REPORT_FIELDS, [astuple(row) for row in report.rows], "csv")
 
 
 def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
     """Write the report as CSV or JSON with a fixed column order."""
-    text = rows_to_text(REPORT_FIELDS, [row.astuple() for row in report.rows], fmt)
+    text = rows_to_text(REPORT_FIELDS, [astuple(row) for row in report.rows], fmt)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -555,7 +543,7 @@ def load_report(path: str) -> ExperimentReport:
     for i, rec in enumerate(records, 1):
         try:
             # JSON values go through their text too, so that 4.5 is no int
-            values = [kind(str(rec[f])) for f, kind in zip(REPORT_FIELDS, _ROW_TYPES)]
+            values = [kind(str(rec[f])) for f, kind in _ROW_TYPES.items()]
             report.add(ReportRow(*values))
         except KeyError as exc:
             raise ConfigError(f"{path}: row {i}: missing field {exc}") from None

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import re
 from pathlib import Path
@@ -178,7 +179,7 @@ def _routing_layer(sched):
     """Index of the first layer that routes two or more nodes, whose rows
     0, 1 and 2, 3 are two nodes' rails under their control sets."""
     li = next(i for i, layer in enumerate(sched.layers)
-              if np.count_nonzero(layer.table[:, _T.KIND] == _T.CCSWAP) >= 4)
+              if np.count_nonzero(layer.table[:, _T.KIND] == GateKind.CCSWAP) >= 4)
     controls = sched.layers[li].table[:4, _T.C0:]
     assert (controls[0] == controls[1]).all() and (controls[2] == controls[3]).all()
     assert (controls[0] != controls[2]).any()
@@ -557,24 +558,60 @@ def schedule_digest(sched) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _address_map_loop(sched, address):
+    """The initial word and output mask of one address, read by a loop
+    over the schedule's address map fields: `set_qubits`, the rail that
+    `address_rails[k]` gives address bit k, and the row of each readout
+    table of 2^l modes at the address's top l bits."""
+    word = sum(1 << q for q in sched.set_qubits.tolist())
+    for k, rail in enumerate(sched.address_rails.tolist()):
+        q = rail[(address >> (sched.n - 1 - k)) & 1]
+        if q >= 0:
+            word |= 1 << q
+    mask = []
+    for table in sched.readout_tables:
+        level = int(math.log2(len(table)))
+        mask += table[address >> (sched.n - level)].tolist()
+    return word, tuple(mask)
+
+
 @pytest.mark.parametrize("arch,kind", ALL_VARIANTS)
 def test_address_map_arrays_equal_per_address_reads(arch, kind):
     """`Schedule.set_cells` and `Schedule.output_masks` of an address array
-    (every address, then random ones with repeats) equal the per-address
-    `initial_word` and `output_mask` column by column, each set qubit
-    listed once, for n=1..6 under both protocols."""
+    (every address, then random ones with repeats), column by column, and
+    the per-address `initial_word` and `output_mask` equal a loop over the
+    address map fields (`_address_map_loop`), each set qubit listed once,
+    for n=1..6 under both protocols."""
     rng = np.random.default_rng(3)
     for n in range(1, 7):
         for rt in [None] if arch == "walker" else [True, False]:
             sched = build_schedule(arch, n, kind, [0] * (1 << n), round_trip=rt)
             addresses = np.concatenate([np.arange(1 << n), rng.integers(0, 1 << n, 50)])
+            expect = [_address_map_loop(sched, a) for a in addresses.tolist()]
             words = [0] * addresses.size
             for q, c in zip(*(part.tolist() for part in sched.set_cells(addresses))):
                 assert not (words[c] >> q) & 1, (n, rt, c, q)
                 words[c] |= 1 << q
-            assert words == [sched.initial_word(a) for a in addresses.tolist()], (n, rt)
+            assert words == [word for word, _ in expect], (n, rt)
             masks = [tuple(m) for m in sched.output_masks(addresses).tolist()]
-            assert masks == [sched.output_mask(a) for a in addresses.tolist()], (n, rt)
+            assert masks == [mask for _, mask in expect], (n, rt)
+            assert [(sched.initial_word(a), sched.output_mask(a))
+                    for a in addresses.tolist()] == expect, (n, rt)
+
+
+@pytest.mark.parametrize("reader", ["initial_word", "output_mask", "set_cells", "output_masks"])
+def test_every_address_reader_checks_the_range(reader):
+    """Each of the four readers of the address map refuses an address
+    outside [0, 2^n) with one message, below 0, from 2^n on and past
+    int64, alone or, for the array readers, next to valid addresses
+    (bb-hetero qutrit, n=3)."""
+    sched = build_bb_hetero(3, "qutrit", [0] * 8)
+    method = getattr(sched, reader)
+    read = method if reader in ("initial_word", "output_mask") else lambda a: method([0, a, 7])
+    for address in (-1, -9, 8, 16, 1 << 64, -(1 << 70)):
+        with pytest.raises(ValueError, match=rf"^address {address} outside \[0, 2\^3\)$"):
+            read(address)
+    read(7)
 
 
 def test_schedule_digests_golden():

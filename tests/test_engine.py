@@ -35,6 +35,7 @@ from hetqram.engine import (
     _pack_span,
     _slot_columns,
     _trial_units,
+    _uniform,
     _unpack_bits_lsb,
 )
 from hetqram.harness import infidelity_stats, run_fidelities
@@ -689,6 +690,34 @@ def test_trial_spans_equal_word_by_word_definition(B, n_trials):
             row = words if len(shape) == 1 else words[1]
             assert np.array_equal(row, expect), (B, t)
             assert np.count_nonzero(words) == np.count_nonzero(expect)
+
+
+@pytest.mark.parametrize("B", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_uniform_decides_every_unit_shape(B):
+    """`_uniform` on every trial unit the engine makes: uint8 to uint64
+    units (B = 8..64), rows of two and of four words (B = 128, 256), and
+    the tiled bytes of 2- and 4-branch slots. All-zero and all-one units
+    are uniform, and flipping any single bit of either makes it mixed; a
+    tiled byte is uniform just when its slot's B branch bits agree."""
+    cols = _slot_columns(B)
+    W = (cols + 63) // 64
+
+    def uniform(words):
+        units = _trial_units(words, cols)[0]
+        return _uniform(units.reshape(units.shape[0], -1))
+
+    zero = np.zeros(W, dtype=np.uint64)
+    assert uniform(zero).all() and uniform(~zero).all()
+    for b in range(cols):
+        bits = np.zeros(64 * W, dtype=bool)
+        bits[b] = True
+        for words in (_pack_bits_lsb(bits), ~_pack_bits_lsb(bits)):
+            assert not uniform(words)[0], b
+    if B < 8:  # every pattern of the slot's branch bits, as `_pack_span` tiles it
+        for pattern in range(1 << B):
+            cols_set = np.flatnonzero([(pattern >> k) & 1 for k in range(B)])
+            span = _pack_span(np.zeros(cols_set.size, dtype=np.int64), cols_set, 1, B)
+            assert uniform(span[0]).tolist() == [pattern in (0, (1 << B) - 1)] * 8, pattern
 
 
 @pytest.mark.parametrize("arch,kind", VARIANTS)
